@@ -8,7 +8,6 @@ degree), 2 malformed document, 3 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .abgroups import FgAbGroup, GroupSyntaxError, parse_group
@@ -24,7 +23,7 @@ from .complexes import (
     wedge,
     zoo,
 )
-from .documents import SchemaError, complex_to_doc, dumps, loads_complex, loads_map
+from .documents import SchemaError, _parse, complex_to_doc, dumps, loads_complex, loads_map
 from .homology import chain_group
 from .verify import (
     SUITES,
@@ -94,11 +93,7 @@ def _parse_range(text: str) -> range:
 
 def _cmd_validate(args) -> int:
     text = _read(args.file)
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        print(f"$: not valid JSON ({e.msg} at line {e.lineno})", file=sys.stderr)
-        return 2
+    raw = _parse(text)
     if isinstance(raw, dict) and "maps" in raw:
         violations = validate_map(loads_map(text, validate=False))
         label = "chain map"
@@ -183,7 +178,7 @@ def _cmd_check(args) -> int:
         reports = run_battery(suites=suites)
     else:
         text = _read(args.file)
-        raw = json.loads(text) if text.strip().startswith("{") else None
+        raw = _parse(text)
         run_all = "all" in suites
         reports = []
         g = args.coeff

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _sparse_apply, _sparse_columns
 
 __all__ = [
     "CwComplex",
@@ -107,14 +107,16 @@ def validate(x: CwComplex) -> list[str]:
             )
     if out:
         return out
-    b1 = x.boundary(1)
-    for j in range(b1.cols):
-        s = sum(b1.col(j))
+    lower = _sparse_columns(x.boundary(1))
+    for j, col in enumerate(lower):
+        s = sum(v for _, v in col)
         if s != 0:
             out.append(f"dimension 1: column {j} has entry sum {s}, not 0")
     for n in range(2, x.dim + 1):
-        if not (x.boundary(n - 1) @ x.boundary(n)).is_zero():
+        upper = _sparse_columns(x.boundary(n))
+        if any(any(_sparse_apply(lower, col).values()) for col in upper):
             out.append(f"dimension {n}: chain condition B_{n-1} @ B_{n} != 0")
+        lower = upper
     return out
 
 

@@ -203,6 +203,8 @@ def _parse(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError("$", f"not valid JSON ({e.msg} at line {e.lineno})")
+    except RecursionError:
+        raise SchemaError("$", "not valid JSON (nested too deeply)") from None
 
 
 def loads_complex(text: str, validate: bool = True) -> CwComplex:

@@ -15,6 +15,18 @@ bookkeeping differ.
 Every group is returned together with a presentation: explicit cocycle
 (or cycle) lifts for the canonical generators and a coordinate map back,
 which is what induced homomorphisms are written against.
+
+The quotient engines run on a small chain-equivalent complex.  Once per
+complex, ``reduction`` cancels pairs of cells joined by a unit (+-1)
+boundary entry, recording chain maps f: C -> C' and g: C' -> C.  Each
+factor presentation computed on the residual C' is carried back exactly:
+lifts through g (f^T for cochains), coordinates through f (g^T), after a
+sparse check of the vector against the original outgoing map, because f
+is not injective.  The pivots are units, so the reduction is over Z and
+every cyclic factor of G is still computed directly on C'.  The carried
+augmentation e g_0 is again the all-ones row, so the reduced variants go
+through ``_graded_maps`` on C' unchanged.  A complex with no unit entry is
+used as it is.
 """
 
 from __future__ import annotations
@@ -27,10 +39,14 @@ from .complexes import CwComplex, require_valid
 from .intmat import (
     GroupWithPresentation,
     IntMatrix,
+    NotInLattice,
+    _sparse_apply,
+    _sparse_columns,
     mod_d_quotient,
     kernel_basis,
     quotient_group,
 )
+from .reduction import Reduction, reduce_complex
 
 __all__ = [
     "CoeffPresentation",
@@ -118,6 +134,36 @@ def _graded_maps(x: CwComplex, n: int, variant: str, reduced: bool):
     return out, inc
 
 
+def _transported(pres: GroupWithPresentation, red: Reduction, n: int, dual: bool,
+                 out_map: IntMatrix, modulus: int) -> GroupWithPresentation:
+    """A residual factor presentation carried back to the cells of the
+    original complex: lifts through g (f^T on cochains), coordinates
+    through f (g^T).  f is not injective, so a vector is first checked
+    against the original out-map, mod the factor's modulus, and rejected
+    exactly where the unreduced presentation would reject it."""
+    ambient = red.cells[n]
+    lifts = tuple(red.pull(n, lift, dual) for lift in pres.lifts)
+    out_cols = None  # made sparse on first use: most groups are never queried
+
+    def coords(v):
+        nonlocal out_cols
+        if len(v) != ambient:
+            raise ValueError("vector length mismatch")
+        if out_cols is None:
+            out_cols = _sparse_columns(out_map)
+        image = _sparse_apply(out_cols, ((j, a) for j, a in enumerate(v) if a))
+        if any(s % modulus if modulus else s for s in image.values()):
+            raise NotInLattice("vector outside the numerator lattice")
+        return pres.coords(red.push(n, v, dual))
+
+    return GroupWithPresentation(pres.group, ambient, lifts, coords)
+
+
+# one reduction per complex, shared by every query on it; unbounded like
+# chain_group's own cache
+_reduction = lru_cache(maxsize=None)(reduce_complex)
+
+
 @lru_cache(maxsize=None)
 def chain_group(x: CwComplex, n: int, coeff: FgAbGroup, variant: str, reduced: bool) -> CoeffPresentation:
     """The n-th (co)homology of x with coefficients in ``coeff``.
@@ -128,9 +174,16 @@ def chain_group(x: CwComplex, n: int, coeff: FgAbGroup, variant: str, reduced: b
     require_valid(x)
     if n < 0 or n > x.dim:
         return cells_presentation(0, coeff)
-    out, inc = _graded_maps(x, n, variant, reduced)
-    pres = [(m, _factor_presentation(out, inc, m)) if m else (0, _factor_presentation(out, inc, 0))
-            for m in coeff_factors(coeff)]
+    red = _reduction(x)
+    if red is None:
+        out, inc = _graded_maps(x, n, variant, reduced)
+        pres = [(m, _factor_presentation(out, inc, m)) for m in coeff_factors(coeff)]
+    else:
+        out, inc = _graded_maps(red.residual, n, variant, reduced)
+        full_out = _graded_maps(x, n, variant, reduced)[0]
+        dual = variant == "cohomology"
+        pres = [(m, _transported(_factor_presentation(out, inc, m), red, n, dual, full_out, m))
+                for m in coeff_factors(coeff)]
     return _assemble(coeff, x.cells[n], pres)
 
 

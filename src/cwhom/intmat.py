@@ -138,7 +138,7 @@ class IntMatrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def columns(self) -> list[tuple]:
         return [self.col(j) for j in range(self.cols)]
@@ -192,6 +192,22 @@ class IntMatrix:
     def delete_col(self, j: int) -> "IntMatrix":
         rows = [r[:j] + r[j + 1:] for r in self.to_rows()]
         return IntMatrix.from_rows(rows, cols=self.cols - 1)
+
+
+def _sparse_columns(m: IntMatrix) -> list:
+    """The nonzero (row, value) pairs of each column of m, rows ascending."""
+    c = m.cols
+    return [[(i, v) for i, v in enumerate(m.entries[j::c]) if v] for j in range(c)]
+
+
+def _sparse_apply(columns, pairs) -> dict:
+    """m @ v as {row: value}, for m given by ``_sparse_columns`` and v by
+    its nonzero (index, value) pairs; rows never reached are omitted."""
+    out = {}
+    for j, vj in pairs:
+        for i, a in columns[j]:
+            out[i] = out.get(i, 0) + a * vj
+    return out
 
 
 @dataclass(frozen=True)
@@ -581,6 +597,12 @@ def mod_d_quotient(out_map: IntMatrix, in_map: IntMatrix, d: int) -> GroupWithPr
     m = out_map.cols
     if in_map.rows != m:
         raise ValueError("shapes not composable")
+    # only residues matter: an entry beyond d/2 in size is replaced by its
+    # least absolute residue, which keeps SNF entries small
+    half = d // 2
+    out_map, in_map = (IntMatrix(a.rows, a.cols, tuple(v if -half <= v <= half else (v + half) % d - half
+                                                       for v in a.entries))
+                       for a in (out_map, in_map))
     comp = out_map @ in_map
     if any(v % d for v in comp.entries):
         raise ChainConditionViolation("out_map @ in_map is nonzero mod d")

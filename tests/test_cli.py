@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -150,3 +151,12 @@ def test_output_is_canonical(capsys):
     code, out, _ = run(capsys, "zoo", "klein")
     doc = json.loads(out)
     assert dumps(doc) == out
+
+
+@pytest.mark.parametrize("text", ['{"cells": [1], ', "[" * 100_000, '{"cells": ' + "[" * 100_000])
+@pytest.mark.parametrize("command", ["check", "homology", "validate"])
+def test_malformed_stdin_exits_2(capsys, monkeypatch, command, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, command, "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("$: not valid JSON")

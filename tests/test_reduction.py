@@ -1,0 +1,260 @@
+"""The unit-pivot reduction under chain_group, against independent values.
+
+Complexes come in three kinds: unimodular conjugates of diagonal chain
+complexes, whose groups are read off the diagonal form; square-grid tori;
+and subdivided spheres with self-maps of known degree.  Every group is
+also compared with the unreduced engine, factor by factor.
+"""
+
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cwhom.abgroups import normalize_diagonal, parse_group
+from cwhom.chainmaps import ChainMap, degree, induced_map, require_valid_map
+from cwhom.complexes import CwComplex, EdgePresentation, from_presentation, require_valid, zoo
+from cwhom.homology import _factor_presentation, _graded_maps, chain_group, coeff_factors
+from cwhom.intmat import IntMatrix, NotInLattice
+from cwhom.reduction import reduce_complex
+
+COEFFS = [parse_group(g) for g in ("Z", "Z/2", "Z + Z/4")]
+VARIANTS = [(v, r) for v in ("homology", "cohomology") for r in (False, True)]
+
+
+def _matmul(a, b, cols):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+            for i in range(len(a))]
+
+
+def _unimodular(draw, m, fixed_last):
+    """(A, A^-1) from elementary row operations and a signed permutation;
+    with ``fixed_last`` the last row of A stays e_m."""
+    a = [[int(i == j) for j in range(m)] for i in range(m)]
+    ainv = [row[:] for row in a]
+    free = m - 1 if fixed_last else m
+    if free < 1 or m < 2:
+        return a, ainv
+    ops = draw(st.lists(st.tuples(st.integers(0, free - 1), st.integers(0, m - 1),
+                                  st.sampled_from((1, -1, 2, -2))), max_size=3 * m))
+    for i, j, c in ops:
+        if i == j:
+            continue
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for row in ainv:
+            row[j] -= c * row[i]
+    perm = draw(st.permutations(range(free))) + list(range(free, m))
+    sign = [draw(st.sampled_from((1, -1))) for _ in range(free)] + [1] * (m - free)
+    a = [[sign[i] * v for v in a[perm[i]]] for i in range(m)]
+    ainv = [[row[perm[j]] * sign[j] for j in range(m)] for row in ainv]
+    return a, ainv
+
+
+@st.composite
+def conjugates(draw):
+    """A diagonal complex conjugated by unimodular matrices, with its
+    diagonal data: (complex, free counts h_n, diagonals d_n of B_n).
+
+    C_n has basis [A_n | H_n | D_n]; B_n maps D_n onto A_{n-1} by the
+    diagonal d_n.  B_n' = A_{n-1} B_n A_n^-1, with A_0 = E A' where E is
+    the difference matrix and A' keeps its last row, so that the
+    augmentation reads the last (free) vertex and B_1' has zero column
+    sums."""
+    top = draw(st.integers(1, 3))
+    ranks = [0] + [draw(st.integers(0, 2)) for _ in range(top)] + [0]
+    free = [draw(st.integers(1 if n == 0 else 0, 2)) for n in range(top + 1)]
+    diag = {n: [draw(st.sampled_from((1, -1, 2, -2, 3, 4, 6))) for _ in range(ranks[n])]
+            for n in range(1, top + 1)}
+    cells = [ranks[n + 1] + free[n] + ranks[n] for n in range(top + 1)]
+    conj = []
+    for n in range(top + 1):
+        m = cells[n]
+        a, ainv = _unimodular(draw, m, fixed_last=(n == 0))
+        if n == 0:
+            e = [[1 if i == j else (-1 if i == j + 1 else 0) for j in range(m)] for i in range(m)]
+            einv = [[1 if i >= j else 0 for j in range(m)] for i in range(m)]
+            a, ainv = _matmul(e, a, m), _matmul(ainv, einv, m)
+        conj.append((a, ainv))
+    bnds = []
+    for n in range(1, top + 1):
+        rows, cols = cells[n - 1], cells[n]
+        b = [[0] * cols for _ in range(rows)]
+        for i, d in enumerate(diag[n]):
+            b[i][cols - ranks[n] + i] = d
+        b = _matmul(_matmul(conj[n - 1][0], b, cols), conj[n][1], cols)
+        bnds.append(IntMatrix.from_rows(b, cols=cols))
+    x = require_valid(CwComplex(tuple(cells), tuple(bnds)))
+    return x, free, diag
+
+
+def diagonal_orders(free, diag, n, variant, reduced, m):
+    """Cyclic orders of the (co)homology of a diagonal complex with
+    coefficients Z/m (m = 0 for Z), in dimension n."""
+    h = free[n] - (1 if reduced and n == 0 else 0)
+    here, above = diag.get(n, []), diag.get(n + 1, [])
+    if variant == "cohomology":
+        here, above = above, here
+    # cokernels of the diagonal entries of the incoming map, and kernels
+    # (nonzero only mod m) of those of the outgoing map
+    return [m] * h + [gcd(d, m) for d in above] + ([gcd(d, m) for d in here] if m else [])
+
+
+def check_against_unreduced(x, n, variant, reduced, coeff):
+    """Each factor of chain_group equals the unreduced engine's, its lifts
+    are (co)cycles, coords inverts them, and coords rejects exactly the
+    vectors the unreduced engine rejects.  Returns how many rejected unit
+    vectors the chain equivalence sends to residual (co)cycles."""
+    cp = chain_group(x, n, coeff, variant, reduced)
+    out, inc = _graded_maps(x, n, variant, reduced)
+    red = reduce_complex(x)
+    res_out = _graded_maps(red.residual, n, variant, reduced)[0] if red else None
+    dual = variant == "cohomology"
+    fooled = 0
+    for (m, pres), m_want in zip(cp.factors, coeff_factors(coeff)):
+        assert m == m_want
+        assert pres.group == _factor_presentation(out, inc, m).group
+        assert pres.ambient_dim == x.cells[n]
+        for i, lift in enumerate(pres.lifts):
+            assert all(v % m == 0 if m else v == 0 for v in out.apply(lift))
+            assert pres.coords(lift) == tuple(int(i == j) for j in range(len(pres.lifts)))
+        for j in range(x.cells[n]):
+            e = tuple(int(i == j) for i in range(x.cells[n]))
+            if all(v % m == 0 if m else v == 0 for v in out.apply(e)):
+                pres.coords(e)
+                continue
+            with pytest.raises(NotInLattice):
+                pres.coords(e)
+            if red and all(v % m == 0 if m else v == 0 for v in res_out.apply(red.push(n, e, dual))):
+                fooled += 1
+    return fooled
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugates())
+def test_conjugates_match_diagonal_form(data):
+    x, free, diag = data
+    for coeff in COEFFS:
+        for variant, reduced in VARIANTS:
+            for n in range(x.dim + 1):
+                want = normalize_diagonal(
+                    [o for m in coeff_factors(coeff)
+                     for o in diagonal_orders(free, diag, n, variant, reduced, m)])
+                assert chain_group(x, n, coeff, variant, reduced).group == want
+                check_against_unreduced(x, n, variant, reduced, coeff)
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugates())
+def test_chain_equivalence(data):
+    """g is a chain map, f g = id on every level, and g_0 includes the
+    residual vertices, so the carried augmentation is the all-ones row."""
+    x, _, _ = data
+    red = reduce_complex(x)
+    if red is None:
+        return
+    y = red.residual
+    require_valid(y)
+    for n in range(x.dim + 1):
+        for r in range(y.cells[n]):
+            e = tuple(int(i == r) for i in range(y.cells[n]))
+            for dual in (False, True):
+                assert red.push(n, red.pull(n, e, dual), dual) == e
+            lift = red.pull(n, e)
+            if n == 0:
+                assert sorted(lift) == [0] * (x.cells[0] - 1) + [1]
+            else:
+                assert x.boundary(n).apply(lift) == red.pull(n - 1, y.boundary(n).col(r))
+
+
+def grid_torus(k):
+    """The k x k square-grid torus, cells (k^2, 2k^2, k^2)."""
+    def v(i, j):
+        return (i % k) * k + j % k
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            edges.append((v(i, j), v(i + 1, j)))  # horizontal, index 2v + 1
+            edges.append((v(i, j), v(i, j + 1)))  # vertical, index 2v + 2
+    faces = []
+    for i in range(k):
+        for j in range(k):
+            h, up = 2 * v(i, j) + 1, 2 * v(i + 1, j) + 2
+            top, left = 2 * v(i, j + 1) + 1, 2 * v(i, j) + 2
+            faces.append((h, up, -top, -left))
+    return from_presentation(EdgePresentation(k * k, tuple(edges), tuple(faces)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_grid_torus(k):
+    x = grid_torus(k)
+    red = reduce_complex(x)
+    assert red.residual.cells == (1, 2, 1)
+    assert all(b.is_zero() for b in red.residual.boundaries)
+    fooled = 0
+    for coeff in COEFFS:
+        for variant, reduced in VARIANTS:
+            for n, betti in enumerate((1, 2, 1)):
+                if reduced and n == 0:
+                    betti = 0
+                want = normalize_diagonal([m for m in coeff_factors(coeff)] * betti)
+                assert chain_group(x, n, coeff, variant, reduced).group == want
+                fooled += check_against_unreduced(x, n, variant, reduced, coeff)
+    # the out-map check is what rejects these: f alone would accept them
+    assert fooled > 0
+
+
+def test_nothing_to_cancel():
+    for x in (zoo("rp", 3), zoo("torus"), zoo("moore", 4, 2), zoo("point")):
+        assert reduce_complex(x) is None
+
+
+def subdivided_sphere(dim, k):
+    """S^1 as a k-gon (edge j runs from vertex j to j + 1), and S^2 as two
+    discs glued along it (upper disc first)."""
+    edges = tuple((j, (j + 1) % k) for j in range(k))
+    faces = ()
+    if dim == 2:
+        faces = (tuple(range(1, k + 1)), tuple(-j for j in range(k, 0, -1)))
+    return from_presentation(EdgePresentation(k, edges, faces))
+
+
+def circle_levels(k, d):
+    """F_0, F_1 of the degree-d wrap of the k-gon: vertex i goes to vertex
+    d i, edge i to the |d| edges from d i towards d (i + 1)."""
+    f0 = [[0] * k for _ in range(k)]
+    f1 = [[0] * k for _ in range(k)]
+    for i in range(k):
+        f0[d * i % k][i] = 1
+        for t in range(abs(d)):
+            if d > 0:
+                f1[(d * i + t) % k][i] += 1
+            else:
+                f1[(d * i + d + t) % k][i] -= 1
+    return IntMatrix.from_rows(f0), IntMatrix.from_rows(f1)
+
+
+@pytest.mark.parametrize("d", [-3, -1, 0, 1, 2, 5])
+def test_circle_degree(d):
+    s = subdivided_sphere(1, 4)
+    f = require_valid_map(ChainMap(s, s, circle_levels(4, d)), pointed=True)
+    assert degree(f) == d
+    g = parse_group("Z + Z/4")
+    for variant in ("homology", "cohomology"):
+        h = induced_map(f, 1, g, variant, reduced=True)
+        assert h.matrix == IntMatrix.from_rows([[d, 0], [0, d % 4]])
+
+
+@pytest.mark.parametrize("a,c,e", [(1, 0, 1), (2, 1, 0), (-1, -1, 3), (0, 0, -2)])
+def test_sphere2_degree(a, c, e):
+    """F_2 sends the upper disc to a U + (a - e) L and the lower one to
+    c U + (c + e) L over an equator map of degree e; the degree is a + c."""
+    k = 5
+    s = subdivided_sphere(2, k)
+    f0, f1 = circle_levels(k, e)
+    f2 = IntMatrix.from_rows([[a, c], [a - e, c + e]])
+    f = require_valid_map(ChainMap(s, s, (f0, f1, f2)), pointed=True)
+    assert degree(f) == a + c
+    for coeff, want in ((parse_group("Z"), [[a + c]]), (parse_group("Z/2"), [[(a + c) % 2]])):
+        for variant in ("homology", "cohomology"):
+            assert induced_map(f, 2, coeff, variant).matrix == IntMatrix.from_rows(want)
