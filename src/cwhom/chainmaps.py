@@ -17,9 +17,10 @@ carries the alternating sign that makes it an honest chain map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .abgroups import AbHom, FgAbGroup, compose_hom
-from .complexes import CwComplex, require_valid, suspension, validate, zoo
+from .complexes import CwComplex, suspension, zoo
 from .homology import CoeffPresentation, chain_group, induced_hom, integral_homology
 from .intmat import IntMatrix
 
@@ -63,6 +64,11 @@ class ChainMap:
             return self.maps[n]
         return IntMatrix.zeros(self.target.cells_at(n), self.source.cells_at(n))
 
+    @cached_property
+    def _violations(self) -> tuple:
+        # the map is frozen, so its validity is computed at most once
+        return tuple(validate_map(self))
+
 
 def _padded(source: CwComplex, target: CwComplex, maps) -> tuple:
     k = max(source.dim, target.dim)
@@ -78,8 +84,8 @@ def validate_map(f: ChainMap) -> list[str]:
     and pointedness.  Pointedness is reported but only enforced by the
     constructions that need it (cones, wedges of maps)."""
     out = []
-    out.extend(f"source: {v}" for v in validate(f.source))
-    out.extend(f"target: {v}" for v in validate(f.target))
+    out.extend(f"source: {v}" for v in f.source._violations)
+    out.extend(f"target: {v}" for v in f.target._violations)
     if out:
         return out
     k = max(f.source.dim, f.target.dim)
@@ -103,12 +109,12 @@ def validate_map(f: ChainMap) -> list[str]:
         s = sum(f0.col(j))
         if s != 1:
             out.append(f"level 0: column {j} has entry sum {s}, not 1")
-    if not _pointed(f):
+    if not is_pointed(f):
         out.append("level 0: basepoint column is not the target basepoint unit vector")
     return out
 
 
-def _pointed(f: ChainMap) -> bool:
+def is_pointed(f: ChainMap) -> bool:
     f0 = f.level(0)
     col = f0.col(f.source.basepoint)
     return all(
@@ -116,12 +122,8 @@ def _pointed(f: ChainMap) -> bool:
     )
 
 
-def is_pointed(f: ChainMap) -> bool:
-    return _pointed(f)
-
-
 def require_valid_map(f: ChainMap, pointed: bool = False) -> ChainMap:
-    bad = [v for v in validate_map(f) if pointed or not v.startswith("level 0: basepoint")]
+    bad = [v for v in f._violations if pointed or not v.startswith("level 0: basepoint")]
     if bad:
         raise ValueError("invalid chain map: " + "; ".join(bad))
     return f
@@ -176,7 +178,7 @@ def sphere_self_map(n: int, d: int) -> ChainMap:
     maps = [IntMatrix.identity(1)]
     maps.extend(IntMatrix.zeros(0, 0) for _ in range(n - 1))
     maps.append(IntMatrix.from_rows([[d]]))
-    return require_valid_map(ChainMap(s, s, tuple(maps), f"deg {d} on S{n}"))
+    return ChainMap(s, s, tuple(maps), f"deg {d} on S{n}")
 
 
 def susp_map(f: ChainMap) -> ChainMap:
@@ -201,8 +203,7 @@ def susp_map(f: ChainMap) -> ChainMap:
     maps = [IntMatrix.identity(1), level1]
     k = max(f.source.dim, f.target.dim)
     maps.extend(f.level(n) for n in range(1, k + 1))
-    g = ChainMap(sx, sy, _padded(sx, sy, maps), f"susp({f.name})" if f.name else "")
-    return require_valid_map(g, pointed=True)
+    return ChainMap(sx, sy, _padded(sx, sy, maps), f"susp({f.name})" if f.name else "")
 
 
 def _sphere_dimension(x: CwComplex) -> int:
@@ -305,19 +306,15 @@ def mapping_cone(f: ChainMap) -> MappingCone:
                     grid[ry + i][cy + j] = -bx.entry(i, j)
         bnds.append(IntMatrix.from_rows(grid, cols=cy + cx))
 
-    cone = require_valid(
-        CwComplex(tuple(cells), tuple(bnds), y.basepoint,
-                  f"cone({f.name})" if f.name else "cone")
-    )
+    cone = CwComplex(tuple(cells), tuple(bnds), y.basepoint,
+                     f"cone({f.name})" if f.name else "cone")
 
     inc_maps = []
     for n in range(cone_dim + 1):
         cy = y.cells_at(n)
         rows = [[1 if i == j else 0 for j in range(cy)] for i in range(cone.cells_at(n))]
         inc_maps.append(IntMatrix.from_rows(rows, cols=cy))
-    inclusion = require_valid_map(
-        ChainMap(y, cone, _padded(y, cone, inc_maps), "cfcod"), pointed=True
-    )
+    inclusion = ChainMap(y, cone, _padded(y, cone, inc_maps), "cfcod")
 
     sx = suspension(x)
     proj_maps = [IntMatrix(1, cone.cells[0], (1,) * cone.cells[0])]
@@ -332,9 +329,7 @@ def mapping_cone(f: ChainMap) -> MappingCone:
                 row[cy + i] = sgn
             rows.append(row)
         proj_maps.append(IntMatrix.from_rows(rows, cols=cone.cells_at(n)))
-    projection = require_valid_map(
-        ChainMap(cone, sx, _padded(cone, sx, proj_maps), "cone proj"), pointed=True
-    )
+    projection = ChainMap(cone, sx, _padded(cone, sx, proj_maps), "cone proj")
     return MappingCone(f, cone, inclusion, projection)
 
 
@@ -366,20 +361,24 @@ def shift_iso(x: CwComplex, n: int, coeff: FgAbGroup) -> AbHom:
     tgt = chain_group(sx, n + 1, coeff, "cohomology", True)
     if n < 0 or n > x.dim:
         return induced_hom(src, tgt, IntMatrix.zeros(tgt.ambient_dim, src.ambient_dim))
-    if n >= 1:
-        t = IntMatrix.identity(x.cells[n])
-    else:
-        c0 = x.cells[0]
-        rows = []
-        for v in range(c0):
-            if v == x.basepoint:
-                continue
-            row = [0] * c0
-            row[v] = 1
-            row[x.basepoint] -= 1
-            rows.append(row)
-        t = IntMatrix.from_rows(rows, cols=c0)
+    t = IntMatrix.identity(x.cells[n]) if n >= 1 else _basepoint_differences(x)
     return induced_hom(src, tgt, t)
+
+
+def _basepoint_differences(x: CwComplex) -> IntMatrix:
+    """One row e_v - e_basepoint per non-basepoint vertex v: shifts a
+    0-cochain to vanish on the basepoint and restricts it to the other
+    vertices."""
+    c0 = x.cells[0]
+    rows = []
+    for v in range(c0):
+        if v == x.basepoint:
+            continue
+        row = [0] * c0
+        row[v] = 1
+        row[x.basepoint] -= 1
+        rows.append(row)
+    return IntMatrix.from_rows(rows, cols=c0)
 
 
 def connecting_map(f: ChainMap, n: int, coeff: FgAbGroup, cone: MappingCone | None = None) -> AbHom:

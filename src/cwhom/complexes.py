@@ -9,11 +9,20 @@ the boundary coefficients (the winding numbers of the attaching loops).
 
 Sign convention for 1-cells: an edge from x to y contributes +1 at x and
 -1 at y; a self-loop contributes the zero column.
+
+Complexes are frozen, and each caches its own violation report, so
+``require_valid`` runs ``validate`` at most once per object.
+``suspension``, ``add_disjoint_basepoint``, ``wedge`` and
+``quotient_by_skeleton`` build valid output from valid input, so they
+check only their input, and the fixed zoo complexes are valid as
+written.  ``from_presentation`` checks its output, because it is where
+word presentations enter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .intmat import IntMatrix, _sparse_apply, _sparse_columns
 
@@ -65,6 +74,11 @@ class CwComplex:
         if 1 <= n <= self.dim:
             return self.boundaries[n - 1]
         return IntMatrix.zeros(self.cells_at(n - 1), self.cells_at(n))
+
+    @cached_property
+    def _violations(self) -> tuple:
+        # the complex is frozen, so its validity is computed at most once
+        return tuple(validate(self))
 
     def with_name(self, name: str) -> "CwComplex":
         return CwComplex(self.cells, self.boundaries, self.basepoint, name)
@@ -121,9 +135,8 @@ def validate(x: CwComplex) -> list[str]:
 
 
 def require_valid(x: CwComplex) -> CwComplex:
-    violations = validate(x)
-    if violations:
-        raise InvalidComplex(violations)
+    if x._violations:
+        raise InvalidComplex(x._violations)
     return x
 
 
@@ -207,6 +220,7 @@ def quotient_by_skeleton(x: CwComplex, m: int) -> CwComplex:
     boundary is replaced by the zero matrix into the single base vertex
     and everything above is unchanged.
     """
+    require_valid(x)
     if not (0 <= m < x.dim):
         raise ValueError(f"quotient dimension {m} out of range 0..{x.dim - 1}")
     cells = (1,) + (0,) * m + x.cells[m + 1:]
@@ -216,7 +230,7 @@ def quotient_by_skeleton(x: CwComplex, m: int) -> CwComplex:
     bnds.append(IntMatrix.zeros(cells[m], cells[m + 1]))
     bnds.extend(x.boundaries[m + 1:])
     name = f"{x.name}/skel{m}" if x.name else ""
-    return require_valid(CwComplex(cells, tuple(bnds), 0, name))
+    return CwComplex(cells, tuple(bnds), 0, name)
 
 
 def suspension(x: CwComplex) -> CwComplex:
@@ -230,7 +244,7 @@ def suspension(x: CwComplex) -> CwComplex:
         bnds.append(x.boundary(1).delete_row(x.basepoint))
         bnds.extend(x.boundaries[1:])
     name = f"susp({x.name})" if x.name else ""
-    return require_valid(CwComplex(tuple(cells), tuple(bnds), 0, name))
+    return CwComplex(tuple(cells), tuple(bnds), 0, name)
 
 
 def add_disjoint_basepoint(x: CwComplex) -> CwComplex:
@@ -244,7 +258,7 @@ def add_disjoint_basepoint(x: CwComplex) -> CwComplex:
         rows = x.boundary(1).to_rows() + [[0] * x.cells[1]]
         bnds[0] = IntMatrix.from_rows(rows, cols=x.cells[1])
     name = f"{x.name}+" if x.name else ""
-    return require_valid(CwComplex(cells, tuple(bnds), c0, name))
+    return CwComplex(cells, tuple(bnds), c0, name)
 
 
 def wedge(xs) -> CwComplex:
@@ -297,7 +311,7 @@ def wedge(xs) -> CwComplex:
                 roff += b.rows
         bnds.append(IntMatrix.from_rows(grid, cols=cols_total))
     name = "wedge(" + ", ".join(x.name or "?" for x in xs) + ")"
-    return require_valid(CwComplex(tuple(cells), tuple(bnds), 0, name))
+    return CwComplex(tuple(cells), tuple(bnds), 0, name)
 
 
 def _sphere(n: int) -> CwComplex:
@@ -365,7 +379,7 @@ def zoo(name: str, *params: int) -> CwComplex:
         n = params[0]
         if n < 0:
             raise ValueError("sphere dimension must be >= 0")
-        return require_valid(_sphere(n))
+        return _sphere(n)
     if name == "torus":
         arity(0)
         return from_presentation(
@@ -389,16 +403,16 @@ def zoo(name: str, *params: int) -> CwComplex:
         arity(1)
         if params[0] < 1:
             raise ValueError("rp dimension must be >= 1")
-        return require_valid(_rp(params[0]))
+        return _rp(params[0])
     if name == "cp":
         arity(1)
         if params[0] < 1:
             raise ValueError("cp dimension must be >= 1")
-        return require_valid(_cp(params[0]))
+        return _cp(params[0])
     if name == "moore":
         arity(2)
-        return require_valid(_moore(params[0], params[1]))
+        return _moore(params[0], params[1])
     if name == "lens":
         arity(1)
-        return require_valid(_lens(params[0]))
+        return _lens(params[0])
     raise ValueError(f"unknown zoo name {name!r}")

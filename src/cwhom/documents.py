@@ -67,6 +67,18 @@ def _matrix(value, rows: int, cols: int, path: str) -> IntMatrix:
     return IntMatrix(rows, cols, tuple(flat))
 
 
+def _dimension_keys(raw: dict, dims: range, path: str):
+    """Every key must be the canonical decimal str(n) of some n in dims,
+    the form the loaders look matrices up by."""
+    allowed = {str(n) for n in dims}
+    for key in raw:
+        _expect(
+            key in allowed,
+            f"{path}[{key!r}]",
+            f"dimension key must be in {dims.start}..{dims.stop - 1}",
+        )
+
+
 def complex_to_doc(x: CwComplex) -> dict:
     doc = {
         "cells": list(x.cells),
@@ -92,12 +104,7 @@ def _complex_from_explicit(doc: dict, path: str) -> CwComplex:
     dim = len(cells) - 1
     raw = doc.get("boundaries", {})
     _expect(isinstance(raw, dict), f"{path}.boundaries", "expected an object")
-    for key in raw:
-        _expect(
-            key.isdigit() and 1 <= int(key) <= dim,
-            f"{path}.boundaries[{key!r}]",
-            f"dimension key must be in 1..{dim}",
-        )
+    _dimension_keys(raw, range(1, dim + 1), f"{path}.boundaries")
     bnds = []
     for n in range(1, dim + 1):
         key = str(n)
@@ -174,12 +181,7 @@ def map_from_doc(doc, path: str = "$") -> ChainMap:
     raw = doc["maps"]
     _expect(isinstance(raw, dict), f"{path}.maps", "expected an object")
     top = max(src.dim, tgt.dim)
-    for key in raw:
-        _expect(
-            key.isdigit() and int(key) <= top,
-            f"{path}.maps[{key!r}]",
-            f"dimension key must be in 0..{top}",
-        )
+    _dimension_keys(raw, range(top + 1), f"{path}.maps")
     maps = []
     for n in range(top + 1):
         key = str(n)

@@ -13,8 +13,8 @@ must accept them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 __all__ = [
     "IntMatrix",
@@ -210,23 +210,6 @@ def _sparse_apply(columns, pairs) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """Decomposition A = U @ S @ V with unimodular U, V and diagonal S."""
-
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
-
-    def diagonal(self) -> tuple:
-        k = min(self.S.rows, self.S.cols)
-        return tuple(self.S.entry(i, i) for i in range(k))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
-
-
 class _SnfWork:
     """Row/column elimination tracking U, U^-1, V, V^-1 alongside S.
 
@@ -375,7 +358,10 @@ class _SnfWork:
 
 
 @dataclass(frozen=True)
-class _SnfExt:
+class SnfResult:
+    """Decomposition A = U @ S @ V with unimodular U, V and diagonal S;
+    Uinv and Vinv are the inverses of U and V."""
+
     U: IntMatrix
     Uinv: IntMatrix
     S: IntMatrix
@@ -391,10 +377,10 @@ class _SnfExt:
         return sum(1 for d in self.diagonal() if d != 0)
 
 
-def _snf_ext(a: IntMatrix) -> _SnfExt:
+def _snf_ext(a: IntMatrix) -> SnfResult:
     w = _SnfWork(a)
     w.run()
-    return _SnfExt(*w.result_matrices())
+    return SnfResult(*w.result_matrices())
 
 
 def snf(a: IntMatrix) -> SnfResult:
@@ -403,8 +389,7 @@ def snf(a: IntMatrix) -> SnfResult:
     The diagonal of S is non-negative, satisfies the divisibility chain
     s1 | s2 | ..., and has all zeros trailing.  Output is deterministic.
     """
-    ext = _snf_ext(a)
-    return SnfResult(ext.U, ext.S, ext.V)
+    return _snf_ext(a)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -415,32 +400,39 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols, rows=a.cols)
 
 
+def _span_basis(ext: SnfResult) -> IntMatrix:
+    """The columns d_i * U_i for the nonzero diagonal entries d_i: an
+    independent basis of the column lattice of U @ S @ V."""
+    d = ext.diagonal()
+    cols = [tuple(d[i] * x for x in ext.U.col(i)) for i in range(ext.rank)]
+    return IntMatrix.from_columns(cols, rows=ext.U.rows)
+
+
 def lattice_basis(a: IntMatrix) -> IntMatrix:
     """Independent basis of the lattice spanned by the columns of a."""
-    ext = _snf_ext(a)
-    d = ext.diagonal()
-    cols = []
-    for i in range(ext.rank):
-        u = ext.U.col(i)
-        cols.append(tuple(d[i] * x for x in u))
-    return IntMatrix.from_columns(cols, rows=a.rows)
+    return _span_basis(_snf_ext(a))
 
 
-def _coordinates_from_ext(ext: _SnfExt, ncols: int, v: Sequence[int]) -> tuple:
-    w = ext.Uinv.apply(v)
-    d = ext.diagonal()
+def _coordinates_from_ext(uinv: IntMatrix, d: tuple, v: Sequence[int]) -> tuple:
+    """The z with (U^-1 v)_i = d_i z_i for the nonzero diagonal d, i.e. the
+    coordinates of v against ``_span_basis``; NotInLattice when v is not
+    in that lattice."""
+    w = uinv.apply(v)
     z = []
     for i, wi in enumerate(w):
-        if i < len(d) and d[i] != 0:
+        if i < len(d):
             if wi % d[i]:
                 raise NotInLattice(f"coordinate {i} not divisible")
             z.append(wi // d[i])
-        else:
-            if wi != 0:
-                raise NotInLattice(f"coordinate {i} outside column span")
-    z += [0] * (ncols - len(z))
-    z = z[:ncols]
-    return ext.Vinv.apply(z)
+        elif wi != 0:
+            raise NotInLattice(f"coordinate {i} outside column span")
+    return tuple(z)
+
+
+def _solve(ext: SnfResult, v: Sequence[int]) -> tuple:
+    """An integer x with U @ S @ V @ x = v; NotInLattice if there is none."""
+    z = _coordinates_from_ext(ext.Uinv, ext.diagonal()[:ext.rank], v)
+    return ext.Vinv.apply(z + (0,) * (ext.Vinv.cols - len(z)))
 
 
 def lattice_coordinates(basis: IntMatrix, v: Sequence[int]) -> tuple:
@@ -453,7 +445,7 @@ def lattice_coordinates(basis: IntMatrix, v: Sequence[int]) -> tuple:
     ext = _snf_ext(basis)
     if ext.rank != basis.cols:
         raise ValueError("basis columns are not independent")
-    return _coordinates_from_ext(ext, basis.cols, v)
+    return _solve(ext, v)
 
 
 def in_lattice(basis: IntMatrix, v: Sequence[int]) -> bool:
@@ -469,25 +461,10 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
     ext = _snf_ext(a)
-    d = ext.diagonal()
-    cols = []
-    for j in range(b.cols):
-        w = ext.Uinv.apply(b.col(j))
-        z = []
-        ok = True
-        for i, wi in enumerate(w):
-            if i < len(d) and d[i] != 0:
-                if wi % d[i]:
-                    ok = False
-                    break
-                z.append(wi // d[i])
-            elif wi != 0:
-                ok = False
-                break
-        if not ok:
-            return None
-        z += [0] * (a.cols - len(z))
-        cols.append(ext.Vinv.apply(z[:a.cols]))
+    try:
+        cols = [_solve(ext, b.col(j)) for j in range(b.cols)]
+    except NotInLattice:
+        return None
     return IntMatrix.from_columns(cols, rows=a.cols)
 
 
@@ -520,9 +497,6 @@ class GroupWithPresentation:
     lifts: tuple
     coords: Callable[[Sequence[int]], tuple]
 
-    def coordinate_map(self, v: Sequence[int]) -> tuple:
-        return self.coords(v)
-
 
 def quotient_group(ambient_dim: int, numerator: IntMatrix, denominator: IntMatrix) -> GroupWithPresentation:
     """Canonical form of span(numerator) / span(denominator) inside Z^m.
@@ -535,8 +509,8 @@ def quotient_group(ambient_dim: int, numerator: IntMatrix, denominator: IntMatri
     if numerator.rows != ambient_dim or denominator.rows != ambient_dim:
         raise ValueError("ambient dimension mismatch")
 
-    L = lattice_basis(numerator)
-    r = L.cols
+    ext = _snf_ext(numerator)
+    r = ext.rank
     if r == 0:
         if not denominator.is_zero():
             raise ContainmentViolation("denominator outside the zero lattice")
@@ -549,16 +523,12 @@ def quotient_group(ambient_dim: int, numerator: IntMatrix, denominator: IntMatri
 
         return GroupWithPresentation(trivial, ambient_dim, (), coords0)
 
-    lext = _snf_ext(L)
-
-    def in_l_coords(v):
-        try:
-            return _coordinates_from_ext(lext, r, v)
-        except NotInLattice as e:
-            raise NotInLattice(str(e)) from None
-
+    # L = U diag(d) is a basis of the numerator lattice, and the same SNF
+    # gives coordinates against it: c_i = (U^-1 v)_i / d_i
+    L = _span_basis(ext)
+    luinv, ld = ext.Uinv, ext.diagonal()[:r]
     try:
-        mcols = [in_l_coords(denominator.col(j)) for j in range(denominator.cols)]
+        mcols = [_coordinates_from_ext(luinv, ld, denominator.col(j)) for j in range(denominator.cols)]
     except NotInLattice as e:
         raise ContainmentViolation(f"denominator column outside numerator lattice: {e}") from None
     M = IntMatrix.from_columns(mcols, rows=r)
@@ -573,11 +543,10 @@ def quotient_group(ambient_dim: int, numerator: IntMatrix, denominator: IntMatri
     group = FgAbGroup(len(free_cols), tuple(d[i] for i in tors_cols))
 
     lifts = tuple(L.apply(mext.U.col(j)) for j in gen_cols)
-    uinv = mext.Uinv
+    muinv = mext.Uinv
 
     def coords(v):
-        c = in_l_coords(v)
-        w = uinv.apply(c)
+        w = muinv.apply(_coordinates_from_ext(luinv, ld, v))
         out = []
         for j, o in zip(gen_cols, orders):
             out.append(w[j] if o == 0 else w[j] % o)

@@ -35,6 +35,7 @@ from .abgroups import (
 from .chainmaps import (
     ChainMap,
     MappingCone,
+    _basepoint_differences,
     connecting_map,
     identity_map,
     inclusion_map,
@@ -172,7 +173,7 @@ def _wedge_inclusions(xs) -> list[ChainMap]:
                 cols.append(col)
             maps.append(IntMatrix.from_columns(cols, rows=w.cells[n]))
             c_off[n] += x.cells_at(n)
-        incs.append(require_valid_map(ChainMap(x, w, tuple(maps)), pointed=True))
+        incs.append(ChainMap(x, w, tuple(maps)))
     return incs
 
 
@@ -262,16 +263,23 @@ class _SignSolver:
         self.parity = {}
 
     def _find(self, a):
+        """(root of a, parity of a relative to the root), compressing the
+        path so that every node on it points at the root."""
         if a not in self.parent:
             self.parent[a] = a
             self.parity[a] = 0
             return a, 0
-        if self.parent[a] == a:
-            return a, self.parity[a]
-        root, p = self._find(self.parent[a])
-        self.parent[a] = root
-        self.parity[a] ^= p
-        return root, self.parity[a]
+        path = []
+        while self.parent[a] != a:
+            path.append(a)
+            a = self.parent[a]
+        # walk back from the node nearest the root, accumulating parity
+        p = 0
+        for node in reversed(path):
+            p ^= self.parity[node]
+            self.parent[node] = a
+            self.parity[node] = p
+        return a, p
 
     def relate(self, a, b, rel: int) -> bool:
         """Record sign(a) = sign(b) * (-1)^rel; False on contradiction."""
@@ -347,25 +355,14 @@ def _collapse_comparison(cone: MappingCone, q_next: CwComplex) -> ChainMap:
             row[i] = 1
             rows.append(row)
         maps.append(IntMatrix.from_rows(rows, cols=c.cells_at(n)))
-    return require_valid_map(ChainMap(c, q_next, tuple(maps)), pointed=True)
+    return ChainMap(c, q_next, tuple(maps))
 
 
 def _cell_basis_iso(q: CwComplex, k: int, coeff: FgAbGroup) -> AbHom:
     """k_k : h^k(Q_k; G) -> G^{c_k} on cell generators."""
     tgt = cells_presentation(q.cells_at(k) if k >= 1 else q.cells[0] - 1, coeff)
     src = chain_group(q, k, coeff, "cohomology", True)
-    if k >= 1:
-        t = IntMatrix.identity(q.cells_at(k))
-    else:
-        rows = []
-        for v in range(q.cells[0]):
-            if v == q.basepoint:
-                continue
-            row = [0] * q.cells[0]
-            row[v] = 1
-            row[q.basepoint] -= 1
-            rows.append(row)
-        t = IntMatrix.from_rows(rows, cols=q.cells[0])
+    t = IntMatrix.identity(q.cells_at(k)) if k >= 1 else _basepoint_differences(q)
     return induced_hom(src, tgt, t)
 
 

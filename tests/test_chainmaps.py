@@ -184,3 +184,45 @@ class TestInducedAndConnecting:
         f = sphere_self_map(1, 2)
         g = connecting_map(f, 5, Z)
         assert g.source.is_trivial and g.target.is_trivial
+
+
+def _battery_les_maps():
+    maps = [sphere_self_map(1, d) for d in (0, 1, 2, 6)]
+    maps.append(sphere_self_map(2, 3))
+    t, r = zoo("torus"), zoo("rp", 3)
+    maps.append(identity_map(t))
+    maps.append(inclusion_map(skeleton(t, 1), t))
+    maps.append(inclusion_map(skeleton(r, 2), r))
+    return maps
+
+
+def test_cones_of_battery_maps_are_valid():
+    # mapping_cone skips validating what it builds, so check it here
+    from cwhom.complexes import validate
+    for f in _battery_les_maps():
+        mc = mapping_cone(f)
+        assert validate(mc.cone) == []
+        assert validate_map(mc.inclusion) == []
+        assert validate_map(mc.projection) == []
+
+
+def test_sphere_maps_and_suspensions_are_valid():
+    for n in range(4):
+        for d in (-1, 0, 1) if n == 0 else (-3, -1, 0, 1, 2, 6):
+            f = sphere_self_map(n, d)
+            if (n, d) != (0, -1):  # the swap of S^0 is not pointed
+                assert validate_map(f) == []
+            assert validate_map(susp_map(f)) == []
+            assert validate_map(susp_map(susp_map(f))) == []
+
+
+def test_map_validity_is_computed_once_per_object(monkeypatch):
+    import cwhom.chainmaps as chainmaps
+    calls = []
+    real = chainmaps.validate_map
+    monkeypatch.setattr(chainmaps, "validate_map", lambda f: calls.append(f) or real(f))
+    f = sphere_self_map(2, 5)
+    for _ in range(3):
+        require_valid_map(f, pointed=True)
+        induced_map(f, 2, Z)
+    assert calls == [f]

@@ -160,3 +160,12 @@ def test_malformed_stdin_exits_2(capsys, monkeypatch, command, text):
     code, out, err = run(capsys, command, "-")
     assert (code, out) == (2, "")
     assert err.startswith("$: not valid JSON")
+
+
+@pytest.mark.parametrize("key", ["02", "٢", "²"])
+def test_noncanonical_dimension_key_exits_2(capsys, tmp_path, key):
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps({"cells": [1, 1, 1], "boundaries": {key: [[2]]}}))
+    code, out, err = run(capsys, "homology", str(p))
+    assert (code, out) == (2, "")
+    assert "boundaries" in err

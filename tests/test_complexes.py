@@ -160,3 +160,51 @@ def test_zoo_boundary_values():
     assert zoo("rp", 3).boundary(3).entry(0, 0) == 0
     assert zoo("moore", 5, 2).boundary(3).entry(0, 0) == 5
     assert zoo("lens", 7).boundary(2).entry(0, 0) == 7
+
+
+def test_constructions_are_valid_on_corpus():
+    # these constructions skip validating their output, so check it here
+    from cwhom.verify import standard_corpus
+    for x in standard_corpus():
+        assert validate(suspension(x)) == [], x.name
+        assert validate(add_disjoint_basepoint(x)) == [], x.name
+        for n in range(x.dim + 1):
+            assert validate(skeleton(x, n)) == [], (x.name, n)
+        for m in range(x.dim):
+            assert validate(quotient_by_skeleton(x, m)) == [], (x.name, m)
+
+
+def test_battery_wedges_are_valid():
+    pairs = [
+        (zoo("sphere", 1), zoo("sphere", 2)),
+        (zoo("torus"), zoo("rp", 2)),
+        (zoo("moore", 2, 1), zoo("sphere", 1)),
+    ]
+    for a, b in pairs:
+        assert validate(wedge([a, b])) == []
+
+
+def test_quotient_by_skeleton_checks_its_input():
+    # B_1 B_2 != 0 below the collapsed skeleton: the quotient alone would
+    # look valid, so the input has to be checked
+    b1 = IntMatrix.from_rows([[1], [-1]])
+    b2 = IntMatrix.from_rows([[1]])
+    x = CwComplex((2, 1, 1), (b1, b2))
+    with pytest.raises(InvalidComplex):
+        quotient_by_skeleton(x, 1)
+
+
+def test_validity_is_computed_once_per_object(monkeypatch):
+    import cwhom.complexes as complexes
+    calls = []
+    real = complexes.validate
+    monkeypatch.setattr(complexes, "validate", lambda x: calls.append(x) or real(x))
+    good = CwComplex((1, 1), (IntMatrix.zeros(1, 1),))
+    for _ in range(3):
+        require_valid(good)
+    bad = CwComplex((2, 1), (IntMatrix.from_rows([[1], [1]]),))
+    for _ in range(3):
+        with pytest.raises(InvalidComplex) as exc:
+            require_valid(bad)
+        assert "entry sum 2" in str(exc.value)
+    assert calls == [good, bad]

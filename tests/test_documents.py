@@ -102,3 +102,22 @@ def test_loads_validates_by_default():
     with pytest.raises(InvalidComplex):
         loads_complex(bad)
     assert loads_complex(bad, validate=False).cells == (2, 1)
+
+
+@pytest.mark.parametrize("key", ["02", "٢", "²"])
+def test_complex_dimension_keys_are_canonical(key):
+    # only str(n) is looked up, so any other spelling would be dropped
+    with pytest.raises(SchemaError) as exc:
+        complex_from_doc({"cells": [1, 1, 1], "boundaries": {key: [[2]]}})
+    assert f"$.boundaries[{key!r}]" in str(exc.value)
+
+
+@pytest.mark.parametrize("key", ["00", "٠", "⁰"])
+def test_map_dimension_keys_are_canonical(key):
+    with pytest.raises(SchemaError) as exc:
+        map_from_doc({
+            "source": {"cells": [1, 1]},
+            "target": {"cells": [1, 1]},
+            "maps": {key: [[1]]},
+        })
+    assert f"$.maps[{key!r}]" in str(exc.value)

@@ -129,6 +129,15 @@ class TestSnf:
                     assert res.S.entry(i, j) == 0
 
 
+def test_snf_inverse_transforms():
+    rng = random.Random(41)
+    for _ in range(200):
+        a = random_matrix(rng)
+        res = snf(a)
+        assert res.Uinv @ res.U == IntMatrix.identity(a.rows)
+        assert res.Vinv @ res.V == IntMatrix.identity(a.cols)
+
+
 class TestLattices:
     def test_kernel_basis_annihilates(self):
         rng = random.Random(17)

@@ -126,3 +126,44 @@ def test_full_battery():
     reports = run_battery()
     bad = [r.render() for r in reports if not r.passed]
     assert not bad, "\n".join(bad)
+
+
+def test_skeletal_steps_are_valid():
+    # the inclusions and collapse comparisons of the skeletal check are
+    # built without validation, so check them here
+    from cwhom.chainmaps import mapping_cone, validate_map
+    from cwhom.verify import _collapse_comparison, _double_quotient, _filtration_quotient
+    for x in standard_corpus():
+        for k in range(x.dim):
+            j = inclusion_map(_filtration_quotient(x, k), _double_quotient(x, k))
+            assert validate_map(j) == [], (x.name, k)
+            cone = mapping_cone(j)
+            collapse = _collapse_comparison(cone, _filtration_quotient(x, k + 1))
+            assert validate_map(collapse) == [], (x.name, k)
+
+
+def test_wedge_inclusions_are_valid():
+    from cwhom.chainmaps import validate_map
+    from cwhom.verify import _wedge_inclusions
+    groups = [
+        [zoo("sphere", 1), zoo("sphere", 2)],
+        [zoo("torus"), zoo("rp", 2)],
+        [zoo("moore", 2, 1), zoo("sphere", 1)],
+        [zoo("rp", 2), zoo("torus"), zoo("sphere", 3)],
+        [zoo("sphere", 0), zoo("sphere", 0), zoo("klein")],
+    ]
+    for xs in groups:
+        for inc in _wedge_inclusions(xs):
+            assert validate_map(inc) == []
+
+
+def test_sign_solver_long_chain():
+    from cwhom.verify import _SignSolver
+    solver = _SignSolver()
+    n = 5000
+    for i in range(n):
+        # consecutive generators have opposite signs
+        assert solver.relate(i, i + 1, 1)
+    assert solver.relate(0, n, n % 2)
+    assert not solver.relate(n, 0, 1 - n % 2)
+    assert solver.relate(1, n - 1, 0)
