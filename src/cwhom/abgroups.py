@@ -16,13 +16,9 @@ from math import prod
 
 from .intmat import (
     IntMatrix,
-    NotInLattice,
-    in_lattice,
-    kernel_basis,
-    lattice_basis,
+    _snf_ext,
     preimage_lattice,
     quotient_group,
-    snf,
     solve_columns,
 )
 
@@ -117,7 +113,7 @@ def normalize_diagonal(diagonal, extra_free: int = 0) -> FgAbGroup:
     free = extra_free + sum(1 for d in diagonal if d == 0)
     tors = [abs(d) for d in diagonal if abs(d) >= 2]
     if tors:
-        res = snf(IntMatrix.diagonal(tors))
+        res = _snf_ext(IntMatrix.diagonal(tors), ())
         tors = [d for d in res.diagonal() if d >= 2]
     return FgAbGroup(free, tuple(tors))
 
@@ -126,12 +122,22 @@ def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     return normalize_diagonal(a.torsion + b.torsion, a.rank + b.rank)
 
 
+# ASCII digits only: without re.ASCII, \d also matches digits such as
+# '٢' and '２', which int() would accept
 _TERM = re.compile(
     r"Z\^(?P<zk>\d+)"
     r"|Z/(?P<d>\d+)"
     r"|\(Z/(?P<pd>\d+)\)\^(?P<pk>\d+)"
-    r"|Z"
+    r"|Z",
+    re.ASCII,
 )
+
+
+def _number(m: re.Match, name: str) -> int:
+    try:
+        return int(m.group(name))
+    except ValueError:  # past Python's limit on int-string conversion
+        raise GroupSyntaxError("number has too many digits", m.start(name)) from None
 
 
 def parse_group(text: str) -> FgAbGroup:
@@ -154,18 +160,18 @@ def parse_group(text: str) -> FgAbGroup:
             if not m:
                 raise GroupSyntaxError("expected a group term", pos)
             if m.group("zk") is not None:
-                k = int(m.group("zk"))
+                k = _number(m, "zk")
                 if k < 1:
                     raise GroupSyntaxError("exponent must be >= 1", pos)
                 rank += k
             elif m.group("d") is not None:
-                d = int(m.group("d"))
+                d = _number(m, "d")
                 if d < 2:
                     raise GroupSyntaxError("torsion order must be >= 2", pos)
                 tors.append(d)
             elif m.group("pd") is not None:
-                d = int(m.group("pd"))
-                k = int(m.group("pk"))
+                d = _number(m, "pd")
+                k = _number(m, "pk")
                 if d < 2:
                     raise GroupSyntaxError("torsion order must be >= 2", pos)
                 if k < 1:
@@ -284,12 +290,8 @@ def hom_image(h: AbHom) -> FgAbGroup:
 
 
 def _mutual_containment(a: IntMatrix, b: IntMatrix) -> bool:
-    ab = lattice_basis(a)
-    bb = lattice_basis(b)
-    return (
-        all(in_lattice(bb, ab.col(j)) for j in range(ab.cols))
-        and all(in_lattice(ab, bb.col(j)) for j in range(bb.cols))
-    )
+    """The column lattices of a and b are equal: each spans the other."""
+    return solve_columns(b, a) is not None and solve_columns(a, b) is not None
 
 
 def is_exact_pair(g: AbHom, h: AbHom) -> bool:
@@ -313,10 +315,8 @@ def hom_subquotient(g: AbHom, h: AbHom) -> FgAbGroup:
     n = g.target.num_generators
     rel = _relation_matrix(g.target)
     ker = _kernel_lattice(h)
-    kerb = lattice_basis(ker)
-    for j in range(g.matrix.cols):
-        if not in_lattice(kerb, g.matrix.col(j)):
-            raise ValueError("subquotient: image is not contained in the kernel")
+    if solve_columns(ker, g.matrix) is None:
+        raise ValueError("subquotient: image is not contained in the kernel")
     denom = IntMatrix.hstack(g.matrix, rel)
     return quotient_group(n, ker, denom).group
 

@@ -207,6 +207,8 @@ def _parse(text: str):
         raise SchemaError("$", f"not valid JSON ({e.msg} at line {e.lineno})")
     except RecursionError:
         raise SchemaError("$", "not valid JSON (nested too deeply)") from None
+    except ValueError:  # an integer literal past Python's int-string limit
+        raise SchemaError("$", "not valid JSON (integer literal has too many digits)") from None
 
 
 def loads_complex(text: str, validate: bool = True) -> CwComplex:

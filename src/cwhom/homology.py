@@ -3,9 +3,13 @@
 Integral homology is the kernel-image quotient of the boundary matrices;
 cohomology with coefficients in a finitely generated abelian group G is
 computed by dualizing the chain complex per cyclic factor of G (never via
-universal coefficients): the Z factors go through integer kernel-image
-quotients of the transposed boundaries, the Z/d factors through the mod-d
-quotient engine.
+universal coefficients).  Each cyclic factor Z/d (Z for d = 0) is the
+quotient of the (co)cycles mod d, {v : out v = 0 mod d}, by im(in) + d Z^m,
+both built from the (co)chain complex itself.  At each dimension one SNF
+of the outgoing map, out = U S V, serves every factor: the cycle lattice
+mod d is read off S and V, the denominator is written against it with the
+single product V @ in, and one SNF of those coordinates gives the factor's
+group, lifts and coordinate map (``intmat._CycleQuotients``).
 
 The reduced variants use the augmented complex: at dimension 0 the
 all-ones augmentation row (for chains) or column (for cochains) is fed to
@@ -40,11 +44,10 @@ from .intmat import (
     GroupWithPresentation,
     IntMatrix,
     NotInLattice,
+    _CycleQuotients,
+    _present,
     _sparse_apply,
     _sparse_columns,
-    mod_d_quotient,
-    kernel_basis,
-    quotient_group,
 )
 from .reduction import Reduction, reduce_complex
 
@@ -68,13 +71,19 @@ def coeff_factors(g: FgAbGroup) -> tuple:
     return (0,) * g.rank + g.torsion
 
 
+def _factor_presentations(out_map: IntMatrix, in_map: IntMatrix, coeff: FgAbGroup) -> list:
+    """(modulus, presentation) for each cyclic factor of coeff, all read
+    off one SNF of the outgoing map."""
+    quotients = _CycleQuotients(out_map, in_map)
+    return [(m, quotients.quotient(m)) for m in coeff_factors(coeff)]
+
+
 def _factor_presentation(out_map: IntMatrix, in_map: IntMatrix, modulus: int) -> GroupWithPresentation:
-    if modulus == 0:
-        return quotient_group(out_map.cols, kernel_basis(out_map), in_map)
-    return mod_d_quotient(out_map, in_map, modulus)
+    """A single factor, for modulus 0 (Z) or d >= 2 (Z/d)."""
+    return _CycleQuotients(out_map, in_map).quotient(modulus)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoeffPresentation:
     """A (co)homology group with coefficients in G, with presentations.
 
@@ -106,8 +115,8 @@ def _glue(factor_groups) -> GroupWithPresentation:
             col = [0] * n
             col[i] = o
             rel_cols.append(col)
-    rel = IntMatrix.from_columns(rel_cols, rows=n)
-    return quotient_group(n, IntMatrix.identity(n), rel)
+    # the numerator is all of Z^n: its coordinates are the vector itself
+    return _present(n, IntMatrix.from_columns(rel_cols, rows=n), tuple, None, (1,) * n, range(n))
 
 
 def _assemble(coeff: FgAbGroup, ambient_dim: int, factor_pres) -> CoeffPresentation:
@@ -176,23 +185,19 @@ def chain_group(x: CwComplex, n: int, coeff: FgAbGroup, variant: str, reduced: b
         return cells_presentation(0, coeff)
     red = _reduction(x)
     if red is None:
-        out, inc = _graded_maps(x, n, variant, reduced)
-        pres = [(m, _factor_presentation(out, inc, m)) for m in coeff_factors(coeff)]
+        pres = _factor_presentations(*_graded_maps(x, n, variant, reduced), coeff)
     else:
-        out, inc = _graded_maps(red.residual, n, variant, reduced)
         full_out = _graded_maps(x, n, variant, reduced)[0]
         dual = variant == "cohomology"
-        pres = [(m, _transported(_factor_presentation(out, inc, m), red, n, dual, full_out, m))
-                for m in coeff_factors(coeff)]
+        pres = [(m, _transported(p, red, n, dual, full_out, m))
+                for m, p in _factor_presentations(*_graded_maps(red.residual, n, variant, reduced), coeff)]
     return _assemble(coeff, x.cells[n], pres)
 
 
 @lru_cache(maxsize=None)
 def cells_presentation(c: int, coeff: FgAbGroup) -> CoeffPresentation:
     """G^c presented on the standard basis of a rank-c cell space."""
-    out = IntMatrix.zeros(0, c)
-    inc = IntMatrix.zeros(c, 0)
-    pres = [(m, _factor_presentation(out, inc, m)) for m in coeff_factors(coeff)]
+    pres = _factor_presentations(IntMatrix.zeros(0, c), IntMatrix.zeros(c, 0), coeff)
     return _assemble(coeff, c, pres)
 
 

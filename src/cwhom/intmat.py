@@ -14,6 +14,7 @@ must accept them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, Sequence
 
 __all__ = [
@@ -211,67 +212,71 @@ def _sparse_apply(columns, pairs) -> dict:
 
 
 class _SnfWork:
-    """Row/column elimination tracking U, U^-1, V, V^-1 alongside S.
+    """Row/column elimination on S, tracking those of U, U^-1, V, V^-1
+    that ``want`` names; the others stay None and cost nothing.
 
     Invariant maintained throughout: A = U @ S @ V, Uinv = U^-1, Vinv = V^-1.
     """
 
-    def __init__(self, a: IntMatrix):
+    def __init__(self, a: IntMatrix, want):
         self.r = a.rows
         self.c = a.cols
         self.s = a.to_rows()
-        self.u = [[1 if i == j else 0 for j in range(self.r)] for i in range(self.r)]
-        self.uinv = [row[:] for row in self.u]
-        self.v = [[1 if i == j else 0 for j in range(self.c)] for i in range(self.c)]
-        self.vinv = [row[:] for row in self.v]
 
-    # Row operation on S corresponds to a column operation on U (with the
-    # inverse elementary matrix) and the same row operation on Uinv;
-    # dually for columns.
+        def eye(n, name):
+            return [[int(i == j) for j in range(n)] for i in range(n)] if name in want else None
+
+        self.u, self.uinv = eye(self.r, "U"), eye(self.r, "Uinv")
+        self.v, self.vinv = eye(self.c, "V"), eye(self.c, "Vinv")
+        # a row operation on S is the same row operation on Uinv and the
+        # inverse column operation on U; dually for columns
+        self.row_mats = [m for m in (self.s, self.uinv) if m is not None]
+        self.col_mats = [m for m in (self.s, self.vinv) if m is not None]
 
     def row_swap(self, i, j):
-        self.s[i], self.s[j] = self.s[j], self.s[i]
-        self.uinv[i], self.uinv[j] = self.uinv[j], self.uinv[i]
-        for row in self.u:
-            row[i], row[j] = row[j], row[i]
+        for m in self.row_mats:
+            m[i], m[j] = m[j], m[i]
+        if self.u is not None:
+            for row in self.u:
+                row[i], row[j] = row[j], row[i]
 
     def row_add(self, i, j, k):
         # row_i += k * row_j
-        si, sj = self.s[i], self.s[j]
-        self.s[i] = [a + k * b for a, b in zip(si, sj)]
-        ui, uj = self.uinv[i], self.uinv[j]
-        self.uinv[i] = [a + k * b for a, b in zip(ui, uj)]
-        for row in self.u:
-            row[j] -= k * row[i]
+        for m in self.row_mats:
+            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+        if self.u is not None:
+            for row in self.u:
+                row[j] -= k * row[i]
 
     def row_neg(self, i):
-        self.s[i] = [-a for a in self.s[i]]
-        self.uinv[i] = [-a for a in self.uinv[i]]
-        for row in self.u:
-            row[i] = -row[i]
+        for m in self.row_mats:
+            m[i] = [-a for a in m[i]]
+        if self.u is not None:
+            for row in self.u:
+                row[i] = -row[i]
 
     def col_swap(self, i, j):
-        for row in self.s:
-            row[i], row[j] = row[j], row[i]
-        for row in self.vinv:
-            row[i], row[j] = row[j], row[i]
-        self.v[i], self.v[j] = self.v[j], self.v[i]
+        for m in self.col_mats:
+            for row in m:
+                row[i], row[j] = row[j], row[i]
+        if self.v is not None:
+            self.v[i], self.v[j] = self.v[j], self.v[i]
 
     def col_add(self, i, j, k):
         # col_i += k * col_j
-        for row in self.s:
-            row[i] += k * row[j]
-        for row in self.vinv:
-            row[i] += k * row[j]
-        vj, vi = self.v[j], self.v[i]
-        self.v[j] = [a - k * b for a, b in zip(vj, vi)]
+        for m in self.col_mats:
+            for row in m:
+                row[i] += k * row[j]
+        if self.v is not None:
+            vj, vi = self.v[j], self.v[i]
+            self.v[j] = [a - k * b for a, b in zip(vj, vi)]
 
     def col_neg(self, i):
-        for row in self.s:
-            row[i] = -row[i]
-        for row in self.vinv:
-            row[i] = -row[i]
-        self.v[i] = [-a for a in self.v[i]]
+        for m in self.col_mats:
+            for row in m:
+                row[i] = -row[i]
+        if self.v is not None:
+            self.v[i] = [-a for a in self.v[i]]
 
     def _find_pivot(self, t):
         # nonzero entry of minimal absolute value; ties broken by lowest
@@ -348,25 +353,25 @@ class _SnfWork:
                 self.row_add(t, bad, 1)
             t += 1
 
-    def result_matrices(self):
-        U = IntMatrix.from_rows(self.u, cols=self.r)
-        Uinv = IntMatrix.from_rows(self.uinv, cols=self.r)
-        S = IntMatrix.from_rows(self.s, cols=self.c)
-        V = IntMatrix.from_rows(self.v, cols=self.c)
-        Vinv = IntMatrix.from_rows(self.vinv, cols=self.c)
-        return U, Uinv, S, V, Vinv
+    def result(self) -> "SnfResult":
+        def mat(rows, cols):
+            return None if rows is None else IntMatrix.from_rows(rows, cols=cols)
+
+        return SnfResult(mat(self.u, self.r), mat(self.uinv, self.r), mat(self.s, self.c),
+                         mat(self.v, self.c), mat(self.vinv, self.c))
 
 
 @dataclass(frozen=True)
 class SnfResult:
     """Decomposition A = U @ S @ V with unimodular U, V and diagonal S;
-    Uinv and Vinv are the inverses of U and V."""
+    Uinv and Vinv are the inverses of U and V.  A transform its caller
+    did not ask ``_snf_ext`` for is None."""
 
-    U: IntMatrix
-    Uinv: IntMatrix
+    U: IntMatrix | None
+    Uinv: IntMatrix | None
     S: IntMatrix
-    V: IntMatrix
-    Vinv: IntMatrix
+    V: IntMatrix | None
+    Vinv: IntMatrix | None
 
     def diagonal(self) -> tuple:
         k = min(self.S.rows, self.S.cols)
@@ -377,10 +382,16 @@ class SnfResult:
         return sum(1 for d in self.diagonal() if d != 0)
 
 
-def _snf_ext(a: IntMatrix) -> SnfResult:
-    w = _SnfWork(a)
+_ALL_TRANSFORMS = ("U", "Uinv", "V", "Vinv")
+
+
+def _snf_ext(a: IntMatrix, want) -> SnfResult:
+    """SNF of a tracking only the transforms named in ``want``.  The
+    elimination does not depend on ``want``, so every transform returned
+    is the one ``snf`` returns."""
+    w = _SnfWork(a, want)
     w.run()
-    return SnfResult(*w.result_matrices())
+    return w.result()
 
 
 def snf(a: IntMatrix) -> SnfResult:
@@ -389,12 +400,12 @@ def snf(a: IntMatrix) -> SnfResult:
     The diagonal of S is non-negative, satisfies the divisibility chain
     s1 | s2 | ..., and has all zeros trailing.  Output is deterministic.
     """
-    return _snf_ext(a)
+    return _snf_ext(a, _ALL_TRANSFORMS)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Columns form a Z-basis of the integer kernel {x : a @ x = 0}."""
-    ext = _snf_ext(a)
+    ext = _snf_ext(a, ("Vinv",))
     r = ext.rank
     cols = [ext.Vinv.col(j) for j in range(r, a.cols)]
     return IntMatrix.from_columns(cols, rows=a.cols)
@@ -410,29 +421,32 @@ def _span_basis(ext: SnfResult) -> IntMatrix:
 
 def lattice_basis(a: IntMatrix) -> IntMatrix:
     """Independent basis of the lattice spanned by the columns of a."""
-    return _span_basis(_snf_ext(a))
+    return _span_basis(_snf_ext(a, ("U",)))
 
 
-def _coordinates_from_ext(uinv: IntMatrix, d: tuple, v: Sequence[int]) -> tuple:
-    """The z with (U^-1 v)_i = d_i z_i for the nonzero diagonal d, i.e. the
-    coordinates of v against ``_span_basis``; NotInLattice when v is not
-    in that lattice."""
-    w = uinv.apply(v)
-    z = []
-    for i, wi in enumerate(w):
-        if i < len(d):
-            if wi % d[i]:
-                raise NotInLattice(f"coordinate {i} not divisible")
-            z.append(wi // d[i])
-        elif wi != 0:
-            raise NotInLattice(f"coordinate {i} outside column span")
-    return tuple(z)
+def _coordinates_from_ext(y: Sequence[int], e: Sequence[int], live: Sequence[int]) -> tuple:
+    """Coordinates read off an SNF: y = T x for a transform T of the SNF,
+    and x lies in the lattice exactly when every y_i is a multiple of e_i
+    (e_i = 0: zero).  The coordinates of x are then y_i / e_i for i in
+    ``live``; NotInLattice when x is outside the lattice."""
+    for i, ei in enumerate(e):
+        if ei != 1 and (y[i] % ei if ei else y[i]):
+            raise NotInLattice(f"coordinate {i} is not a multiple of {ei}")
+    return tuple(y[i] // e[i] for i in live)
 
 
-def _solve(ext: SnfResult, v: Sequence[int]) -> tuple:
-    """An integer x with U @ S @ V @ x = v; NotInLattice if there is none."""
-    z = _coordinates_from_ext(ext.Uinv, ext.diagonal()[:ext.rank], v)
-    return ext.Vinv.apply(z + (0,) * (ext.Vinv.cols - len(z)))
+def _coordinate_columns(tx: IntMatrix, e: Sequence[int], live: Sequence[int]) -> IntMatrix:
+    """``_coordinates_from_ext`` of every column of x, from tx = T @ x."""
+    return IntMatrix.from_columns([_coordinates_from_ext(y, e, live) for y in tx.columns()], rows=len(live))
+
+
+def _solve(ext: SnfResult, b: IntMatrix) -> IntMatrix:
+    """An integer X with U @ S @ V @ X = b, NotInLattice if there is none:
+    X = V^-1 [Z; 0] with S Z = U^-1 b."""
+    r = ext.rank
+    z = _coordinate_columns(ext.Uinv @ b, ext.diagonal()[:r] + (0,) * (b.rows - r), range(r))
+    vinv = ext.Vinv
+    return IntMatrix.from_rows([vinv.row(i)[:r] for i in range(vinv.rows)], cols=r) @ z
 
 
 def lattice_coordinates(basis: IntMatrix, v: Sequence[int]) -> tuple:
@@ -442,10 +456,10 @@ def lattice_coordinates(basis: IntMatrix, v: Sequence[int]) -> tuple:
     """
     if len(v) != basis.rows:
         raise ValueError("vector length mismatch")
-    ext = _snf_ext(basis)
+    ext = _snf_ext(basis, ("Uinv", "Vinv"))
     if ext.rank != basis.cols:
         raise ValueError("basis columns are not independent")
-    return _solve(ext, v)
+    return _solve(ext, IntMatrix.column(v)).entries
 
 
 def in_lattice(basis: IntMatrix, v: Sequence[int]) -> bool:
@@ -460,12 +474,10 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """An integer X with a @ X = b, or None if some column is unsolvable."""
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
-    ext = _snf_ext(a)
     try:
-        cols = [_solve(ext, b.col(j)) for j in range(b.cols)]
+        return _solve(_snf_ext(a, ("Uinv", "Vinv")), b)
     except NotInLattice:
         return None
-    return IntMatrix.from_columns(cols, rows=a.cols)
 
 
 def preimage_lattice(m: IntMatrix, relations: IntMatrix) -> IntMatrix:
@@ -481,7 +493,7 @@ def preimage_lattice(m: IntMatrix, relations: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=ker.cols)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupWithPresentation:
     """A canonical-form group plus an explicit presentation in an ambient Z^m.
 
@@ -498,83 +510,118 @@ class GroupWithPresentation:
     coords: Callable[[Sequence[int]], tuple]
 
 
+def _present(ambient_dim: int, rel: IntMatrix, lift, t: IntMatrix | None, e, live) -> GroupWithPresentation:
+    """The quotient of a lattice N in Z^m by a sublattice D, from D's
+    generators written in coordinates against a basis of N (the columns
+    of ``rel``): one SNF rel = U S V gives the canonical group, the lifts
+    ``lift(U_j)`` of its generators and the coordinate map.  ``lift``
+    sends basis coordinates into Z^m; the coordinates of v against the
+    basis are ``_coordinates_from_ext(T v, e, live)`` (T None: v itself),
+    which raises NotInLattice off N, and U^-1 takes them to the
+    generators'."""
+    from .abgroups import FgAbGroup  # deferred to avoid an import cycle
+
+    ext = _snf_ext(rel, ("U", "Uinv"))
+    d = ext.diagonal()
+    r, rank = rel.rows, ext.rank
+    tors_cols = [i for i in range(rank) if d[i] >= 2]
+    gen_cols = list(range(rank, r)) + tors_cols
+    orders = [0] * (r - rank) + [d[i] for i in tors_cols]
+    group = FgAbGroup(r - rank, tuple(d[i] for i in tors_cols))
+    lifts = tuple(lift(ext.U.col(j)) for j in gen_cols)
+    # only the generators' rows of U^-1: the others are killed coordinates
+    uinv = IntMatrix.from_rows([ext.Uinv.row(j) for j in gen_cols], cols=r)
+
+    def coords(v):
+        y = _coordinates_from_ext(v if t is None else t.apply(v), e, live)
+        return tuple(w % o if o else w for w, o in zip(uinv.apply(y), orders))
+
+    return GroupWithPresentation(group, ambient_dim, lifts, coords)
+
+
 def quotient_group(ambient_dim: int, numerator: IntMatrix, denominator: IntMatrix) -> GroupWithPresentation:
     """Canonical form of span(numerator) / span(denominator) inside Z^m.
 
     The numerator columns may be dependent; every denominator column must
-    lie in the numerator lattice (ContainmentViolation otherwise).
+    lie in the numerator lattice (ContainmentViolation otherwise).  One
+    SNF numerator = U S V gives the basis L = U diag(s) of the numerator
+    lattice and the coordinates (U^-1 v)_i / s_i against it; the
+    denominator's coordinates are one product U^-1 @ denominator, and
+    ``_present`` reads the quotient off them.
     """
-    from .abgroups import FgAbGroup  # deferred to avoid an import cycle
-
     if numerator.rows != ambient_dim or denominator.rows != ambient_dim:
         raise ValueError("ambient dimension mismatch")
-
-    ext = _snf_ext(numerator)
+    ext = _snf_ext(numerator, ("U", "Uinv"))
     r = ext.rank
-    if r == 0:
-        if not denominator.is_zero():
-            raise ContainmentViolation("denominator outside the zero lattice")
-        trivial = FgAbGroup(0, ())
-
-        def coords0(v):
-            if any(x != 0 for x in v):
-                raise NotInLattice("nonzero vector in zero lattice")
-            return ()
-
-        return GroupWithPresentation(trivial, ambient_dim, (), coords0)
-
-    # L = U diag(d) is a basis of the numerator lattice, and the same SNF
-    # gives coordinates against it: c_i = (U^-1 v)_i / d_i
-    L = _span_basis(ext)
-    luinv, ld = ext.Uinv, ext.diagonal()[:r]
+    e = ext.diagonal()[:r] + (0,) * (ambient_dim - r)
     try:
-        mcols = [_coordinates_from_ext(luinv, ld, denominator.col(j)) for j in range(denominator.cols)]
-    except NotInLattice as e:
-        raise ContainmentViolation(f"denominator column outside numerator lattice: {e}") from None
-    M = IntMatrix.from_columns(mcols, rows=r)
-    mext = _snf_ext(M)
-    d = mext.diagonal()
-    t = mext.rank
+        rel = _coordinate_columns(ext.Uinv @ denominator, e, range(r))
+    except NotInLattice as exc:
+        raise ContainmentViolation(f"denominator column outside numerator lattice: {exc}") from None
+    return _present(ambient_dim, rel, _span_basis(ext).apply, ext.Uinv, e, range(r))
 
-    tors_cols = [i for i in range(t) if d[i] >= 2]
-    free_cols = list(range(t, r))
-    gen_cols = free_cols + tors_cols
-    orders = [0] * len(free_cols) + [d[i] for i in tors_cols]
-    group = FgAbGroup(len(free_cols), tuple(d[i] for i in tors_cols))
 
-    lifts = tuple(L.apply(mext.U.col(j)) for j in gen_cols)
-    muinv = mext.Uinv
+class _CycleQuotients:
+    """ker(out mod d) / im(in mod d) for every modulus d (d = 0: over Z),
+    all read off one SNF out = U S V that tracks V and V^-1 only.
 
-    def coords(v):
-        w = muinv.apply(_coordinates_from_ext(luinv, ld, v))
-        out = []
-        for j, o in zip(gen_cols, orders):
-            out.append(w[j] if o == 0 else w[j] % o)
-        return tuple(out)
+    With y = V v and s the diagonal (s_i = 0 past the rank), out v = 0
+    mod d exactly when d divides every s_i y_i, that is when e_i divides
+    y_i, e_i = d / gcd(d, s_i) (so e_i = 0, y_i = 0, when d = 0 and s_i
+    != 0).  The columns e_i V^-1_i are therefore a basis of the numerator
+    and y_i / e_i are the coordinates against it.  The denominator im(in)
+    + d Z^m has coordinates (V in)_i / e_i, computed as one product V @ in
+    shared by every modulus, and, because V Z^m = Z^m, the diagonal block
+    d / e_i, which lets row i of the in-part be reduced mod d / e_i.
+    Coordinates where d / e_i = 1 are killed outright and dropped.
+    """
 
-    return GroupWithPresentation(group, ambient_dim, lifts, coords)
+    def __init__(self, out_map: IntMatrix, in_map: IntMatrix):
+        if in_map.rows != out_map.cols:
+            raise ValueError("shapes not composable")
+        ext = _snf_ext(out_map, ("V", "Vinv"))
+        self.v, self.vinv, self.s = ext.V, ext.Vinv, ext.diagonal()[:ext.rank]
+        self.v_in = ext.V @ in_map
+
+    def quotient(self, d: int) -> GroupWithPresentation:
+        """The factor for modulus d; ContainmentViolation when some column
+        of the in-map is not a (co)cycle mod d."""
+        m = self.v.rows
+        # g_i = d / e_i is the order of coordinate i in the quotient (0: free)
+        g = [gcd(d, si) for si in self.s] + [d] * (m - len(self.s))
+        e = tuple(d // gi if gi else 1 for gi in g)
+        live = tuple(i for i in range(m) if e[i] and g[i] != 1)
+        try:
+            rel = _coordinate_columns(self.v_in, e, live)
+        except NotInLattice as exc:
+            raise ContainmentViolation(f"in-map column outside the cycle lattice: {exc}") from None
+        if d:
+            orders = [g[i] for i in live]
+            reduced = [[w % o for w in rel.row(k)] for k, o in enumerate(orders)]
+            rel = IntMatrix.hstack(IntMatrix.from_rows(reduced, cols=rel.cols), IntMatrix.diagonal(orders))
+        vinv = self.vinv
+
+        def lift(c):
+            y = [0] * m
+            for i, ci in zip(live, c):
+                y[i] = e[i] * ci
+            return vinv.apply(y)
+
+        return _present(m, rel, lift, self.v, e, live)
 
 
 def mod_d_quotient(out_map: IntMatrix, in_map: IntMatrix, d: int) -> GroupWithPresentation:
     """ker(out_map mod d) / im(in_map mod d) inside (Z/d)^m.
 
     Presented on integer cochain representatives: the ambient space is
-    Z^m and the relation lattice includes d * I.
+    Z^m, the numerator is the lattice of vectors that out_map sends into
+    d Z^k and the denominator is im(in_map) + d Z^m.  Both are read off one
+    SNF of out_map (see ``_CycleQuotients``).  ChainConditionViolation
+    when out_map @ in_map is nonzero mod d.
     """
     if d < 2:
         raise ValueError("modulus must be >= 2")
-    m = out_map.cols
-    if in_map.rows != m:
-        raise ValueError("shapes not composable")
-    # only residues matter: an entry beyond d/2 in size is replaced by its
-    # least absolute residue, which keeps SNF entries small
-    half = d // 2
-    out_map, in_map = (IntMatrix(a.rows, a.cols, tuple(v if -half <= v <= half else (v + half) % d - half
-                                                       for v in a.entries))
-                       for a in (out_map, in_map))
-    comp = out_map @ in_map
-    if any(v % d for v in comp.entries):
-        raise ChainConditionViolation("out_map @ in_map is nonzero mod d")
-    lam = preimage_lattice(out_map, IntMatrix.identity(out_map.rows).scale(d))
-    denom = IntMatrix.hstack(in_map, IntMatrix.identity(m).scale(d))
-    return quotient_group(m, lam, denom)
+    try:
+        return _CycleQuotients(out_map, in_map).quotient(d)
+    except ContainmentViolation:
+        raise ChainConditionViolation("out_map @ in_map is nonzero mod d") from None

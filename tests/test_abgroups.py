@@ -103,6 +103,21 @@ class TestGrammar:
         assert format_group(FgAbGroup(2, (2, 6))) == "Z^2 + Z/2 + Z/6"
         assert format_group(FgAbGroup.trivial()) == "0"
 
+    @pytest.mark.parametrize("text", ["Z/٢", "Z/２", "(Z/٣)^٢", "Z^٣", "Z/2 + Z/٢"])
+    def test_parse_rejects_non_ascii_digits(self, text):
+        with pytest.raises(GroupSyntaxError):
+            parse_group(text)
+
+    @pytest.mark.parametrize("text,position", [
+        ("Z/" + "7" * 4301, 2),
+        ("Z + Z^" + "1" * 4301, 6),
+        ("(Z/2)^" + "3" * 4301, 6),
+    ])
+    def test_parse_reports_overlong_numbers(self, text, position):
+        with pytest.raises(GroupSyntaxError) as exc:
+            parse_group(text)
+        assert exc.value.position == position
+
 
 class TestHoms:
     def test_shape_check(self):

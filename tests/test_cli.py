@@ -169,3 +169,21 @@ def test_noncanonical_dimension_key_exits_2(capsys, tmp_path, key):
     code, out, err = run(capsys, "homology", str(p))
     assert (code, out) == (2, "")
     assert "boundaries" in err
+
+
+@pytest.mark.parametrize("command", ["check", "homology", "validate"])
+def test_huge_integer_literal_exits_2(capsys, tmp_path, command):
+    p = tmp_path / "x.json"
+    p.write_text('{"cells": [1, 1], "boundaries": {"1": [[' + "9" * 4301 + "]]}}")
+    code, out, err = run(capsys, command, str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("$: not valid JSON")
+
+
+@pytest.mark.parametrize("coeff", ["Z/٢", "Z/２", "(Z/٣)^٢", "Z/" + "7" * 4301, "Z^" + "1" * 4301])
+def test_bad_coefficient_digits_exit_3(capsys, torus_file, coeff):
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", torus_file, "--coeff", coeff])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 3
+    assert "--coeff" in err and "invalid" not in err

@@ -121,3 +121,23 @@ def test_map_dimension_keys_are_canonical(key):
             "maps": {key: [[1]]},
         })
     assert f"$.maps[{key!r}]" in str(exc.value)
+
+
+# one digit past Python's default int-string limit of 4300 digits
+HUGE = "9" * 4301
+
+
+def test_complex_huge_integer_is_schema_error():
+    text = '{"cells": [1, 1], "boundaries": {"1": [[' + HUGE + ']]}}'
+    with pytest.raises(SchemaError) as exc:
+        loads_complex(text)
+    assert exc.value.path == "$"
+    assert "not valid JSON" in str(exc.value)
+
+
+def test_map_huge_integer_is_schema_error():
+    text = ('{"source": {"cells": [1]}, "target": {"cells": [1]}, '
+            '"maps": {"0": [[' + HUGE + ']]}}')
+    with pytest.raises(SchemaError) as exc:
+        loads_map(text)
+    assert exc.value.path == "$"

@@ -5,6 +5,8 @@ matrices (Smith forms of 1x1 and 1x2 integer matrices and their mod-d
 reductions), not read off from the implementation.
 """
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from cwhom.abgroups import FgAbGroup, parse_group
@@ -128,3 +130,15 @@ class TestPresentations:
         g = parse_group("Z + Z/2")
         cp = chain_group(zoo("rp", 2), 1, g, "cohomology", False)
         assert cp.glue.group == cp.group
+
+    def test_cached_presentations_are_frozen(self):
+        # chain_group's cache hands the same objects to every caller
+        cp = chain_group(zoo("klein"), 1, parse_group("Z + Z/2"), "cohomology", False)
+        with pytest.raises(FrozenInstanceError):
+            cp.group = FgAbGroup.trivial()
+        with pytest.raises(FrozenInstanceError):
+            cp.glue.coords = None
+        for _, pres in cp.factors:
+            with pytest.raises(FrozenInstanceError):
+                pres.lifts = ()
+        assert chain_group(zoo("klein"), 1, parse_group("Z + Z/2"), "cohomology", False) is cp

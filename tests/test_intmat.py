@@ -1,12 +1,16 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cwhom.intmat import (
+    ChainConditionViolation,
     ContainmentViolation,
     IntMatrix,
     NotInLattice,
+    _CycleQuotients,
+    _snf_ext,
     in_lattice,
     kernel_basis,
     lattice_basis,
@@ -261,3 +265,138 @@ class TestQuotients:
             for i, lift in enumerate(q.lifts):
                 e = tuple(1 if j == i else 0 for j in range(k))
                 assert q.coords(lift) == e
+
+
+def test_lean_snf_matches_snf():
+    # the elimination does not depend on the transforms tracked
+    names = ("U", "Uinv", "V", "Vinv")
+    rng = random.Random(53)
+    for _ in range(60):
+        a = random_matrix(rng)
+        full = snf(a)
+        for mask in range(16):
+            want = tuple(n for b, n in enumerate(names) if mask >> b & 1)
+            lean = _snf_ext(a, want)
+            assert lean.S == full.S
+            for n in names:
+                assert getattr(lean, n) == (getattr(full, n) if n in want else None)
+
+
+def _unimodular(draw, n):
+    """A random unimodular n x n matrix and its inverse, from elementary
+    row operations."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    ainv = [row[:] for row in a]
+    ops = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                  st.sampled_from((1, -1, 2, -2))), max_size=2 * n)) if n else []
+    for i, j, c in ops:
+        if i != j:
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+            for row in ainv:
+                row[j] -= c * row[i]
+    return IntMatrix.from_rows(a, cols=n), IntMatrix.from_rows(ainv, cols=n)
+
+
+@st.composite
+def cycle_pairs(draw, moduli=(0, 2, 4, 6, 9)):
+    """(out, in, d) with out @ in = 0 mod d, in one of three shapes: a
+    conjugated diagonal out = P [S 0] Q with in-columns Q^-1 y + d z, where
+    y is a (co)cycle of [S 0] mod d; the all-ones augmentation row with
+    in-columns summing to 0 mod d; or the all-ones augmentation column
+    with out-rows summing to 0 mod d."""
+    d = draw(st.sampled_from(moduli))
+    m = draw(st.integers(1, 5))
+
+    def ints(n):
+        return draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+
+    def zero_sum(n):
+        v = ints(n)
+        v[-1] += d * draw(st.integers(-1, 1)) - sum(v)
+        return v
+
+    kind = draw(st.sampled_from(("conjugate", "augmentation row", "augmentation column")))
+    if kind == "augmentation row":
+        out = IntMatrix.from_rows([[1] * m])
+        inn = IntMatrix.from_columns([zero_sum(m) for _ in range(draw(st.integers(0, 3)))], rows=m)
+    elif kind == "augmentation column":
+        out = IntMatrix.from_rows([zero_sum(m) for _ in range(draw(st.integers(0, 3)))], cols=m)
+        inn = IntMatrix.from_columns([[1] * m], rows=m)
+    else:
+        k = draw(st.integers(0, 4))
+        s = [draw(st.sampled_from((0, 1, 2, 3, 4, 6))) for _ in range(min(k, m))]
+        p, _ = _unimodular(draw, k)
+        q, qinv = _unimodular(draw, m)
+        out = p @ IntMatrix.diagonal(s, rows=k, cols=m) @ q
+        cols = []
+        for _ in range(draw(st.integers(0, 3))):
+            # s_i y_i = 0 mod d: y_i a multiple of d / gcd(d, s_i)
+            y = [(d // gcd(d, si) if gcd(d, si) else 1) * yi for si, yi in zip(s, ints(len(s)))]
+            y += ints(m - len(s))
+            cols.append([a + d * b for a, b in zip(qinv.apply(y), ints(m))])
+        inn = IntMatrix.from_columns(cols, rows=m)
+    assert all(v % d == 0 if d else v == 0 for v in (out @ inn).entries)
+    return out, inn, d
+
+
+def _is_cycle(out, v, d):
+    return all(x % d == 0 if d else x == 0 for x in out.apply(v))
+
+
+def _kernel_image_factor(out, inn, d):
+    """The factor as the old three-SNF formulation computed it: the
+    kernel (or mod-d preimage) lattice over im(in) (+ d Z^m)."""
+    m = out.cols
+    if d == 0:
+        return quotient_group(m, kernel_basis(out), inn)
+    return quotient_group(m, preimage_lattice(out, IntMatrix.identity(out.rows).scale(d)),
+                          IntMatrix.hstack(inn, IntMatrix.identity(m).scale(d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cycle_pairs())
+def test_cycle_quotient_matches_kernel_image_formulation(pair):
+    out, inn, d = pair
+    pres = _CycleQuotients(out, inn).quotient(d)
+    assert pres.group == _kernel_image_factor(out, inn, d).group
+    if d:
+        assert mod_d_quotient(out, inn, d).group == pres.group
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycle_pairs(moduli=(0,)))
+def test_one_out_map_snf_serves_every_modulus(pair):
+    out, inn, _ = pair  # out @ inn = 0 over Z, so mod every d
+    quotients = _CycleQuotients(out, inn)
+    for d in (0, 2, 4, 6, 9):
+        assert quotients.quotient(d).group == _kernel_image_factor(out, inn, d).group
+
+
+@settings(max_examples=150, deadline=None)
+@given(cycle_pairs(), st.data())
+def test_cycle_quotient_presentation(pair, data):
+    out, inn, d = pair
+    pres = _CycleQuotients(out, inn).quotient(d)
+    k = pres.group.num_generators
+    assert len(pres.lifts) == k and pres.ambient_dim == out.cols
+    for i, lift in enumerate(pres.lifts):
+        assert _is_cycle(out, lift, d)
+        assert pres.coords(lift) == tuple(int(i == j) for j in range(k))
+    for col in inn.columns():
+        assert pres.coords(col) == (0,) * k
+    m = out.cols
+    vectors = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    vectors += data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m), max_size=4))
+    for v in vectors:
+        if _is_cycle(out, v, d):
+            pres.coords(v)
+        else:
+            with pytest.raises(NotInLattice):
+                pres.coords(v)
+
+
+def test_mod_d_quotient_chain_condition():
+    one = IntMatrix.from_rows([[1]])
+    with pytest.raises(ChainConditionViolation):
+        mod_d_quotient(one, one, 2)
+    assert mod_d_quotient(one, IntMatrix.from_rows([[2]]), 2).group.is_trivial
