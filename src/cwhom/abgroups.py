@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 from .intmat import (
     IntMatrix,
@@ -106,16 +106,65 @@ def normalize_diagonal(diagonal, extra_free: int = 0) -> FgAbGroup:
     """Canonicalize SNF-style diagonal data into a group.
 
     Units are dropped, each zero contributes a Z summand, and the
-    remaining orders are renormalized into a divisibility chain (via SNF
-    of the diagonal lattice, so any permutation of the same multiset
-    gives the same result).
+    remaining orders are renormalized into a divisibility chain, so any
+    permutation of the same multiset gives the same result.  No matrix is
+    built and no integer is factored: every order d is a product of powers
+    b^v_b(d) of a pairwise coprime basis (``_coprime_basis``), so Z/d is
+    the sum of the Z/b^v_b(d) by CRT, and the j-th largest invariant
+    factor is the product over b of b to the j-th largest exponent of b.
     """
-    free = extra_free + sum(1 for d in diagonal if d == 0)
-    tors = [abs(d) for d in diagonal if abs(d) >= 2]
-    if tors:
-        res = _snf_ext(IntMatrix.diagonal(tors), ())
-        tors = [d for d in res.diagonal() if d >= 2]
-    return FgAbGroup(free, tuple(tors))
+    free = extra_free
+    counts: dict = {}
+    for d in diagonal:
+        d = abs(d)
+        if d == 0:
+            free += 1
+        elif d >= 2:
+            counts[d] = counts.get(d, 0) + 1
+    largest_first: list = []
+    for b in _coprime_basis(counts):
+        # (exponent of b, multiplicity), largest exponent first
+        runs = sorted(((_valuation(d, b), c) for d, c in counts.items() if d % b == 0), reverse=True)
+        i = 0
+        for e, c in runs:
+            power = b ** e
+            for _ in range(c):
+                if i == len(largest_first):
+                    largest_first.append(1)
+                largest_first[i] *= power
+                i += 1
+    return FgAbGroup(free, tuple(reversed(largest_first)))
+
+
+def _coprime_basis(numbers) -> list:
+    """Pairwise coprime integers >= 2 of which every given number >= 2 is
+    a product (with repetition).  A number sharing a factor g with a basis
+    element b is replaced by b / g, g and n / g; the product of all
+    pending numbers drops by g >= 2 each time, so this terminates."""
+    basis: list = []
+    pending = list(numbers)
+    while pending:
+        n = pending.pop()
+        if n == 1:
+            continue
+        for i, b in enumerate(basis):
+            g = gcd(n, b)
+            if g != 1:
+                del basis[i]
+                pending.extend((b // g, g, n // g))
+                break
+        else:
+            basis.append(n)
+    return basis
+
+
+def _valuation(d: int, b: int) -> int:
+    """The largest e with b^e dividing d (b >= 2, d != 0)."""
+    e = 0
+    while d % b == 0:
+        d //= b
+        e += 1
+    return e
 
 
 def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
@@ -192,7 +241,8 @@ def parse_group(text: str) -> FgAbGroup:
 
 
 def format_group(g: FgAbGroup) -> str:
-    """Free part first, then torsion in chain order; '0' when trivial."""
+    """Free part first, then torsion in chain order; '0' when trivial.
+    Orders print exactly in decimal at any size."""
     if g.is_trivial:
         return "0"
     parts = []
@@ -200,8 +250,28 @@ def format_group(g: FgAbGroup) -> str:
         parts.append("Z")
     elif g.rank > 1:
         parts.append(f"Z^{g.rank}")
-    parts.extend(f"Z/{d}" for d in g.torsion)
+    parts.extend(f"Z/{_decimal(d)}" for d in g.torsion)
     return " + ".join(parts)
+
+
+# decimal digits per chunk: below 640, the least limit on int-to-string
+# conversion that Python lets a program set, so str() of one chunk is
+# always allowed
+_CHUNK_DIGITS = 500
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """str(n) for n >= 0 of any size, without Python's int-to-string
+    limit: peel chunks off with divmod and print each below the limit."""
+    if n < _CHUNK:
+        return str(n)
+    chunks = []
+    while n:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(r)
+    head = str(chunks.pop())
+    return head + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks))
 
 
 def _relation_matrix(g: FgAbGroup) -> IntMatrix:
@@ -289,50 +359,55 @@ def hom_image(h: AbHom) -> FgAbGroup:
     return quotient_group(n, num, rel).group
 
 
-def _mutual_containment(a: IntMatrix, b: IntMatrix) -> bool:
-    """The column lattices of a and b are equal: each spans the other."""
-    return solve_columns(b, a) is not None and solve_columns(a, b) is not None
-
-
 def is_exact_pair(g: AbHom, h: AbHom) -> bool:
     """True iff im(g) = ker(h) as subgroups of the shared middle group.
 
-    Compared by mutual lattice membership after lifting presentations,
-    never by order counting.
+    im(g) <= ker(h) is h g = 0, read off the normalized composite; the
+    middle relations lie in ker(h) because h is well defined.  ker(h) <=
+    im(g) is one lattice solve.  Never decided by order counting.
     """
     if g.target != h.source:
         raise ValueError("exactness: g.target != h.source")
-    rel = _relation_matrix(g.target)
-    im = IntMatrix.hstack(g.matrix, rel)
-    ker = _kernel_lattice(h)
-    return _mutual_containment(im, ker)
+    if not compose_hom(h, g).matrix.is_zero():
+        return False
+    im = IntMatrix.hstack(g.matrix, _relation_matrix(g.target))
+    return solve_columns(im, _kernel_lattice(h)) is not None
 
 
 def hom_subquotient(g: AbHom, h: AbHom) -> FgAbGroup:
-    """ker(h) / im(g) inside the shared middle group (requires im <= ker)."""
+    """ker(h) / im(g) inside the shared middle group (requires im <= ker,
+    that is h g = 0)."""
     if g.target != h.source:
         raise ValueError("subquotient: g.target != h.source")
-    n = g.target.num_generators
-    rel = _relation_matrix(g.target)
-    ker = _kernel_lattice(h)
-    if solve_columns(ker, g.matrix) is None:
+    if not compose_hom(h, g).matrix.is_zero():
         raise ValueError("subquotient: image is not contained in the kernel")
-    denom = IntMatrix.hstack(g.matrix, rel)
-    return quotient_group(n, ker, denom).group
+    n = g.target.num_generators
+    denom = IntMatrix.hstack(g.matrix, _relation_matrix(g.target))
+    return quotient_group(n, _kernel_lattice(h), denom).group
 
 
 def invert_iso(h: AbHom) -> AbHom:
-    """Two-sided inverse of an isomorphism; NotAnIsomorphism otherwise."""
-    rel = _relation_matrix(h.target)
-    ext = IntMatrix.hstack(h.matrix, rel)
-    sol = solve_columns(ext, IntMatrix.identity(h.target.num_generators))
-    if sol is None:
+    """Two-sided inverse of an isomorphism; NotAnIsomorphism otherwise.
+
+    One SNF [h | rel] = U S V (rel: the target relations) decides all of
+    it.  h is onto iff that lattice is Z^t: rank t, every s_i = 1.  The
+    columns rank.. of V^-1 span ker [h | rel]; their first s rows generate
+    the preimage of the target relations, and h is injective iff those
+    lie in the source relations: 0 in free rows, a multiple of the order
+    in torsion rows.  The inverse is the first s rows of V^-1[:, :t] U^-1,
+    which solves [h | rel] X = I; both composites are still verified.
+    """
+    s, t = h.source.num_generators, h.target.num_generators
+    ext = _snf_ext(IntMatrix.hstack(h.matrix, _relation_matrix(h.target)), ("Uinv", "Vinv"))
+    if ext.rank != t or any(d != 1 for d in ext.diagonal()[:t]):
         raise NotAnIsomorphism("not surjective")
-    if not hom_kernel(h).is_trivial:
-        raise NotAnIsomorphism("kernel is nontrivial")
-    n = h.source.num_generators
-    inv_rows = [sol.row(i) for i in range(n)]
-    g = AbHom(h.target, h.source, IntMatrix.from_rows(inv_rows, cols=sol.cols))
-    if compose_hom(g, h) != identity_hom(h.source) or compose_hom(h, g) != identity_hom(h.target):
+    vinv = ext.Vinv
+    for i, o in enumerate(h.source.generator_orders()):
+        if any(v % o if o else v for v in vinv.row(i)[t:]):
+            raise NotAnIsomorphism("kernel is nontrivial")
+    sol = IntMatrix.from_rows([vinv.row(i)[:t] for i in range(s)], cols=t) @ ext.Uinv
+    g = AbHom(h.target, h.source, sol)
+    if (compose_hom(g, h).matrix != IntMatrix.identity(s)
+            or compose_hom(h, g).matrix != IntMatrix.identity(t)):
         raise NotAnIsomorphism("candidate inverse failed verification")
     return g

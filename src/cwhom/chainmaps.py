@@ -17,7 +17,7 @@ carries the alternating sign that makes it an honest chain map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .abgroups import AbHom, FgAbGroup, compose_hom
 from .complexes import CwComplex, suspension, zoo
@@ -316,7 +316,7 @@ def mapping_cone(f: ChainMap) -> MappingCone:
         inc_maps.append(IntMatrix.from_rows(rows, cols=cy))
     inclusion = ChainMap(y, cone, _padded(y, cone, inc_maps), "cfcod")
 
-    sx = suspension(x)
+    sx = _suspended(x)
     proj_maps = [IntMatrix(1, cone.cells[0], (1,) * cone.cells[0])]
     for n in range(1, max(cone_dim, sx.dim) + 1):
         cy = cone.cells_at(n) - _reduced_cells(x, n - 1) if n <= cone_dim else 0
@@ -356,13 +356,22 @@ def shift_iso(x: CwComplex, n: int, coeff: FgAbGroup) -> AbHom:
     matrix realizes it; at n = 0 a cocycle is first shifted to vanish on
     the basepoint and then restricted to the non-basepoint vertices.
     """
-    sx = suspension(x)
+    sx = _suspended(x)
     src = chain_group(x, n, coeff, "cohomology", True)
     tgt = chain_group(sx, n + 1, coeff, "cohomology", True)
     if n < 0 or n > x.dim:
         return induced_hom(src, tgt, IntMatrix.zeros(tgt.ambient_dim, src.ambient_dim))
     t = IntMatrix.identity(x.cells[n]) if n >= 1 else _basepoint_differences(x)
     return induced_hom(src, tgt, t)
+
+
+@lru_cache(maxsize=16)
+def _suspended(x: CwComplex) -> CwComplex:
+    """suspension(x), built once per complex for shift_iso and
+    mapping_cone; bounded, because the checks visit a few complexes at a
+    time.  Equal complexes with different names share an entry, so the
+    cached copy carries no name."""
+    return suspension(x).with_name("")
 
 
 def _basepoint_differences(x: CwComplex) -> IntMatrix:

@@ -113,9 +113,10 @@ def _cmd_homology(args) -> int:
     variant = "cohomology" if args.cohomology else "homology"
     sym = "H^" if args.cohomology else "H_"
     dims = [args.dim] if args.dim is not None else list(range(x.dim + 1))
-    for n in dims:
-        g = chain_group(x, n, args.coeff, variant, args.reduced).group
-        print(f"{sym}{n} = {g}")
+    # the whole table is rendered before any of it is printed, so a
+    # failure prints no partial table
+    lines = [f"{sym}{n} = {chain_group(x, n, args.coeff, variant, args.reduced).group}" for n in dims]
+    print("\n".join(lines))
     return 0
 
 

@@ -271,13 +271,6 @@ class _SnfWork:
             vj, vi = self.v[j], self.v[i]
             self.v[j] = [a - k * b for a, b in zip(vj, vi)]
 
-    def col_neg(self, i):
-        for m in self.col_mats:
-            for row in m:
-                row[i] = -row[i]
-        if self.v is not None:
-            self.v[i] = [-a for a in self.v[i]]
-
     def _find_pivot(self, t):
         # nonzero entry of minimal absolute value; ties broken by lowest
         # row, then lowest column (row-major scan with strict improvement)

@@ -2,8 +2,10 @@
 
 Each check returns a CheckReport; `run_battery` sweeps a standard corpus
 of complexes against a spread of coefficient groups.  All comparisons
-are exact: group identities go through presented isomorphisms (invert_iso)
-and exactness goes through mutual lattice containment, never cardinality.
+are exact: group identities go through presented isomorphisms
+(invert_iso, which proves bijectivity and verifies the inverse both
+ways), and exactness goes through lattice containment, im <= ker as a
+zero composite and ker <= im as a solve, never cardinality.
 
 The skeletal check rebuilds the cellular cochain complex from axiomatic
 ingredients alone: for each k it forms the filtration quotients
@@ -14,12 +16,16 @@ Q_k -> X_{k+1}/X_{k-1}, and then verifies that (a) the subquotients of
 the resulting cochain complex agree with reduced cohomology, (b) each
 h^k(Q_k) is free of rank c_k over G on cell generators, and (c) written
 in cell coordinates the composite maps are the transposed boundary
-matrices up to a consistent choice of generator signs.
+matrices up to a consistent choice of generator signs.  The quotients,
+inclusions, cones and collapse maps do not depend on G, so they are built
+once per complex (``_skeletal_tower``), as the suspension is for the
+shift isomorphism (``chainmaps._suspended``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .abgroups import (
     AbHom,
@@ -358,6 +364,24 @@ def _collapse_comparison(cone: MappingCone, q_next: CwComplex) -> ChainMap:
     return ChainMap(c, q_next, tuple(maps))
 
 
+@lru_cache(maxsize=8)
+def _skeletal_tower(x: CwComplex) -> tuple:
+    """The coefficient-free part of the skeletal check, built once per
+    complex: (Q_0, ..., Q_dim) and, for each k < dim, (j, cone(j),
+    collapse) with j: Q_k -> W_k the inclusion and collapse: cone(j) ->
+    Q_{k+1}.  Bounded, because the checks visit a few complexes at a
+    time.  Built from a nameless copy of x: equal complexes with different
+    names share an entry, and no cached name can reach a report."""
+    x = x.with_name("")
+    quotients = tuple(_filtration_quotient(x, k) for k in range(x.dim + 1))
+    levels = []
+    for k in range(x.dim):
+        j = inclusion_map(quotients[k], _double_quotient(x, k))
+        cone = mapping_cone(j)
+        levels.append((j, cone, _collapse_comparison(cone, quotients[k + 1])))
+    return quotients, tuple(levels)
+
+
 def _cell_basis_iso(q: CwComplex, k: int, coeff: FgAbGroup) -> AbHom:
     """k_k : h^k(Q_k; G) -> G^{c_k} on cell generators."""
     tgt = cells_presentation(q.cells_at(k) if k >= 1 else q.cells[0] - 1, coeff)
@@ -371,7 +395,7 @@ def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
     rep = CheckReport("skeletal", _subject(x), coeff, range(0, x.dim + 1))
     dim = x.dim
 
-    quotients = [_filtration_quotient(x, k) for k in range(dim + 1)]
+    quotients, levels = _skeletal_tower(x)
 
     # (b) h^n(Q_k) is G^{c_k} at n = k and trivial elsewhere; keep the
     # cell-basis isomorphisms for later.
@@ -392,11 +416,7 @@ def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
 
     # the connecting composites h^k(Q_k) -> h^{k+1}(Q_{k+1})
     deltas = []
-    for k in range(dim):
-        w = _double_quotient(x, k)
-        j = inclusion_map(quotients[k], w)
-        cone = mapping_cone(j)
-        collapse = _collapse_comparison(cone, quotients[k + 1])
+    for k, (j, cone, collapse) in enumerate(levels):
         q_star = induced_map(collapse, k + 1, coeff, "cohomology", reduced=True)
         try:
             q_inv = invert_iso(q_star)

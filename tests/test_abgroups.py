@@ -1,5 +1,10 @@
+import sys
+import time
+from dataclasses import replace
+from math import gcd
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cwhom.abgroups import (
     AbHom,
@@ -19,7 +24,7 @@ from cwhom.abgroups import (
     parse_group,
     zero_hom,
 )
-from cwhom.intmat import IntMatrix
+from cwhom.intmat import IntMatrix, preimage_lattice, quotient_group, snf, solve_columns
 
 
 groups = st.builds(
@@ -201,3 +206,230 @@ class TestHoms:
         h = AbHom(g, g, IntMatrix.from_rows([[1, 1], [4, 1]]))
         inv = invert_iso(h)
         assert compose_hom(h, inv) == identity_hom(g)
+
+
+# -- the one-step paths against their formulations from public primitives
+
+
+def _relations(g):
+    """Columns order * e_i for the torsion generators of g, inside Z^n."""
+    n = g.num_generators
+    cols = [[o if i == k else 0 for i in range(n)] for k, o in enumerate(g.generator_orders()) if o]
+    return IntMatrix.from_columns(cols, rows=n)
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except ValueError as e:  # NotAnIsomorphism included
+        return (type(e).__name__, str(e))
+
+
+def _invert_iso_reference(h):
+    """Surjectivity by a solve, injectivity by hom_kernel, then the two
+    verifying composites: four SNFs."""
+    t = h.target.num_generators
+    sol = solve_columns(IntMatrix.hstack(h.matrix, _relations(h.target)), IntMatrix.identity(t))
+    if sol is None:
+        raise NotAnIsomorphism("not surjective")
+    if not hom_kernel(h).is_trivial:
+        raise NotAnIsomorphism("kernel is nontrivial")
+    rows = [sol.row(i) for i in range(h.source.num_generators)]
+    g = AbHom(h.target, h.source, IntMatrix.from_rows(rows, cols=t))
+    if compose_hom(g, h) != identity_hom(h.source) or compose_hom(h, g) != identity_hom(h.target):
+        raise NotAnIsomorphism("candidate inverse failed verification")
+    return g
+
+
+def _kernel_generators(h):
+    return preimage_lattice(h.matrix, _relations(h.target))
+
+
+def _is_exact_reference(g, h):
+    im = IntMatrix.hstack(g.matrix, _relations(g.target))
+    ker = _kernel_generators(h)
+    return solve_columns(ker, im) is not None and solve_columns(im, ker) is not None
+
+
+def _subquotient_reference(g, h):
+    ker = _kernel_generators(h)
+    if solve_columns(ker, g.matrix) is None:
+        raise ValueError("subquotient: image is not contained in the kernel")
+    denom = IntMatrix.hstack(g.matrix, _relations(g.target))
+    return quotient_group(g.target.num_generators, ker, denom).group
+
+
+small_groups = st.builds(
+    lambda rank, orders: normalize_diagonal(orders, rank),
+    st.integers(0, 2),
+    st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), max_size=3),
+)
+
+
+@st.composite
+def homs(draw, source=None, target=None):
+    """A well-defined homomorphism: a torsion generator of order d may only
+    reach multiples of o / gcd(o, d) in a torsion row of order o."""
+    src = draw(small_groups) if source is None else source
+    tgt = draw(small_groups) if target is None else target
+    cols = []
+    for d in src.generator_orders():
+        col = []
+        for o in tgt.generator_orders():
+            k = draw(st.integers(-3, 3))
+            col.append(k if d == 0 else 0 if o == 0 else k * (o // gcd(o, d)))
+        cols.append(col)
+    return AbHom(src, tgt, IntMatrix.from_columns(cols, rows=tgt.num_generators))
+
+
+@st.composite
+def automorphisms(draw):
+    """A product of elementary automorphisms: e_i -> e_i + k e_j where that
+    is well defined, negations, units on cyclic factors, swaps of equal
+    orders."""
+    g = draw(small_groups)
+    n = g.num_generators
+    orders = g.generator_orders()
+    h = identity_hom(g)
+    for _ in range(draw(st.integers(0, 6)) if n else 0):
+        m = IntMatrix.identity(n).to_rows()
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        oi, oj = orders[i], orders[j]
+        kind = draw(st.sampled_from(["add", "neg", "unit", "swap"]))
+        if kind == "add" and i != j:
+            k = draw(st.integers(-3, 3))
+            m[j][i] = k if oi == 0 else 0 if oj == 0 else k * (oj // gcd(oj, oi))
+        elif kind == "neg":
+            m[i][i] = -1
+        elif kind == "unit" and oi:
+            u = draw(st.integers(1, oi - 1))
+            if gcd(u, oi) == 1:
+                m[i][i] = u
+        elif kind == "swap" and oi == oj:
+            m[i][i] = m[j][j] = 0
+            m[i][j] = m[j][i] = 1
+        h = compose_hom(AbHom(g, g, IntMatrix.from_rows(m, cols=n)), h)
+    return h
+
+
+@st.composite
+def broken_automorphisms(draw):
+    """An automorphism followed by a random endomorphism or a map onto a
+    smaller group: mostly not bijective, sometimes onto."""
+    a = draw(automorphisms())
+    return compose_hom(draw(homs(source=a.target)), a)
+
+
+@given(st.one_of(automorphisms(), homs(), broken_automorphisms()))
+@example(AbHom(FgAbGroup(1), FgAbGroup(0, (2,)), IntMatrix.from_rows([[1]])))  # onto, kernel 2Z
+@example(AbHom(FgAbGroup(0, (4,)), FgAbGroup(0, (2,)), IntMatrix.from_rows([[1]])))  # onto, kernel Z/2
+@example(AbHom(FgAbGroup(2), FgAbGroup(1), IntMatrix.from_rows([[1, 0]])))  # onto, kernel Z
+@example(AbHom(FgAbGroup(1), FgAbGroup(1), IntMatrix.from_rows([[2]])))  # into, not onto
+@example(AbHom(FgAbGroup(0, (2, 4)), FgAbGroup(0, (2, 4)), IntMatrix.from_rows([[1, 1], [2, 1]])))
+def test_invert_iso_matches_reference(h):
+    got, want = _outcome(invert_iso, h), _outcome(_invert_iso_reference, h)
+    assert got == want
+    if got[0] == "ok":
+        assert got[1].matrix.entries == want[1].matrix.entries
+
+
+@st.composite
+def composable_pairs(draw):
+    """(g, h) with h g = 0 built from the kernel lattice of h (its
+    generators, combinations of them, or both), or g drawn freely."""
+    h = draw(homs())
+    mid = h.source
+    mode = draw(st.sampled_from(["kernel", "combinations", "free"]))
+    if mode == "free":
+        return draw(homs(target=mid)), h
+    ker = _kernel_generators(h)
+    cols = ker.columns() if mode == "kernel" else []
+    for _ in range(draw(st.integers(0, 3))):
+        c = [draw(st.integers(-2, 2)) for _ in range(ker.cols)]
+        cols.append(tuple(sum(a * b for a, b in zip(c, ker.row(i))) for i in range(ker.rows)))
+    g = AbHom(FgAbGroup.free(len(cols)), mid, IntMatrix.from_columns(cols, rows=mid.num_generators))
+    return g, h
+
+
+@given(composable_pairs())
+def test_exactness_matches_mutual_containment(pair):
+    g, h = pair
+    assert is_exact_pair(g, h) == _is_exact_reference(g, h)
+    assert _outcome(hom_subquotient, g, h) == _outcome(_subquotient_reference, g, h)
+
+
+def test_invert_iso_verifies_its_candidate(monkeypatch):
+    # a corrupted U^-1 leaves the bijectivity tests alone but spoils the
+    # candidate inverse; only the verifying composites can notice
+    import cwhom.abgroups as ab
+
+    real = ab._snf_ext
+
+    def skewed(a, want):
+        res = real(a, want)
+        u = res.Uinv.to_rows()
+        u[0][-1] += 1
+        return replace(res, Uinv=IntMatrix.from_rows(u, cols=res.Uinv.cols))
+
+    monkeypatch.setattr(ab, "_snf_ext", skewed)
+    with pytest.raises(NotAnIsomorphism, match="candidate inverse failed verification"):
+        invert_iso(identity_hom(FgAbGroup.free(2)))
+
+
+# -- invariant factors without a matrix, exact printing at any size
+
+_HUGE = 10 ** 60 + 7
+
+
+def _snf_route(orders, free):
+    """The invariant factors as the SNF of the diagonal matrix."""
+    tors = [abs(d) for d in orders if abs(d) >= 2]
+    diag = snf(IntMatrix.diagonal(tors)).diagonal() if tors else ()
+    return FgAbGroup(free + sum(1 for d in orders if d == 0), tuple(d for d in diag if d >= 2))
+
+
+order_atoms = st.sampled_from([1, 2, 3, 4, 6, 9, 12, 2 ** 200, _HUGE, 6 * _HUGE, _HUGE ** 3, 3 ** 150 * 5])
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-30, 30),
+            st.builds(lambda a, b, s: s * a * b, order_atoms, order_atoms, st.sampled_from([1, -1])),
+        ),
+        max_size=7,
+    ),
+    st.integers(0, 2),
+)
+def test_normalize_matches_snf_route(orders, free):
+    assert normalize_diagonal(orders, free) == _snf_route(orders, free)
+
+
+def test_many_equal_orders_parse_fast():
+    start = time.perf_counter()
+    g = parse_group("(Z/2)^100000")
+    elapsed = time.perf_counter() - start
+    assert g == FgAbGroup(0, (2,) * 100000)
+    assert elapsed < 1.0
+    assert parse_group("(Z/4)^3 + (Z/6)^2 + Z/9") == FgAbGroup(0, (2, 2, 12, 12, 36))
+
+
+def _decimal_reference(n):
+    digits = []
+    while True:
+        n, r = divmod(n, 10)
+        digits.append("0123456789"[r])
+        if not n:
+            return "".join(reversed(digits))
+
+
+@pytest.mark.parametrize(
+    "order",
+    [10 ** 499, 10 ** 500 - 1, 10 ** 500, 10 ** 500 + 1, 10 ** 4301 + 17, 7 ** 9000],
+    ids=lambda n: f"{n.bit_length()}-bit",
+)
+def test_format_group_huge_orders(order):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    text = format_group(FgAbGroup(1, (order,)))
+    assert text == "Z + Z/" + _decimal_reference(order)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

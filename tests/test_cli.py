@@ -1,5 +1,8 @@
 import io
 import json
+import sys
+from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +190,52 @@ def test_bad_coefficient_digits_exit_3(capsys, torus_file, coeff):
     _, err = capsys.readouterr()
     assert exc.value.code == 3
     assert "--coeff" in err and "invalid" not in err
+
+
+def test_check_battery_bytes(capsys):
+    # the full battery's stdout, pinned byte for byte
+    want = (Path(__file__).parent / "data" / "check_battery.txt").read_bytes()
+    code, out, err = run(capsys, "check")
+    assert (code, err) == (0, "")
+    assert out.encode() == want
+
+
+def _decimal(n):
+    digits = []
+    while True:
+        n, r = divmod(n, 10)
+        digits.append("0123456789"[r])
+        if not n:
+            return "".join(reversed(digits))
+
+
+def test_huge_torsion_order_prints_exactly(capsys, tmp_path):
+    # H_1 = Z/lcm(a, b) has about 7 000 digits, past Python's default
+    # limit on int-to-string conversion; the literals stay below it
+    a, b = 10 ** 4000 + 1, 10 ** 3000 + 3
+    p = tmp_path / "x.json"
+    p.write_text('{"cells": [2, 2, 2], "boundaries": {"1": [[0, 0], [0, 0]], '
+                 f'"2": [[{"1" + "0" * 3999 + "1"}, 0], [0, {"1" + "0" * 2999 + "3"}]]}}}}')
+    g = gcd(a, b)
+    h1 = " + ".join(f"Z/{_decimal(d)}" for d in (g, a * b // g) if d > 1)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "homology", str(p))
+    assert (code, err) == (0, "")
+    assert out == f"H_0 = Z^2\nH_1 = {h1}\nH_2 = 0\n"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_homology_prints_no_partial_table(capsys, torus_file, monkeypatch):
+    import cwhom.cli as cli
+
+    real = cli.chain_group
+
+    def failing_at_2(x, n, *args):
+        if n == 2:
+            raise ValueError("boom")
+        return real(x, n, *args)
+
+    monkeypatch.setattr(cli, "chain_group", failing_at_2)
+    code, out, err = run(capsys, "homology", torus_file)
+    assert (code, out) == (1, "")
+    assert err == "boom\n"

@@ -167,3 +167,25 @@ def test_sign_solver_long_chain():
     assert solver.relate(0, n, n % 2)
     assert not solver.relate(n, 0, 1 - n % 2)
     assert solver.relate(1, n - 1, 0)
+
+
+def test_coefficient_free_inputs_are_shared_and_nameless():
+    # equal complexes share one cached tower and one suspension, which
+    # carry no name, so reports name the complex they were asked about
+    from cwhom.chainmaps import _suspended, validate_map
+    from cwhom.complexes import validate
+    from cwhom.verify import _skeletal_tower
+    t = zoo("torus")
+    other = t.with_name("other")
+    assert _skeletal_tower(t) is _skeletal_tower(other)
+    assert _suspended(t) is _suspended(other)
+    assert _suspended(t).name == ""
+    quotients, levels = _skeletal_tower(t)
+    assert [q.name for q in quotients] == [""] * 3
+    for k, (j, cone, collapse) in enumerate(levels):
+        assert (j.source, j.target) == (quotients[k], cone.inclusion.source)
+        assert (collapse.source, collapse.target) == (cone.cone, quotients[k + 1])
+        assert validate_map(j) == [] and validate(cone.cone) == [] and validate_map(collapse) == []
+    assert check_skeletal_reformulation(other, Z).render() == "PASS skeletal other G=Z dims=0..2"
+    assert check_suspension(other, Z).render() == "PASS suspension other G=Z dims=0..3"
+    assert _skeletal_tower.cache_info().maxsize and _suspended.cache_info().maxsize
