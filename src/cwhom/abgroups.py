@@ -189,9 +189,16 @@ def _number(m: re.Match, name: str) -> int:
         raise GroupSyntaxError("number has too many digits", m.start(name)) from None
 
 
+# the most generators a group expression may name: each generator becomes
+# a tuple entry (torsion) or a cyclic factor (rank), so a short exponent
+# must not ask for unbounded memory
+_MAX_GENERATORS = 1_000_000
+
+
 def parse_group(text: str) -> FgAbGroup:
     """Parse the group grammar: terms 'Z', 'Z^k', 'Z/d', '(Z/d)^k' joined
-    by '+'; '0' is the trivial group."""
+    by '+'; '0' is the trivial group.  At most ``_MAX_GENERATORS``
+    generators in all."""
     stripped = text.strip()
     if stripped == "0":
         return FgAbGroup.trivial()
@@ -208,26 +215,24 @@ def parse_group(text: str) -> FgAbGroup:
             m = _TERM.match(text, pos)
             if not m:
                 raise GroupSyntaxError("expected a group term", pos)
+            d, k = None, 1  # k copies of Z/d, or of Z when d is None
             if m.group("zk") is not None:
                 k = _number(m, "zk")
-                if k < 1:
-                    raise GroupSyntaxError("exponent must be >= 1", pos)
-                rank += k
             elif m.group("d") is not None:
                 d = _number(m, "d")
-                if d < 2:
-                    raise GroupSyntaxError("torsion order must be >= 2", pos)
-                tors.append(d)
             elif m.group("pd") is not None:
                 d = _number(m, "pd")
                 k = _number(m, "pk")
-                if d < 2:
-                    raise GroupSyntaxError("torsion order must be >= 2", pos)
-                if k < 1:
-                    raise GroupSyntaxError("exponent must be >= 1", pos)
-                tors.extend([d] * k)
+            if d is not None and d < 2:
+                raise GroupSyntaxError("torsion order must be >= 2", pos)
+            if k < 1:
+                raise GroupSyntaxError("exponent must be >= 1", pos)
+            if rank + len(tors) + k > _MAX_GENERATORS:
+                raise GroupSyntaxError(f"more than {_MAX_GENERATORS} generators", pos)
+            if d is None:
+                rank += k
             else:
-                rank += 1
+                tors.extend([d] * k)
             pos = m.end()
             expect_term = False
         else:

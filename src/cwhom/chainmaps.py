@@ -374,6 +374,16 @@ def _suspended(x: CwComplex) -> CwComplex:
     return suspension(x).with_name("")
 
 
+@lru_cache(maxsize=16)
+def _cone(f: ChainMap) -> MappingCone:
+    """mapping_cone(f), built once per chain map for the checks that visit
+    it with every coefficient group; bounded like ``_suspended``.  Built
+    from a nameless copy of f and of its complexes: equal maps with
+    different names share an entry, and no cached name can reach a
+    report."""
+    return mapping_cone(ChainMap(f.source.with_name(""), f.target.with_name(""), f.maps))
+
+
 def _basepoint_differences(x: CwComplex) -> IntMatrix:
     """One row e_v - e_basepoint per non-basepoint vertex v: shifts a
     0-cochain to vanish on the basepoint and restricts it to the other
@@ -394,6 +404,6 @@ def connecting_map(f: ChainMap, n: int, coeff: FgAbGroup, cone: MappingCone | No
     """gamma_n : h^n(X; G) -> h^{n+1}(cofiber(f); G) for the long exact
     sequence; no extra sign beyond the one carried by the cone blocks."""
     if cone is None:
-        cone = mapping_cone(f)
+        cone = _cone(f)
     proj_star = induced_map(cone.projection, n + 1, coeff, "cohomology", reduced=True)
     return compose_hom(proj_star, shift_iso(f.source, n, coeff))

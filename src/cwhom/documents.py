@@ -57,12 +57,16 @@ def _matrix(value, rows: int, cols: int, path: str) -> IntMatrix:
     for i, row in enumerate(value):
         _expect(isinstance(row, list), f"{path}[{i}]", "expected a list")
         _expect(len(row) == cols, f"{path}[{i}]", f"expected {cols} entries, found {len(row)}")
-        for j, v in enumerate(row):
-            _expect(
-                isinstance(v, int) and not isinstance(v, bool),
-                f"{path}[{i}][{j}]",
-                "expected an integer",
-            )
+        # JSON yields no int subclass but bool, so a parsed row passes the
+        # one bulk test; the entry walk only runs to accept an int subclass
+        # from a Python caller or to name the first bad entry
+        if not all(type(v) is int for v in row):
+            for j, v in enumerate(row):
+                _expect(
+                    isinstance(v, int) and not isinstance(v, bool),
+                    f"{path}[{i}][{j}]",
+                    "expected an integer",
+                )
         flat.extend(row)
     return IntMatrix(rows, cols, tuple(flat))
 

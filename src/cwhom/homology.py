@@ -26,7 +26,9 @@ boundary entry, recording chain maps f: C -> C' and g: C' -> C.  Each
 factor presentation computed on the residual C' is carried back exactly:
 lifts through g (f^T for cochains), coordinates through f (g^T), after a
 sparse check of the vector against the original outgoing map, because f
-is not injective.  The pivots are units, so the reduction is over Z and
+is not injective.  That map is never built densely: its sparse columns
+are read off the original boundaries on the first coordinate query, and
+only then.  The pivots are units, so the reduction is over Z and
 every cyclic factor of G is still computed directly on C'.  The carried
 augmentation e g_0 is again the all-ones row, so the reduced variants go
 through ``_graded_maps`` on C' unchanged.  A complex with no unit entry is
@@ -143,23 +145,39 @@ def _graded_maps(x: CwComplex, n: int, variant: str, reduced: bool):
     return out, inc
 
 
-def _transported(pres: GroupWithPresentation, red: Reduction, n: int, dual: bool,
-                 out_map: IntMatrix, modulus: int) -> GroupWithPresentation:
+def _out_columns(x: CwComplex, n: int, variant: str, reduced: bool) -> list:
+    """The sparse columns of ``_graded_maps(x, n, variant, reduced)[0]``,
+    read off x's row-major boundaries without building the map: the
+    columns of B_n (the all-ones row, or no row, at n = 0) for chains,
+    the rows of B_{n+1} for cochains."""
+    if variant == "cohomology":
+        b = x.boundary(n + 1)
+        return [[(j, v) for j, v in enumerate(b.row(i)) if v] for i in range(b.rows)]
+    if n == 0:
+        return [[(0, 1)] if reduced else [] for _ in range(x.cells[0])]
+    return _sparse_columns(x.boundary(n))
+
+
+def _transported(pres: GroupWithPresentation, red: Reduction, x: CwComplex, n: int,
+                 variant: str, reduced: bool, modulus: int) -> GroupWithPresentation:
     """A residual factor presentation carried back to the cells of the
-    original complex: lifts through g (f^T on cochains), coordinates
+    original complex x: lifts through g (f^T on cochains), coordinates
     through f (g^T).  f is not injective, so a vector is first checked
     against the original out-map, mod the factor's modulus, and rejected
-    exactly where the unreduced presentation would reject it."""
+    exactly where the unreduced presentation would reject it.  That map
+    is never built: coords reads its sparse columns off x's boundaries on
+    its first call, because most groups are never queried."""
+    dual = variant == "cohomology"
     ambient = red.cells[n]
     lifts = tuple(red.pull(n, lift, dual) for lift in pres.lifts)
-    out_cols = None  # made sparse on first use: most groups are never queried
+    out_cols = None
 
     def coords(v):
         nonlocal out_cols
         if len(v) != ambient:
             raise ValueError("vector length mismatch")
         if out_cols is None:
-            out_cols = _sparse_columns(out_map)
+            out_cols = _out_columns(x, n, variant, reduced)
         image = _sparse_apply(out_cols, ((j, a) for j, a in enumerate(v) if a))
         if any(s % modulus if modulus else s for s in image.values()):
             raise NotInLattice("vector outside the numerator lattice")
@@ -187,9 +205,7 @@ def chain_group(x: CwComplex, n: int, coeff: FgAbGroup, variant: str, reduced: b
     if red is None:
         pres = _factor_presentations(*_graded_maps(x, n, variant, reduced), coeff)
     else:
-        full_out = _graded_maps(x, n, variant, reduced)[0]
-        dual = variant == "cohomology"
-        pres = [(m, _transported(p, red, n, dual, full_out, m))
+        pres = [(m, _transported(p, red, x, n, variant, reduced, m))
                 for m, p in _factor_presentations(*_graded_maps(red.residual, n, variant, reduced), coeff)]
     return _assemble(coeff, x.cells[n], pres)
 

@@ -14,6 +14,7 @@ must accept them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Callable, Sequence
 
@@ -63,6 +64,15 @@ class IntMatrix:
             raise ValueError(
                 f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
             )
+
+    @cached_property
+    def _hash(self) -> int:
+        # the matrix is frozen, so its entries are hashed at most once; the
+        # value is the one dataclass would compute on every call
+        return hash((self.rows, self.cols, self.entries))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- constructors -------------------------------------------------
 

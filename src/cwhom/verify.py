@@ -42,6 +42,7 @@ from .chainmaps import (
     ChainMap,
     MappingCone,
     _basepoint_differences,
+    _cone,
     connecting_map,
     identity_map,
     inclusion_map,
@@ -232,7 +233,7 @@ def check_les_exactness(f: ChainMap, coeff: FgAbGroup, dims: range | None = None
     """Exactness of  h^n(Cf) -> h^n(Y) -> h^n(X) -> h^{n+1}(Cf)  at all
     three kinds of node, over the full dimension range of the cone."""
     require_valid_map(f, pointed=True)
-    cone = mapping_cone(f)
+    cone = _cone(f)
     top = cone.cone.dim
     name = f.name or f"{_subject(f.source)}->{_subject(f.target)}"
     rep = CheckReport("les-exactness", name, coeff, dims or range(-1, top + 3))

@@ -433,3 +433,16 @@ def test_format_group_huge_orders(order):
     text = format_group(FgAbGroup(1, (order,)))
     assert text == "Z + Z/" + _decimal_reference(order)
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_generator_ceiling():
+    from cwhom.abgroups import _MAX_GENERATORS
+    assert parse_group(f"Z^{_MAX_GENERATORS}") == FgAbGroup(_MAX_GENERATORS)
+    assert parse_group(f"Z^{_MAX_GENERATORS - 2} + Z/2 + Z") == FgAbGroup(_MAX_GENERATORS - 1, (2,))
+    for text, position in [(f"Z^{_MAX_GENERATORS + 1}", 0), (f"(Z/2)^{_MAX_GENERATORS + 1}", 0),
+                           (f"Z^{_MAX_GENERATORS} + Z", 12), (f"(Z/3)^{10 ** 30}", 0),
+                           (f"Z + (Z/2)^{_MAX_GENERATORS}", 4)]:
+        with pytest.raises(GroupSyntaxError) as exc:
+            parse_group(text)
+        assert exc.value.position == position
+        assert "more than 1000000 generators" in str(exc.value)

@@ -239,3 +239,13 @@ def test_homology_prints_no_partial_table(capsys, torus_file, monkeypatch):
     code, out, err = run(capsys, "homology", torus_file)
     assert (code, out) == (1, "")
     assert err == "boom\n"
+
+
+@pytest.mark.parametrize("coeff,position", [("(Z/2)^1000001", 0), ("Z^1000001 + Z", 0),
+                                            ("Z^999999 + (Z/2)^2", 11)])
+def test_coefficient_generator_ceiling_exits_3(capsys, torus_file, coeff, position):
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", torus_file, "--cohomology", "--coeff", coeff])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 3
+    assert f"--coeff: more than 1000000 generators (at position {position})" in err

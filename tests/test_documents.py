@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwhom.chainmaps import sphere_self_map
 from cwhom.complexes import zoo
@@ -14,6 +16,7 @@ from cwhom.documents import (
     map_from_doc,
     map_to_doc,
 )
+from cwhom.intmat import IntMatrix
 from cwhom.verify import standard_corpus
 
 
@@ -141,3 +144,130 @@ def test_map_huge_integer_is_schema_error():
     with pytest.raises(SchemaError) as exc:
         loads_map(text)
     assert exc.value.path == "$"
+
+
+def _matrix_by_entries(value, rows, cols, path):
+    """The parser's matrix check as a walk over every entry: the reference
+    the bulk-checked parse must agree with, error for error."""
+    if not isinstance(value, list):
+        raise SchemaError(path, "expected a list of rows")
+    if len(value) != rows:
+        raise SchemaError(path, f"expected {rows} rows, found {len(value)}")
+    flat = []
+    for i, row in enumerate(value):
+        if not isinstance(row, list):
+            raise SchemaError(f"{path}[{i}]", "expected a list")
+        if len(row) != cols:
+            raise SchemaError(f"{path}[{i}]", f"expected {cols} entries, found {len(row)}")
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise SchemaError(f"{path}[{i}][{j}]", "expected an integer")
+        flat.extend(row)
+    return IntMatrix(rows, cols, tuple(flat))
+
+
+class _Int(int):
+    """An int subclass, as a Python caller may pass; JSON never yields one."""
+
+
+_BAD_ENTRIES = st.one_of(
+    st.booleans(), st.floats(allow_nan=False), st.text(max_size=2), st.none(),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+)
+_ODD_ENTRIES = st.one_of(_BAD_ENTRIES, st.builds(_Int, st.integers(-3, 3)))
+_BAD_ROWS = st.one_of(st.integers(), st.none(), st.text(max_size=2), st.tuples(st.integers()),
+                      st.dictionaries(st.text(max_size=1), st.integers(), max_size=1))
+
+
+@st.composite
+def matrix_documents(draw):
+    """(value, rows, cols): a rows x cols integer matrix, then entries,
+    rows and row lengths spoiled at random positions."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    value = [[draw(st.integers(-5, 5)) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        if not value:
+            break
+        i = draw(st.integers(0, len(value) - 1))
+        kind = draw(st.sampled_from(["entry", "entry", "row", "length"]))
+        if kind == "row":
+            value[i] = draw(_BAD_ROWS)
+        elif not isinstance(value[i], list):
+            continue
+        elif kind == "length":
+            value[i] = value[i][:-1] if value[i] and draw(st.booleans()) else value[i] + [0]
+        elif value[i]:
+            value[i][draw(st.integers(0, len(value[i]) - 1))] = draw(_ODD_ENTRIES)
+    if draw(st.integers(0, 9)) == 0:
+        value = value[:-1] if value and draw(st.booleans()) else value + [[0] * cols]
+    if draw(st.integers(0, 19)) == 0:
+        value = draw(_BAD_ROWS)
+    return value, rows, cols
+
+
+def _outcome(parse, value, rows, cols):
+    try:
+        m = parse(value, rows, cols, "$.boundaries.1")
+    except SchemaError as e:
+        return "error", e.path, str(e)
+    return "ok", m, [type(v) for v in m.entries]
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_documents())
+def test_matrix_parse_matches_entry_walk(doc):
+    from cwhom.documents import _matrix
+    value, rows, cols = doc
+    assert _outcome(_matrix, value, rows, cols) == _outcome(_matrix_by_entries, value, rows, cols)
+    # the same error reaches the loaders' callers
+    if isinstance(value, list) and len(value) == rows and rows:
+        want = _outcome(_matrix_by_entries, value, rows, cols)
+        try:
+            complex_from_doc({"cells": [rows, cols], "boundaries": {"1": value}})
+        except SchemaError as e:
+            assert ("error", e.path, str(e)) == want
+        else:
+            assert want[0] == "ok"
+
+
+def grid_torus_doc(k):
+    """The k x k square-grid torus in the explicit form, cells
+    (k^2, 2k^2, k^2): edge 2v runs from v = (i, j) to (i + 1, j), edge
+    2v + 1 from (i, j) to (i, j + 1), and face v is bounded by
+    h(i, j) + e(i + 1, j) - h(i, j + 1) - e(i, j)."""
+    def v(i, j):
+        return (i % k) * k + j % k
+    b1 = [[0] * (2 * k * k) for _ in range(k * k)]
+    b2 = [[0] * (k * k) for _ in range(2 * k * k)]
+    for i in range(k):
+        for j in range(k):
+            h, e = 2 * v(i, j), 2 * v(i, j) + 1
+            b1[v(i + 1, j)][h] += 1
+            b1[v(i, j)][h] -= 1
+            b1[v(i, j + 1)][e] += 1
+            b1[v(i, j)][e] -= 1
+            b2[h][v(i, j)] += 1
+            b2[2 * v(i + 1, j) + 1][v(i, j)] += 1
+            b2[2 * v(i, j + 1)][v(i, j)] -= 1
+            b2[e][v(i, j)] -= 1
+    return {"cells": [k * k, 2 * k * k, k * k], "boundaries": {"1": b1, "2": b2}}
+
+
+def test_matrix_checks_grow_with_rows_not_entries(monkeypatch):
+    import cwhom.documents as documents
+    calls = 0
+    real = documents._expect
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(documents, "_expect", counting)
+    x = loads_complex(dumps(grid_torus_doc(8)))
+    assert x.cells == (64, 128, 64)
+    rows = sum(b.rows for b in x.boundaries)
+    entries = sum(len(b.entries) for b in x.boundaries)
+    # two checks per row plus a few per document; a walk over the
+    # entries would make at least 16 384
+    assert calls <= 2 * rows + 20 < entries

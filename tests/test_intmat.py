@@ -400,3 +400,41 @@ def test_mod_d_quotient_chain_condition():
     with pytest.raises(ChainConditionViolation):
         mod_d_quotient(one, one, 2)
     assert mod_d_quotient(one, IntMatrix.from_rows([[2]]), 2).group.is_trivial
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_hash_agrees_across_constructions(r, c, data):
+    from functools import lru_cache
+    ents = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=r * c, max_size=r * c)))
+    built = [
+        IntMatrix(r, c, ents),
+        IntMatrix.from_rows([list(ents[i * c:(i + 1) * c]) for i in range(r)], cols=c),
+        IntMatrix.from_columns([ents[j::c] for j in range(c)], rows=r) if c else IntMatrix.zeros(r, 0),
+        IntMatrix(c, r, tuple(ents[i * c + j] for j in range(c) for i in range(r))).transpose(),
+    ]
+    # the value dataclass would compute, whichever way the matrix was made
+    assert {hash(m) for m in built} == {hash((r, c, ents))}
+    assert all(m == built[0] for m in built)
+    table = {built[0]: "hit"}
+    assert [table.get(m) for m in built] == ["hit"] * 4
+    calls = []
+
+    @lru_cache(maxsize=None)
+    def keyed(m):
+        calls.append(m)
+        return m.rows
+    for m in built:
+        keyed(m)
+    assert len(calls) == 1 and keyed.cache_info().hits == 3
+    if ents:
+        other = IntMatrix(r, c, (ents[0] + 1,) + ents[1:])
+        assert other != built[0] and table.get(other) is None
+
+
+def test_hash_is_kept_on_the_instance():
+    m = IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert "_hash" not in m.__dict__
+    h = hash(m)
+    assert m.__dict__["_hash"] == h == hash(m)
+    assert IntMatrix.zeros(0, 3) != IntMatrix.zeros(3, 0)

@@ -258,3 +258,64 @@ def test_sphere2_degree(a, c, e):
     for coeff, want in ((parse_group("Z"), [[a + c]]), (parse_group("Z/2"), [[(a + c) % 2]])):
         for variant in ("homology", "cohomology"):
             assert induced_map(f, 2, coeff, variant).matrix == IntMatrix.from_rows(want)
+
+
+@pytest.mark.parametrize("x", [grid_torus(3), zoo("rp", 3), zoo("moore", 4, 2), zoo("point")],
+                         ids=["T3", "rp3", "moore", "point"])
+def test_out_columns_are_the_out_map(x):
+    from cwhom.homology import _out_columns
+    from cwhom.intmat import _sparse_columns
+    for variant, reduced in VARIANTS:
+        for n in range(x.dim + 1):
+            want = _sparse_columns(_graded_maps(x, n, variant, reduced)[0])
+            assert _out_columns(x, n, variant, reduced) == want
+
+
+def test_reduced_path_builds_no_original_out_map(monkeypatch):
+    # chain_group on a reducible complex works on the residual alone; the
+    # original out-map is read sparse, and only once coords is asked
+    import cwhom.homology as homology
+    x = grid_torus(5)
+    graded_on_x, big_transposes = [], []
+    real_graded, real_transpose = homology._graded_maps, IntMatrix.transpose
+
+    def counting_graded(y, *args):
+        if y == x:
+            graded_on_x.append(args)
+        return real_graded(y, *args)
+
+    def counting_transpose(m):
+        if max(m.shape) >= x.cells[0]:
+            big_transposes.append(m.shape)
+        return real_transpose(m)
+
+    real_columns = homology._out_columns
+    column_reads = []
+
+    def counting_columns(*args):
+        column_reads.append(args)
+        return real_columns(*args)
+
+    monkeypatch.setattr(homology, "_graded_maps", counting_graded)
+    monkeypatch.setattr(homology, "_out_columns", counting_columns)
+    monkeypatch.setattr(IntMatrix, "transpose", counting_transpose)
+    homology.chain_group.cache_clear()
+    groups = {}
+    for coeff in COEFFS:
+        for variant, reduced in VARIANTS:
+            for n in range(3):
+                groups[coeff, variant, reduced, n] = chain_group(x, n, coeff, variant, reduced)
+    assert (graded_on_x, big_transposes, column_reads) == ([], [], [])
+    # coords reads the out-map, rejecting what f alone would accept
+    rejected = 0
+    for cp in groups.values():
+        for _, pres in cp.factors:
+            for lift in pres.lifts:
+                assert sum(pres.coords(lift)) == 1
+            for cell in range(cp.ambient_dim):
+                try:
+                    pres.coords(tuple(int(i == cell) for i in range(cp.ambient_dim)))
+                except NotInLattice:
+                    rejected += 1
+    assert rejected > 0 and column_reads
+    assert (graded_on_x, big_transposes) == ([], [])

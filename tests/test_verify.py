@@ -189,3 +189,29 @@ def test_coefficient_free_inputs_are_shared_and_nameless():
     assert check_skeletal_reformulation(other, Z).render() == "PASS skeletal other G=Z dims=0..2"
     assert check_suspension(other, Z).render() == "PASS suspension other G=Z dims=0..3"
     assert _skeletal_tower.cache_info().maxsize and _suspended.cache_info().maxsize
+
+
+def test_les_cone_built_once_per_map_and_nameless(monkeypatch):
+    # every coefficient group of the LES check reads one cached cone, built
+    # from a nameless copy, so a report names the map it was asked about
+    import cwhom.chainmaps as chainmaps
+    built = []
+    real = chainmaps.mapping_cone
+
+    def counting(f):
+        built.append(f)
+        return real(f)
+
+    monkeypatch.setattr(chainmaps, "mapping_cone", counting)
+    chainmaps._cone.cache_clear()
+    s1 = zoo("sphere", 1).with_name("circle")
+    f = chainmaps.ChainMap(s1, s1, sphere_self_map(1, 3).maps, "triple")
+    g = chainmaps.ChainMap(s1.with_name("loop"), s1.with_name("loop"), f.maps)
+    reports = [check_les_exactness(h, coeff) for h in (f, g) for coeff in standard_coefficients()]
+    assert len(built) == 1
+    assert [r.render().split()[2] for r in reports] == ["triple"] * 5 + ["loop->loop"] * 5
+    assert all(r.passed for r in reports)
+    cone = chainmaps._cone(g)
+    assert (cone.map.name, cone.cone.name, cone.inclusion.source.name) == ("", "cone", "")
+    assert (cone.map.source.name, cone.map.target.name) == ("", "")
+    assert chainmaps._cone.cache_info().maxsize
