@@ -2,12 +2,15 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 semantic failure (invalid input object, failed check, undefined
-degree), 2 malformed document, 3 usage error.
+degree), 2 malformed document, 3 usage error.  When the reader of stdout
+goes away first (``cwhom check | head -1``), every command stops quietly
+with exit code 1: no traceback and no message.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .abgroups import FgAbGroup, GroupSyntaxError, parse_group
@@ -275,8 +278,22 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        try:
+            return _run(build_parser().parse_args(argv))
+        finally:
+            # a write the pipe refuses must fail here, not at exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to /dev/null, so the
+        # interpreter's final flush has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except SchemaError as e:

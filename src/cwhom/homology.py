@@ -9,7 +9,11 @@ both built from the (co)chain complex itself.  At each dimension one SNF
 of the outgoing map, out = U S V, serves every factor: the cycle lattice
 mod d is read off S and V, the denominator is written against it with the
 single product V @ in, and one SNF of those coordinates gives the factor's
-group, lifts and coordinate map (``intmat._CycleQuotients``).
+group, lifts and coordinate map (``intmat._CycleQuotients``).  Neither
+SNF builds a transform: V @ in is replayed from the first one's operation
+log straight onto in, and the group is read off the second one's
+diagonal.  The whole group, across factors, is the invariant-factor form
+of the factors' generator orders, with no SNF at all.
 
 The reduced variants use the augmented complex: at dimension 0 the
 all-ones augmentation row (for chains) or column (for cochains) is fed to
@@ -18,18 +22,21 @@ bookkeeping differ.
 
 Every group is returned together with a presentation: explicit cocycle
 (or cycle) lifts for the canonical generators and a coordinate map back,
-which is what induced homomorphisms are written against.
+which is what induced homomorphisms are written against.  Presentations
+are built from the logs on their first read, so a query that reads only
+groups (the CLI's tables) does no transform work, and one that reads
+them all does the work once.
 
 The quotient engines run on a small chain-equivalent complex.  Once per
 complex, ``reduction`` cancels pairs of cells joined by a unit (+-1)
 boundary entry, recording chain maps f: C -> C' and g: C' -> C.  Each
-factor presentation computed on the residual C' is carried back exactly:
-lifts through g (f^T for cochains), coordinates through f (g^T), after a
-sparse check of the vector against the original outgoing map, because f
-is not injective.  That map is never built densely: its sparse columns
-are read off the original boundaries on the first coordinate query, and
-only then.  The pivots are units, so the reduction is over Z and
-every cyclic factor of G is still computed directly on C'.  The carried
+factor presentation computed on the residual C' is carried back exactly,
+when it is read: lifts through g (f^T for cochains), coordinates through
+f (g^T), after a sparse check of the vector against the original outgoing
+map, because f is not injective.  That map is never built densely: its
+sparse columns are read off the original boundaries on the first
+coordinate query, and only then.  The pivots are units, so the reduction
+is over Z and every cyclic factor of G is still computed directly on C'.  The carried
 augmentation e g_0 is again the all-ones row, so the reduced variants go
 through ``_graded_maps`` on C' unchanged.  A complex with no unit entry is
 used as it is.
@@ -40,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abgroups import AbHom, FgAbGroup, direct_sum
+from .abgroups import AbHom, FgAbGroup, normalize_diagonal
 from .complexes import CwComplex, require_valid
 from .intmat import (
     GroupWithPresentation,
@@ -48,6 +55,7 @@ from .intmat import (
     NotInLattice,
     _CycleQuotients,
     _present,
+    _put,
     _sparse_apply,
     _sparse_columns,
 )
@@ -80,11 +88,6 @@ def _factor_presentations(out_map: IntMatrix, in_map: IntMatrix, coeff: FgAbGrou
     return [(m, quotients.quotient(m)) for m in coeff_factors(coeff)]
 
 
-def _factor_presentation(out_map: IntMatrix, in_map: IntMatrix, modulus: int) -> GroupWithPresentation:
-    """A single factor, for modulus 0 (Z) or d >= 2 (Z/d)."""
-    return _CycleQuotients(out_map, in_map).quotient(modulus)
-
-
 @dataclass(frozen=True)
 class CoeffPresentation:
     """A (co)homology group with coefficients in G, with presentations.
@@ -107,18 +110,15 @@ class CoeffPresentation:
 
 
 def _glue(factor_groups) -> GroupWithPresentation:
-    orders = []
-    for g in factor_groups:
-        orders.extend(g.generator_orders())
+    """Z^n over the relations o_i e_i for the generator orders o_i of the
+    factors: the group is their invariant-factor form, with no SNF; the
+    relations' SNF waits for the first read of lifts or coords."""
+    orders = [o for g in factor_groups for o in g.generator_orders()]
     n = len(orders)
-    rel_cols = []
-    for i, o in enumerate(orders):
-        if o:
-            col = [0] * n
-            col[i] = o
-            rel_cols.append(col)
+    rel_cols = [[o if i == j else 0 for i in range(n)] for j, o in enumerate(orders) if o]
     # the numerator is all of Z^n: its coordinates are the vector itself
-    return _present(n, IntMatrix.from_columns(rel_cols, rows=n), tuple, None, (1,) * n, range(n))
+    return _present(n, IntMatrix.from_columns(rel_cols, rows=n), None, (1,) * n, range(n),
+                    group=normalize_diagonal(orders))
 
 
 def _assemble(coeff: FgAbGroup, ambient_dim: int, factor_pres) -> CoeffPresentation:
@@ -158,32 +158,43 @@ def _out_columns(x: CwComplex, n: int, variant: str, reduced: bool) -> list:
     return _sparse_columns(x.boundary(n))
 
 
-def _transported(pres: GroupWithPresentation, red: Reduction, x: CwComplex, n: int,
-                 variant: str, reduced: bool, modulus: int) -> GroupWithPresentation:
+class _Transported(GroupWithPresentation):
     """A residual factor presentation carried back to the cells of the
     original complex x: lifts through g (f^T on cochains), coordinates
     through f (g^T).  f is not injective, so a vector is first checked
     against the original out-map, mod the factor's modulus, and rejected
-    exactly where the unreduced presentation would reject it.  That map
-    is never built: coords reads its sparse columns off x's boundaries on
-    its first call, because most groups are never queried."""
-    dual = variant == "cohomology"
-    ambient = red.cells[n]
-    lifts = tuple(red.pull(n, lift, dual) for lift in pres.lifts)
-    out_cols = None
+    exactly where the unreduced presentation would reject it.  Nothing is
+    carried before it is read: the lifts are pulled on their first read,
+    and the out-map's sparse columns are read off x's boundaries on the
+    first coords call, because most groups are never queried."""
 
-    def coords(v):
-        nonlocal out_cols
-        if len(v) != ambient:
+    __slots__ = ("_pres", "_red", "_x", "_n", "_variant", "_reduced", "_modulus", "_out_cols", "_lifts")
+
+    def __init__(self, pres: GroupWithPresentation, red: Reduction, x: CwComplex, n: int,
+                 variant: str, reduced: bool, modulus: int):
+        super().__init__(pres.group, red.cells[n])
+        for name, value in (("_pres", pres), ("_red", red), ("_x", x), ("_n", n), ("_variant", variant),
+                            ("_reduced", reduced), ("_modulus", modulus), ("_out_cols", None),
+                            ("_lifts", None)):
+            _put(self, name, value)
+
+    @property
+    def lifts(self) -> tuple:
+        if self._lifts is None:
+            dual = self._variant == "cohomology"
+            _put(self, "_lifts", tuple(self._red.pull(self._n, lift, dual) for lift in self._pres.lifts))
+        return self._lifts
+
+    def coords(self, v):
+        if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        if out_cols is None:
-            out_cols = _out_columns(x, n, variant, reduced)
-        image = _sparse_apply(out_cols, ((j, a) for j, a in enumerate(v) if a))
-        if any(s % modulus if modulus else s for s in image.values()):
+        if self._out_cols is None:
+            _put(self, "_out_cols", _out_columns(self._x, self._n, self._variant, self._reduced))
+        image = _sparse_apply(self._out_cols, ((j, a) for j, a in enumerate(v) if a))
+        m = self._modulus
+        if any(s % m if m else s for s in image.values()):
             raise NotInLattice("vector outside the numerator lattice")
-        return pres.coords(red.push(n, v, dual))
-
-    return GroupWithPresentation(pres.group, ambient, lifts, coords)
+        return self._pres.coords(self._red.push(self._n, v, self._variant == "cohomology"))
 
 
 # one reduction per complex, shared by every query on it; unbounded like
@@ -205,7 +216,7 @@ def chain_group(x: CwComplex, n: int, coeff: FgAbGroup, variant: str, reduced: b
     if red is None:
         pres = _factor_presentations(*_graded_maps(x, n, variant, reduced), coeff)
     else:
-        pres = [(m, _transported(p, red, x, n, variant, reduced, m))
+        pres = [(m, _Transported(p, red, x, n, variant, reduced, m))
                 for m, p in _factor_presentations(*_graded_maps(red.residual, n, variant, reduced), coeff)]
     return _assemble(coeff, x.cells[n], pres)
 

@@ -2,9 +2,11 @@
 
 Everything here runs over Python's arbitrary-precision integers; there is
 deliberately no floating point and no fixed-width fast path.  The central
-routine is Smith normal form with unimodular transformation matrices, from
-which kernels, lattice membership and finitely generated quotient groups
-are derived.
+routine is Smith normal form, from which kernels, lattice solving and
+finitely generated quotient groups are derived.  Its elimination works on
+S alone and logs every row and column operation; a unimodular transform,
+or its product with a given matrix, is replayed from that log only when a
+caller reads it, so a query that needs only the group pays for none.
 
 Matrices with zero rows and/or zero columns are first-class values; they
 show up constantly (complexes with empty dimensions) and every operation
@@ -13,10 +15,10 @@ must accept them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Callable, Sequence
+from typing import Sequence
 
 __all__ = [
     "IntMatrix",
@@ -27,13 +29,9 @@ __all__ = [
     "ChainConditionViolation",
     "snf",
     "kernel_basis",
-    "lattice_basis",
-    "lattice_coordinates",
-    "in_lattice",
     "solve_columns",
     "preimage_lattice",
     "quotient_group",
-    "mod_d_quotient",
 ]
 
 
@@ -171,9 +169,6 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(-v for v in self.entries))
 
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(k * v for v in self.entries))
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
@@ -221,65 +216,95 @@ def _sparse_apply(columns, pairs) -> dict:
     return out
 
 
-class _SnfWork:
-    """Row/column elimination on S, tracking those of U, U^-1, V, V^-1
-    that ``want`` names; the others stay None and cost nothing.
+class _Log:
+    """The row operations that build one unimodular transform T of an SNF
+    from the n x n identity, in order, as flat (i, j, k) triples: row_i +=
+    k row_j when k != 0; otherwise rows i and j swap (i != j) or row i
+    changes sign (i == j).  T @ M replays them onto the rows of M, and
+    T^-1 @ M replays their inverses backwards.
 
-    Invariant maintained throughout: A = U @ S @ V, Uinv = U^-1, Vinv = V^-1.
+    ``pair()`` replays (T, T^-1) onto the identity once and then drops the
+    operations, so ``times`` comes first: a log shared by several
+    presentations is replayed at most once, and never when none of them
+    is read.
     """
 
-    def __init__(self, a: IntMatrix, want):
+    __slots__ = ("n", "ops", "_pair")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.ops = []
+        self._pair = None
+
+    def times(self, m: IntMatrix, inverse: bool = False) -> IntMatrix:
+        """T @ m, or T^-1 @ m when ``inverse``."""
+        if m.rows != self.n:
+            raise ValueError(f"shape mismatch {self.n}x{self.n} @ {m.shape}")
+        if len(self.ops) == 0:  # T = I; a log pair() has dropped fails here
+            return m
+        rows = m.to_rows()
+        if inverse:
+            it = reversed(self.ops)
+            triples = ((i, j, -k) for k, j, i in zip(it, it, it))
+        else:
+            it = iter(self.ops)
+            triples = zip(it, it, it)
+        for i, j, k in triples:
+            if k:
+                rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+            elif i != j:
+                rows[i], rows[j] = rows[j], rows[i]
+            else:
+                rows[i] = [-a for a in rows[i]]
+        return IntMatrix(m.rows, m.cols, tuple(v for row in rows for v in row))
+
+    def pair(self) -> tuple:
+        """(T, T^-1)."""
+        if self._pair is None:
+            eye = IntMatrix.identity(self.n)
+            self._pair = (self.times(eye), self.times(eye, inverse=True))
+            self.ops = None
+        return self._pair
+
+
+class _SnfWork:
+    """Row/column elimination on S alone.  A row operation on S is logged
+    as the same operation on U^-1 (``row_log``), a column operation as the
+    row operation it makes on V (``col_log``): A = U @ S @ V throughout,
+    with U^-1 and V built from the identity by their logs."""
+
+    def __init__(self, a: IntMatrix):
         self.r = a.rows
         self.c = a.cols
         self.s = a.to_rows()
-
-        def eye(n, name):
-            return [[int(i == j) for j in range(n)] for i in range(n)] if name in want else None
-
-        self.u, self.uinv = eye(self.r, "U"), eye(self.r, "Uinv")
-        self.v, self.vinv = eye(self.c, "V"), eye(self.c, "Vinv")
-        # a row operation on S is the same row operation on Uinv and the
-        # inverse column operation on U; dually for columns
-        self.row_mats = [m for m in (self.s, self.uinv) if m is not None]
-        self.col_mats = [m for m in (self.s, self.vinv) if m is not None]
+        self.row_log = _Log(self.r)
+        self.col_log = _Log(self.c)
 
     def row_swap(self, i, j):
-        for m in self.row_mats:
-            m[i], m[j] = m[j], m[i]
-        if self.u is not None:
-            for row in self.u:
-                row[i], row[j] = row[j], row[i]
+        s = self.s
+        s[i], s[j] = s[j], s[i]
+        self.row_log.ops += (i, j, 0)
 
     def row_add(self, i, j, k):
         # row_i += k * row_j
-        for m in self.row_mats:
-            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
-        if self.u is not None:
-            for row in self.u:
-                row[j] -= k * row[i]
+        s = self.s
+        s[i] = [a + k * b for a, b in zip(s[i], s[j])]
+        self.row_log.ops += (i, j, k)
 
     def row_neg(self, i):
-        for m in self.row_mats:
-            m[i] = [-a for a in m[i]]
-        if self.u is not None:
-            for row in self.u:
-                row[i] = -row[i]
+        self.s[i] = [-a for a in self.s[i]]
+        self.row_log.ops += (i, i, 0)
 
     def col_swap(self, i, j):
-        for m in self.col_mats:
-            for row in m:
-                row[i], row[j] = row[j], row[i]
-        if self.v is not None:
-            self.v[i], self.v[j] = self.v[j], self.v[i]
+        for row in self.s:
+            row[i], row[j] = row[j], row[i]
+        self.col_log.ops += (i, j, 0)
 
     def col_add(self, i, j, k):
-        # col_i += k * col_j
-        for m in self.col_mats:
-            for row in m:
-                row[i] += k * row[j]
-        if self.v is not None:
-            vj, vi = self.v[j], self.v[i]
-            self.v[j] = [a - k * b for a, b in zip(vj, vi)]
+        # col_i += k * col_j, which is row_j -= k * row_i on V
+        for row in self.s:
+            row[i] += k * row[j]
+        self.col_log.ops += (j, i, -k)
 
     def _find_pivot(self, t):
         # nonzero entry of minimal absolute value; ties broken by lowest
@@ -356,25 +381,21 @@ class _SnfWork:
                 self.row_add(t, bad, 1)
             t += 1
 
-    def result(self) -> "SnfResult":
-        def mat(rows, cols):
-            return None if rows is None else IntMatrix.from_rows(rows, cols=cols)
-
-        return SnfResult(mat(self.u, self.r), mat(self.uinv, self.r), mat(self.s, self.c),
-                         mat(self.v, self.c), mat(self.vinv, self.c))
-
 
 @dataclass(frozen=True)
 class SnfResult:
     """Decomposition A = U @ S @ V with unimodular U, V and diagonal S;
     Uinv and Vinv are the inverses of U and V.  A transform its caller
-    did not ask ``_snf_ext`` for is None."""
+    did not ask ``_snf_ext`` for is None, but its products are still at
+    hand: ``row_log`` builds U^-1 and ``col_log`` builds V (see ``_Log``)."""
 
     U: IntMatrix | None
     Uinv: IntMatrix | None
     S: IntMatrix
     V: IntMatrix | None
     Vinv: IntMatrix | None
+    row_log: _Log | None = field(default=None, compare=False, repr=False)
+    col_log: _Log | None = field(default=None, compare=False, repr=False)
 
     def diagonal(self) -> tuple:
         k = min(self.S.rows, self.S.cols)
@@ -389,12 +410,20 @@ _ALL_TRANSFORMS = ("U", "Uinv", "V", "Vinv")
 
 
 def _snf_ext(a: IntMatrix, want) -> SnfResult:
-    """SNF of a tracking only the transforms named in ``want``.  The
-    elimination does not depend on ``want``, so every transform returned
+    """SNF of a with the transforms named in ``want``; the others are None
+    and cost nothing.  The elimination does not depend on ``want``: each
+    transform is replayed from its log onto the identity afterwards, so it
     is the one ``snf`` returns."""
-    w = _SnfWork(a, want)
+    w = _SnfWork(a)
     w.run()
-    return w.result()
+
+    def made(name, log, inverse):
+        return log.times(IntMatrix.identity(log.n), inverse) if name in want else None
+
+    return SnfResult(made("U", w.row_log, True), made("Uinv", w.row_log, False),
+                     IntMatrix(a.rows, a.cols, tuple(v for row in w.s for v in row)),
+                     made("V", w.col_log, False), made("Vinv", w.col_log, True),
+                     w.row_log, w.col_log)
 
 
 def snf(a: IntMatrix) -> SnfResult:
@@ -406,25 +435,16 @@ def snf(a: IntMatrix) -> SnfResult:
     return _snf_ext(a, _ALL_TRANSFORMS)
 
 
+def _unit_columns(n: int, idx) -> IntMatrix:
+    """The n x len(idx) matrix whose columns are e_j, j in idx."""
+    return IntMatrix.from_columns([[int(i == j) for i in range(n)] for j in idx], rows=n)
+
+
 def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Columns form a Z-basis of the integer kernel {x : a @ x = 0}."""
-    ext = _snf_ext(a, ("Vinv",))
-    r = ext.rank
-    cols = [ext.Vinv.col(j) for j in range(r, a.cols)]
-    return IntMatrix.from_columns(cols, rows=a.cols)
-
-
-def _span_basis(ext: SnfResult) -> IntMatrix:
-    """The columns d_i * U_i for the nonzero diagonal entries d_i: an
-    independent basis of the column lattice of U @ S @ V."""
-    d = ext.diagonal()
-    cols = [tuple(d[i] * x for x in ext.U.col(i)) for i in range(ext.rank)]
-    return IntMatrix.from_columns(cols, rows=ext.U.rows)
-
-
-def lattice_basis(a: IntMatrix) -> IntMatrix:
-    """Independent basis of the lattice spanned by the columns of a."""
-    return _span_basis(_snf_ext(a, ("U",)))
+    """Columns form a Z-basis of the integer kernel {x : a @ x = 0}: the
+    columns rank.. of V^-1, replayed onto those unit vectors alone."""
+    ext = _snf_ext(a, ())
+    return ext.col_log.times(_unit_columns(a.cols, range(ext.rank, a.cols)), inverse=True)
 
 
 def _coordinates_from_ext(y: Sequence[int], e: Sequence[int], live: Sequence[int]) -> tuple:
@@ -443,44 +463,20 @@ def _coordinate_columns(tx: IntMatrix, e: Sequence[int], live: Sequence[int]) ->
     return IntMatrix.from_columns([_coordinates_from_ext(y, e, live) for y in tx.columns()], rows=len(live))
 
 
-def _solve(ext: SnfResult, b: IntMatrix) -> IntMatrix:
-    """An integer X with U @ S @ V @ X = b, NotInLattice if there is none:
-    X = V^-1 [Z; 0] with S Z = U^-1 b."""
-    r = ext.rank
-    z = _coordinate_columns(ext.Uinv @ b, ext.diagonal()[:r] + (0,) * (b.rows - r), range(r))
-    vinv = ext.Vinv
-    return IntMatrix.from_rows([vinv.row(i)[:r] for i in range(vinv.rows)], cols=r) @ z
-
-
-def lattice_coordinates(basis: IntMatrix, v: Sequence[int]) -> tuple:
-    """Solve basis @ c = v over Z; raises NotInLattice when unsolvable.
-
-    The columns of ``basis`` must be linearly independent.
-    """
-    if len(v) != basis.rows:
-        raise ValueError("vector length mismatch")
-    ext = _snf_ext(basis, ("Uinv", "Vinv"))
-    if ext.rank != basis.cols:
-        raise ValueError("basis columns are not independent")
-    return _solve(ext, IntMatrix.column(v)).entries
-
-
-def in_lattice(basis: IntMatrix, v: Sequence[int]) -> bool:
-    try:
-        lattice_coordinates(basis, v)
-        return True
-    except NotInLattice:
-        return False
-
-
 def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """An integer X with a @ X = b, or None if some column is unsolvable."""
+    """An integer X with a @ X = b, or None if some column is unsolvable:
+    with a = U S V, X = V^-1 [Z; 0] where S Z = U^-1 b, both products
+    replayed from the SNF's logs."""
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
+    ext = _snf_ext(a, ())
+    r = ext.rank
     try:
-        return _solve(_snf_ext(a, ("Uinv", "Vinv")), b)
+        z = _coordinate_columns(ext.row_log.times(b), ext.diagonal()[:r] + (0,) * (b.rows - r), range(r))
     except NotInLattice:
         return None
+    return ext.col_log.times(IntMatrix(a.cols, b.cols, z.entries + (0,) * ((a.cols - r) * b.cols)),
+                             inverse=True)
 
 
 def preimage_lattice(m: IntMatrix, relations: IntMatrix) -> IntMatrix:
@@ -496,7 +492,9 @@ def preimage_lattice(m: IntMatrix, relations: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=ker.cols)
 
 
-@dataclass(frozen=True)
+_put = object.__setattr__
+
+
 class GroupWithPresentation:
     """A canonical-form group plus an explicit presentation in an ambient Z^m.
 
@@ -504,42 +502,98 @@ class GroupWithPresentation:
     generators first, then torsion generators in divisibility-chain
     order).  ``coords`` maps any ambient vector of the numerator lattice
     to its canonical-generator coordinates, with torsion coordinates
-    reduced into [0, order).
+    reduced into [0, order).  The group is computed at once; lifts and
+    coords are built on their first read, so a caller that reads only
+    ``group`` pays for no transform.  Instances are immutable.
     """
 
-    group: "FgAbGroup"  # forward ref; cwhom.abgroups.FgAbGroup
-    ambient_dim: int
-    lifts: tuple
-    coords: Callable[[Sequence[int]], tuple]
+    __slots__ = ("group", "ambient_dim")
+
+    def __init__(self, group: "FgAbGroup", ambient_dim: int):  # FgAbGroup: cwhom.abgroups
+        _put(self, "group", group)
+        _put(self, "ambient_dim", ambient_dim)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def lifts(self) -> tuple:
+        raise NotImplementedError
+
+    def coords(self, v: Sequence[int]) -> tuple:
+        raise NotImplementedError
 
 
-def _present(ambient_dim: int, rel: IntMatrix, lift, t: IntMatrix | None, e, live) -> GroupWithPresentation:
+class _Presented(GroupWithPresentation):
+    """The quotient N / D of a lattice N in Z^m by a sublattice D, kept as
+    the log of the SNF rel = U S V of D's coordinates against a basis of N
+    until lifts or coords are read.  N's basis is e_i T^-1_i, i in
+    ``live``, for a unimodular T given by its log (None: the identity):
+    v lies in N when e_i divides (T v)_i for every i, and its coordinates
+    are then (T v)_i / e_i, i in live.  The first read replays the
+    generators' columns of U and rows of U^-1 and drops rel's log; T's
+    log is replayed once for every presentation that shares it."""
+
+    __slots__ = ("_t", "_e", "_live", "_rel", "_lifts", "_uinv")
+
+    def __init__(self, group, ambient_dim, t: _Log | None, e, live, rel):
+        super().__init__(group, ambient_dim)
+        for name, value in (("_t", t), ("_e", e), ("_live", live), ("_rel", rel)):
+            _put(self, name, value)
+
+    def _read(self):
+        """Lifts and the generators' rows of U^-1, from rel's log (or,
+        for a relation matrix given as such, from its SNF now)."""
+        rel = self._rel
+        if isinstance(rel, IntMatrix):
+            rel = _snf_ext(rel, ()).row_log
+        r, free, tors = rel.n, self.group.rank, len(self.group.torsion)
+        rank = r - free
+        # free generators past the rank, then the torsion entries of S
+        gens = [*range(rank, r), *range(rank - tors, rank)]
+        inv = None if self._t is None else self._t.pair()[1]
+        lifts = []
+        for c in rel.times(_unit_columns(r, gens), inverse=True).columns():
+            y = [0] * len(self._e)
+            for i, ci in zip(self._live, c):
+                y[i] = self._e[i] * ci
+            lifts.append(tuple(y) if inv is None else inv.apply(y))
+        uinv = rel.times(IntMatrix.identity(r))
+        _put(self, "_lifts", tuple(lifts))
+        _put(self, "_uinv", IntMatrix.from_rows([uinv.row(j) for j in gens], cols=r))
+        _put(self, "_rel", None)
+
+    @property
+    def lifts(self) -> tuple:
+        if self._rel is not None:
+            self._read()
+        return self._lifts
+
+    def coords(self, v):
+        if self._rel is not None:
+            self._read()
+        y = _coordinates_from_ext(v if self._t is None else self._t.pair()[0].apply(v), self._e, self._live)
+        return tuple(w % o if o else w for w, o in zip(self._uinv.apply(y), self.group.generator_orders()))
+
+
+def _present(ambient_dim: int, rel: IntMatrix, t: _Log | None, e, live, group=None) -> GroupWithPresentation:
     """The quotient of a lattice N in Z^m by a sublattice D, from D's
-    generators written in coordinates against a basis of N (the columns
-    of ``rel``): one SNF rel = U S V gives the canonical group, the lifts
-    ``lift(U_j)`` of its generators and the coordinate map.  ``lift``
-    sends basis coordinates into Z^m; the coordinates of v against the
-    basis are ``_coordinates_from_ext(T v, e, live)`` (T None: v itself),
-    which raises NotInLattice off N, and U^-1 takes them to the
-    generators'."""
+    generators written in coordinates against the basis of N that t, e
+    and live describe (the columns of ``rel``; see ``_Presented``).  One
+    SNF of rel, with no transform, gives the canonical group now; the
+    lifts and the coordinate map wait for their first read.  A caller
+    that knows the group passes it, and then rel's SNF waits too."""
     from .abgroups import FgAbGroup  # deferred to avoid an import cycle
 
-    ext = _snf_ext(rel, ("U", "Uinv"))
-    d = ext.diagonal()
-    r, rank = rel.rows, ext.rank
-    tors_cols = [i for i in range(rank) if d[i] >= 2]
-    gen_cols = list(range(rank, r)) + tors_cols
-    orders = [0] * (r - rank) + [d[i] for i in tors_cols]
-    group = FgAbGroup(r - rank, tuple(d[i] for i in tors_cols))
-    lifts = tuple(lift(ext.U.col(j)) for j in gen_cols)
-    # only the generators' rows of U^-1: the others are killed coordinates
-    uinv = IntMatrix.from_rows([ext.Uinv.row(j) for j in gen_cols], cols=r)
-
-    def coords(v):
-        y = _coordinates_from_ext(v if t is None else t.apply(v), e, live)
-        return tuple(w % o if o else w for w, o in zip(uinv.apply(y), orders))
-
-    return GroupWithPresentation(group, ambient_dim, lifts, coords)
+    if group is None:
+        ext = _snf_ext(rel, ())
+        d = ext.diagonal()
+        group = FgAbGroup(rel.rows - ext.rank, tuple(x for x in d[:ext.rank] if x >= 2))
+        rel = ext.row_log
+    return _Presented(group, ambient_dim, t, e, live, rel)
 
 
 def quotient_group(ambient_dim: int, numerator: IntMatrix, denominator: IntMatrix) -> GroupWithPresentation:
@@ -547,49 +601,51 @@ def quotient_group(ambient_dim: int, numerator: IntMatrix, denominator: IntMatri
 
     The numerator columns may be dependent; every denominator column must
     lie in the numerator lattice (ContainmentViolation otherwise).  One
-    SNF numerator = U S V gives the basis L = U diag(s) of the numerator
-    lattice and the coordinates (U^-1 v)_i / s_i against it; the
-    denominator's coordinates are one product U^-1 @ denominator, and
-    ``_present`` reads the quotient off them.
+    SNF numerator = U S V gives the basis U diag(s) of the numerator
+    lattice and the coordinates (U^-1 v)_i / s_i against it (T = U^-1);
+    the denominator's coordinates are one product U^-1 @ denominator,
+    replayed onto it, and ``_present`` reads the quotient off them.
     """
     if numerator.rows != ambient_dim or denominator.rows != ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    ext = _snf_ext(numerator, ("U", "Uinv"))
+    ext = _snf_ext(numerator, ())
     r = ext.rank
     e = ext.diagonal()[:r] + (0,) * (ambient_dim - r)
     try:
-        rel = _coordinate_columns(ext.Uinv @ denominator, e, range(r))
+        rel = _coordinate_columns(ext.row_log.times(denominator), e, range(r))
     except NotInLattice as exc:
         raise ContainmentViolation(f"denominator column outside numerator lattice: {exc}") from None
-    return _present(ambient_dim, rel, _span_basis(ext).apply, ext.Uinv, e, range(r))
+    return _present(ambient_dim, rel, ext.row_log, e, range(r))
 
 
 class _CycleQuotients:
     """ker(out mod d) / im(in mod d) for every modulus d (d = 0: over Z),
-    all read off one SNF out = U S V that tracks V and V^-1 only.
+    all read off one SNF out = U S V that computes no transform.
 
     With y = V v and s the diagonal (s_i = 0 past the rank), out v = 0
     mod d exactly when d divides every s_i y_i, that is when e_i divides
     y_i, e_i = d / gcd(d, s_i) (so e_i = 0, y_i = 0, when d = 0 and s_i
     != 0).  The columns e_i V^-1_i are therefore a basis of the numerator
-    and y_i / e_i are the coordinates against it.  The denominator im(in)
-    + d Z^m has coordinates (V in)_i / e_i, computed as one product V @ in
-    shared by every modulus, and, because V Z^m = Z^m, the diagonal block
-    d / e_i, which lets row i of the in-part be reduced mod d / e_i.
-    Coordinates where d / e_i = 1 are killed outright and dropped.
+    and y_i / e_i are the coordinates against it (T = V).  The
+    denominator im(in) + d Z^m has coordinates (V in)_i / e_i, from one
+    product V @ in replayed onto in and shared by every modulus, and,
+    because V Z^m = Z^m, the diagonal block d / e_i, which lets row i of
+    the in-part be reduced mod d / e_i.  Coordinates where d / e_i = 1
+    are killed outright and dropped.  V and V^-1 themselves are replayed
+    only when some factor's lifts or coords are read, once for all.
     """
 
     def __init__(self, out_map: IntMatrix, in_map: IntMatrix):
         if in_map.rows != out_map.cols:
             raise ValueError("shapes not composable")
-        ext = _snf_ext(out_map, ("V", "Vinv"))
-        self.v, self.vinv, self.s = ext.V, ext.Vinv, ext.diagonal()[:ext.rank]
-        self.v_in = ext.V @ in_map
+        ext = _snf_ext(out_map, ())
+        self.t, self.s = ext.col_log, ext.diagonal()[:ext.rank]
+        self.v_in = ext.col_log.times(in_map)
 
     def quotient(self, d: int) -> GroupWithPresentation:
         """The factor for modulus d; ContainmentViolation when some column
         of the in-map is not a (co)cycle mod d."""
-        m = self.v.rows
+        m = self.t.n
         # g_i = d / e_i is the order of coordinate i in the quotient (0: free)
         g = [gcd(d, si) for si in self.s] + [d] * (m - len(self.s))
         e = tuple(d // gi if gi else 1 for gi in g)
@@ -602,29 +658,4 @@ class _CycleQuotients:
             orders = [g[i] for i in live]
             reduced = [[w % o for w in rel.row(k)] for k, o in enumerate(orders)]
             rel = IntMatrix.hstack(IntMatrix.from_rows(reduced, cols=rel.cols), IntMatrix.diagonal(orders))
-        vinv = self.vinv
-
-        def lift(c):
-            y = [0] * m
-            for i, ci in zip(live, c):
-                y[i] = e[i] * ci
-            return vinv.apply(y)
-
-        return _present(m, rel, lift, self.v, e, live)
-
-
-def mod_d_quotient(out_map: IntMatrix, in_map: IntMatrix, d: int) -> GroupWithPresentation:
-    """ker(out_map mod d) / im(in_map mod d) inside (Z/d)^m.
-
-    Presented on integer cochain representatives: the ambient space is
-    Z^m, the numerator is the lattice of vectors that out_map sends into
-    d Z^k and the denominator is im(in_map) + d Z^m.  Both are read off one
-    SNF of out_map (see ``_CycleQuotients``).  ChainConditionViolation
-    when out_map @ in_map is nonzero mod d.
-    """
-    if d < 2:
-        raise ValueError("modulus must be >= 2")
-    try:
-        return _CycleQuotients(out_map, in_map).quotient(d)
-    except ContainmentViolation:
-        raise ChainConditionViolation("out_map @ in_map is nonzero mod d") from None
+        return _present(m, rel, self.t, e, live)

@@ -25,6 +25,7 @@ from cwhom.abgroups import (
     zero_hom,
 )
 from cwhom.intmat import IntMatrix, preimage_lattice, quotient_group, snf, solve_columns
+from lattice_helpers import transform_work
 
 
 groups = st.builds(
@@ -374,6 +375,21 @@ def test_invert_iso_verifies_its_candidate(monkeypatch):
     monkeypatch.setattr(ab, "_snf_ext", skewed)
     with pytest.raises(NotAnIsomorphism, match="candidate inverse failed verification"):
         invert_iso(identity_hom(FgAbGroup.free(2)))
+
+
+def test_kernel_image_subquotient_materialize_nothing():
+    # group-only queries: no transform is built and no presentation read
+    z, z2, z4 = FgAbGroup.free(1), FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
+    pair = (AbHom(z, FgAbGroup.free(2), IntMatrix.from_rows([[3], [-2]])),
+            AbHom(FgAbGroup.free(2), z, IntMatrix.from_rows([[2, 3]])))
+    torsion = (AbHom(z2, z4, IntMatrix.from_rows([[2]])), AbHom(z4, z2, IntMatrix.from_rows([[1]])))
+    with transform_work() as seen:
+        for (g, h), ker, im in ((pair, z, z), (torsion, z2, z2)):
+            assert hom_kernel(h) == ker and hom_image(h) == im
+            assert hom_kernel(g).is_trivial and hom_image(g) == g.source
+            assert hom_subquotient(g, h).is_trivial
+        assert hom_subquotient(zero_hom(z4, z4), zero_hom(z4, z2)) == z4
+    assert seen.transforms == []
 
 
 # -- invariant factors without a matrix, exact printing at any size

@@ -1,11 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from math import gcd
 from pathlib import Path
 
 import pytest
 
+import cwhom
 from cwhom.chainmaps import identity_map, sphere_self_map
 from cwhom.cli import main
 from cwhom.complexes import zoo
@@ -249,3 +252,24 @@ def test_coefficient_generator_ceiling_exits_3(capsys, torus_file, coeff, positi
     _, err = capsys.readouterr()
     assert exc.value.code == 3
     assert f"--coeff: more than 1000000 generators (at position {position})" in err
+
+
+def test_reader_leaving_early_exits_1_quietly():
+    # `cwhom check | head -1`: the reader takes one line and closes the
+    # pipe.  A 4 KiB pipe holds less than the battery's ~11 kB report, so
+    # the writer is certain to hit the closed end.
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs a pipe smaller than the output")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cwhom.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r, w = os.pipe()
+    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    with subprocess.Popen([sys.executable, "-m", "cwhom.cli", "check"], stdout=w,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        os.close(w)
+        with open(r, "rb") as reader:
+            assert reader.readline().startswith(b"PASS ")
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 1
+    assert err == b""

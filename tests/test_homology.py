@@ -10,8 +10,9 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from cwhom.abgroups import FgAbGroup, parse_group
-from cwhom.homology import all_groups, chain_group, cohomology, integral_homology
+from cwhom.homology import _glue, all_groups, chain_group, cohomology, integral_homology
 from cwhom.complexes import zoo
+from lattice_helpers import transform_work
 
 Z = FgAbGroup.free(1)
 
@@ -130,6 +131,17 @@ class TestPresentations:
         g = parse_group("Z + Z/2")
         cp = chain_group(zoo("rp", 2), 1, g, "cohomology", False)
         assert cp.glue.group == cp.group
+
+    def test_glue_group_takes_no_snf(self):
+        # the whole group is the invariant-factor form of the factor orders;
+        # the relations' SNF waits for the glue's lifts or coords
+        with transform_work() as seen:
+            glue = _glue([parse_group("Z + Z/2"), parse_group("Z/6")])
+            assert glue.group == parse_group("Z + Z/2 + Z/6")
+        assert seen.snfs == 0
+        with transform_work() as seen:
+            assert len(glue.lifts) == 3
+        assert seen.snfs == 1
 
     def test_cached_presentations_are_frozen(self):
         # chain_group's cache hands the same objects to every caller

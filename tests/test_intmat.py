@@ -11,16 +11,13 @@ from cwhom.intmat import (
     NotInLattice,
     _CycleQuotients,
     _snf_ext,
-    in_lattice,
     kernel_basis,
-    lattice_basis,
-    lattice_coordinates,
-    mod_d_quotient,
     preimage_lattice,
     quotient_group,
     snf,
     solve_columns,
 )
+from lattice_helpers import in_lattice, lattice_basis, lattice_coordinates, mod_d_quotient, scale
 
 
 def bareiss_det(m):
@@ -349,8 +346,8 @@ def _kernel_image_factor(out, inn, d):
     m = out.cols
     if d == 0:
         return quotient_group(m, kernel_basis(out), inn)
-    return quotient_group(m, preimage_lattice(out, IntMatrix.identity(out.rows).scale(d)),
-                          IntMatrix.hstack(inn, IntMatrix.identity(m).scale(d)))
+    return quotient_group(m, preimage_lattice(out, scale(IntMatrix.identity(out.rows), d)),
+                          IntMatrix.hstack(inn, scale(IntMatrix.identity(m), d)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -438,3 +435,22 @@ def test_hash_is_kept_on_the_instance():
     h = hash(m)
     assert m.__dict__["_hash"] == h == hash(m)
     assert IntMatrix.zeros(0, 3) != IntMatrix.zeros(3, 0)
+
+
+def test_replayed_products_match_snf_transforms():
+    # V @ M, U^-1 @ M and their inverses replayed from a transform-free
+    # SNF's logs are the products with snf()'s transforms, at every shape
+    rng = random.Random(59)
+
+    def rand(r, c):
+        return IntMatrix(r, c, tuple(rng.randint(-9, 9) for _ in range(r * c)))
+
+    for _ in range(150):
+        a = rand(rng.randint(0, 7), rng.randint(0, 7))
+        full, lean = snf(a), _snf_ext(a, ())
+        k = rng.randint(0, 3)
+        m, mr = rand(a.cols, k), rand(a.rows, k)
+        assert lean.col_log.times(m) == full.V @ m
+        assert lean.col_log.times(m, inverse=True) == full.Vinv @ m
+        assert lean.row_log.times(mr) == full.Uinv @ mr
+        assert lean.row_log.times(mr, inverse=True) == full.U @ mr

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from cwhom.abgroups import normalize_diagonal, parse_group
 from cwhom.chainmaps import ChainMap, degree, induced_map, require_valid_map
 from cwhom.complexes import CwComplex, EdgePresentation, from_presentation, require_valid, zoo
-from cwhom.homology import _factor_presentation, _graded_maps, chain_group, coeff_factors
-from cwhom.intmat import IntMatrix, NotInLattice
+from cwhom.homology import _graded_maps, all_groups, chain_group, coeff_factors
+from cwhom.intmat import IntMatrix, NotInLattice, _coordinate_columns, _coordinates_from_ext, snf
 from cwhom.reduction import reduce_complex
+from lattice_helpers import factor_presentation as _factor_presentation, transform_work
 
 COEFFS = [parse_group(g) for g in ("Z", "Z/2", "Z + Z/4")]
 VARIANTS = [(v, r) for v in ("homology", "cohomology") for r in (False, True)]
@@ -319,3 +320,132 @@ def test_reduced_path_builds_no_original_out_map(monkeypatch):
                     rejected += 1
     assert rejected > 0 and column_reads
     assert (graded_on_x, big_transposes) == ([], [])
+
+
+def _read_everything(cps):
+    for cp in cps:
+        for pres in [p for _, p in cp.factors] + [cp.glue]:
+            pres.lifts
+            pres.coords(pres.lifts[0] if pres.lifts else (0,) * pres.ambient_dim)
+
+
+@settings(max_examples=20, deadline=None)
+@given(conjugates())
+def test_groups_alone_replay_no_transform(data):
+    import cwhom.homology as homology
+    x, _, _ = data
+    homology.chain_group.cache_clear()
+    with transform_work() as seen:
+        cps = [chain_group(x, n, coeff, variant, reduced)
+               for coeff in COEFFS for variant, reduced in VARIANTS for n in range(x.dim + 1)]
+        assert all(cp.group is not None for cp in cps)
+    assert (seen.transforms, seen.matmuls) == ([], [])
+    # the recorder sees the work once a presentation is read
+    with transform_work() as seen:
+        _read_everything(cps)
+    assert seen.transforms
+
+
+def test_torus_table_replays_no_transform():
+    import cwhom.homology as homology
+    x = grid_torus(4)
+    homology.chain_group.cache_clear()
+    with transform_work() as seen:
+        for coeff in COEFFS:
+            for variant, reduced in VARIANTS:
+                assert all_groups(x, coeff, variant, reduced)[1] == normalize_diagonal(
+                    [m for m in coeff_factors(coeff)] * 2)
+    assert (seen.transforms, seen.matmuls) == ([], [])
+
+
+def _eager_present(rel, lift, to_basis, e, live):
+    """Lifts and coords as a presentation built them before they were
+    lazy: from the U and U^-1 that snf() tracks for the relations."""
+    ext = snf(rel)
+    d, r, rank = ext.diagonal(), rel.rows, ext.rank
+    tors = [i for i in range(rank) if d[i] >= 2]
+    gens = list(range(rank, r)) + tors
+    orders = [0] * (r - rank) + [d[i] for i in tors]
+    uinv = IntMatrix.from_rows([ext.Uinv.row(j) for j in gens], cols=r)
+
+    def coords(v):
+        y = _coordinates_from_ext(to_basis(v), e, live)
+        return tuple(w % o if o else w for w, o in zip(uinv.apply(y), orders))
+
+    return tuple(lift(ext.U.col(j)) for j in gens), coords
+
+
+def _eager_factor(out, inn, d):
+    """One cyclic factor from snf(out)'s V and V^-1 and a dense V @ in."""
+    ext = snf(out)
+    s, m = ext.diagonal()[:ext.rank], out.cols
+    g = [gcd(d, si) for si in s] + [d] * (m - len(s))
+    e = tuple(d // gi if gi else 1 for gi in g)
+    live = tuple(i for i in range(m) if e[i] and g[i] != 1)
+    rel = _coordinate_columns(ext.V @ inn, e, live)
+    if d:
+        orders = [g[i] for i in live]
+        reduced = [[w % o for w in rel.row(k)] for k, o in enumerate(orders)]
+        rel = IntMatrix.hstack(IntMatrix.from_rows(reduced, cols=rel.cols), IntMatrix.diagonal(orders))
+
+    def lift(c):
+        y = [0] * m
+        for i, ci in zip(live, c):
+            y[i] = e[i] * ci
+        return ext.Vinv.apply(y)
+
+    return _eager_present(rel, lift, ext.V.apply, e, live)
+
+
+def _outcome(coords, v):
+    try:
+        return coords(v)
+    except NotInLattice:
+        return NotInLattice
+
+
+def _eager_carried(red, x, n, variant, reduced, m, lifts, coords):
+    """A residual factor's eager lifts and coords carried back to x."""
+    out, dual = _graded_maps(x, n, variant, reduced)[0], variant == "cohomology"
+
+    def carried(v):
+        if any(s % m if m else s for s in out.apply(v)):
+            raise NotInLattice("vector outside the numerator lattice")
+        return coords(red.push(n, v, dual))
+
+    return tuple(red.pull(n, lift, dual) for lift in lifts), carried
+
+
+def test_lazy_presentations_match_eager_ones():
+    # every group first, then lifts and coords read after the fact, each
+    # bit-identical to the presentation rebuilt eagerly from snf()
+    from cwhom.verify import standard_coefficients, standard_corpus
+    import cwhom.homology as homology
+    homology.chain_group.cache_clear()
+    spaces = standard_corpus() + [grid_torus(3), subdivided_sphere(2, 4)]
+    keys = [(x, n, coeff, variant, reduced) for x in spaces for coeff in standard_coefficients()
+            for variant, reduced in VARIANTS for n in range(x.dim + 1)]
+    assert all(chain_group(*key).group is not None for key in keys)
+    carried = 0
+    for x, n, coeff, variant, reduced in keys:
+        cp = chain_group(x, n, coeff, variant, reduced)
+        red = reduce_complex(x)
+        out, inn = _graded_maps(x if red is None else red.residual, n, variant, reduced)
+        units = [tuple(int(i == j) for i in range(x.cells[n])) for j in range(x.cells[n])]
+        for m, pres in cp.factors:
+            lifts, coords = _eager_factor(out, inn, m)
+            if red is not None:
+                carried += 1
+                lifts, coords = _eager_carried(red, x, n, variant, reduced, m, lifts, coords)
+            assert pres.lifts == lifts
+            for v in units + list(lifts):
+                assert _outcome(pres.coords, v) == _outcome(coords, v)
+        orders = [o for _, p in cp.factors for o in p.group.generator_orders()]
+        k = len(orders)
+        rel = IntMatrix.from_columns([[o if i == j else 0 for i in range(k)] for j, o in enumerate(orders) if o],
+                                     rows=k)
+        lifts, coords = _eager_present(rel, tuple, tuple, (1,) * k, range(k))
+        assert cp.glue.lifts == lifts
+        for v in [tuple(int(i == j) for i in range(k)) for j in range(k)] + list(lifts):
+            assert cp.glue.coords(v) == coords(v)
+    assert carried
