@@ -365,12 +365,12 @@ def shift_iso(x: CwComplex, n: int, coeff: FgAbGroup) -> AbHom:
     return induced_hom(src, tgt, t)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=64)
 def _suspended(x: CwComplex) -> CwComplex:
     """suspension(x), built once per complex for shift_iso and
-    mapping_cone; bounded, because the checks visit a few complexes at a
-    time.  Equal complexes with different names share an entry, so the
-    cached copy carries no name."""
+    mapping_cone; bounded, with headroom over the 25 complexes one
+    battery suspends.  Equal complexes with different names share an
+    entry, so the cached copy carries no name."""
     return suspension(x).with_name("")
 
 

@@ -11,6 +11,8 @@ dumping is the identity on it.
 from __future__ import annotations
 
 import json
+import math
+import sys
 
 from .complexes import CwComplex, EdgePresentation, from_presentation, require_valid
 from .chainmaps import ChainMap, require_valid_map
@@ -96,6 +98,11 @@ def complex_to_doc(x: CwComplex) -> dict:
     return doc
 
 
+# the largest cell count for which every dense block the engine builds,
+# rows x cols of two counts, can still be indexed on this platform
+_MAX_CELLS = math.isqrt(sys.maxsize)
+
+
 def _complex_from_explicit(doc: dict, path: str) -> CwComplex:
     cells = doc["cells"]
     _expect(isinstance(cells, list) and cells, f"{path}.cells", "expected a nonempty list")
@@ -105,6 +112,7 @@ def _complex_from_explicit(doc: dict, path: str) -> CwComplex:
             f"{path}.cells[{i}]",
             "expected a nonnegative integer",
         )
+        _expect(c <= _MAX_CELLS, f"{path}.cells[{i}]", f"expected at most {_MAX_CELLS} cells")
     dim = len(cells) - 1
     raw = doc.get("boundaries", {})
     _expect(isinstance(raw, dict), f"{path}.boundaries", "expected an object")
@@ -125,6 +133,7 @@ def _complex_from_explicit(doc: dict, path: str) -> CwComplex:
 
 def _complex_from_presentation(doc: dict, path: str) -> CwComplex:
     nv = _int_at(doc, "vertices", path)
+    _expect(nv <= _MAX_CELLS, f"{path}.vertices", f"expected at most {_MAX_CELLS} vertices")
     raw_edges = doc.get("edges", [])
     _expect(isinstance(raw_edges, list), f"{path}.edges", "expected a list")
     edges = []

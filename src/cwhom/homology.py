@@ -197,12 +197,14 @@ class _Transported(GroupWithPresentation):
         return self._pres.coords(self._red.push(self._n, v, self._variant == "cohomology"))
 
 
-# one reduction per complex, shared by every query on it; unbounded like
-# chain_group's own cache
-_reduction = lru_cache(maxsize=None)(reduce_complex)
+# one reduction per complex, shared by every query on it.  This cache,
+# chain_group's and cells_presentation's are bounded with headroom over
+# what one check battery holds (62, 1 370 and 20 entries), so a
+# long-lived process does not grow without bound.
+_reduction = lru_cache(maxsize=256)(reduce_complex)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def chain_group(x: CwComplex, n: int, coeff: FgAbGroup, variant: str, reduced: bool) -> CoeffPresentation:
     """The n-th (co)homology of x with coefficients in ``coeff``.
 
@@ -221,7 +223,7 @@ def chain_group(x: CwComplex, n: int, coeff: FgAbGroup, variant: str, reduced: b
     return _assemble(coeff, x.cells[n], pres)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cells_presentation(c: int, coeff: FgAbGroup) -> CoeffPresentation:
     """G^c presented on the standard basis of a rank-c cell space."""
     pres = _factor_presentations(IntMatrix.zeros(0, c), IntMatrix.zeros(c, 0), coeff)

@@ -20,12 +20,22 @@ matrices up to a consistent choice of generator signs.  The quotients,
 inclusions, cones and collapse maps do not depend on G, so they are built
 once per complex (``_skeletal_tower``), as the suspension is for the
 shift isomorphism (``chainmaps._suspended``).
+
+The checks meet the same homs again and again: across the coefficient
+groups, in equal complexes under other names, and between checks.  Every
+inversion, exactness test and subquotient therefore reads through a
+bounded memo keyed by value (``_inverse``, ``_exact``, ``_subquotient``;
+``AbHom`` is frozen and hashed by its source, target and matrix).  Each
+distinct value is still proved in full, once: an isomorphism is
+inverted and its inverse verified both ways, and a failure is not
+cached, so a hom that is not invertible is tried again, with the same
+witness, every time it is met.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .abgroups import (
     AbHom,
@@ -111,6 +121,28 @@ def _subject(x: CwComplex) -> str:
     return x.name or str(x)
 
 
+# Value-keyed memos for the exact proofs.  Each looks its primitive up in
+# the module globals at call time rather than wrapping it at import, so a
+# primitive replaced in this namespace (a test, a tracer) sees every miss.
+# Sized with headroom over the distinct values of one battery (34, 102
+# and 127).
+
+
+@lru_cache(maxsize=256)
+def _inverse(h: AbHom) -> AbHom:
+    return invert_iso(h)
+
+
+@lru_cache(maxsize=512)
+def _exact(g: AbHom, h: AbHom) -> bool:
+    return is_exact_pair(g, h)
+
+
+@lru_cache(maxsize=512)
+def _subquotient(g: AbHom, h: AbHom) -> FgAbGroup:
+    return hom_subquotient(g, h)
+
+
 # ---------------------------------------------------------------------------
 # dimension axiom
 
@@ -143,7 +175,7 @@ def check_suspension(x: CwComplex, coeff: FgAbGroup, dims: range | None = None) 
     for n in rep.dims:
         s = shift_iso(x, n, coeff)
         try:
-            invert_iso(s)
+            _inverse(s)
         except NotAnIsomorphism as e:
             rep.witnesses.append(f"dimension {n}: shift is not invertible ({e})")
     return rep
@@ -219,7 +251,7 @@ def check_wedge(xs, coeff: FgAbGroup) -> CheckReport:
             )
             continue
         try:
-            invert_iso(restricted)
+            _inverse(restricted)
         except NotAnIsomorphism as e:
             rep.witnesses.append(f"dimension {n}: restriction is not invertible ({e})")
     return rep
@@ -238,21 +270,26 @@ def check_les_exactness(f: ChainMap, coeff: FgAbGroup, dims: range | None = None
     name = f.name or f"{_subject(f.source)}->{_subject(f.target)}"
     rep = CheckReport("les-exactness", name, coeff, dims or range(-1, top + 3))
 
+    # each map built once per degree: gamma(n - 1) is the previous
+    # degree's gamma
+    @cache
     def iota_star(n):
         return induced_map(cone.inclusion, n, coeff, "cohomology", reduced=True)
 
+    @cache
     def f_star(n):
         return induced_map(f, n, coeff, "cohomology", reduced=True)
 
+    @cache
     def gamma(n):
         return connecting_map(f, n, coeff, cone)
 
     for n in rep.dims:
-        if not is_exact_pair(gamma(n - 1), iota_star(n)):
+        if not _exact(gamma(n - 1), iota_star(n)):
             rep.witnesses.append(f"not exact at h^{n}(cone)")
-        if not is_exact_pair(iota_star(n), f_star(n)):
+        if not _exact(iota_star(n), f_star(n)):
             rep.witnesses.append(f"not exact at h^{n}(target)")
-        if not is_exact_pair(f_star(n), gamma(n)):
+        if not _exact(f_star(n), gamma(n)):
             rep.witnesses.append(f"not exact at h^{n}(source)")
     return rep
 
@@ -365,14 +402,15 @@ def _collapse_comparison(cone: MappingCone, q_next: CwComplex) -> ChainMap:
     return ChainMap(c, q_next, tuple(maps))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=64)
 def _skeletal_tower(x: CwComplex) -> tuple:
     """The coefficient-free part of the skeletal check, built once per
     complex: (Q_0, ..., Q_dim) and, for each k < dim, (j, cone(j),
     collapse) with j: Q_k -> W_k the inclusion and collapse: cone(j) ->
-    Q_{k+1}.  Bounded, because the checks visit a few complexes at a
-    time.  Built from a nameless copy of x: equal complexes with different
-    names share an entry, and no cached name can reach a report."""
+    Q_{k+1}.  Bounded, with headroom over the 19 distinct complexes of
+    one battery.  Built from a nameless copy of x: equal complexes with
+    different names share an entry, and no cached name can reach a
+    report."""
     x = x.with_name("")
     quotients = tuple(_filtration_quotient(x, k) for k in range(x.dim + 1))
     levels = []
@@ -410,7 +448,7 @@ def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
                 rep.witnesses.append(f"h^{n}(Q_{k}) = {g}, expected 0")
         try:
             iso = _cell_basis_iso(q, k, coeff)
-            inv = invert_iso(iso)
+            inv = _inverse(iso)
         except NotAnIsomorphism as e:
             raise IsoTransportFailure(f"h^{k}(Q_{k}) is not free on cells: {e}")
         cell_isos.append((iso, inv))
@@ -420,7 +458,7 @@ def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
     for k, (j, cone, collapse) in enumerate(levels):
         q_star = induced_map(collapse, k + 1, coeff, "cohomology", reduced=True)
         try:
-            q_inv = invert_iso(q_star)
+            q_inv = _inverse(q_star)
         except NotAnIsomorphism as e:
             raise IsoTransportFailure(
                 f"collapse comparison at level {k} is not invertible: {e}"
@@ -445,7 +483,7 @@ def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
     for n in range(dim + 1):
         lower = aug if n == 0 else deltas[n - 1]
         try:
-            got = hom_subquotient(lower, deltas[n])
+            got = _subquotient(lower, deltas[n])
         except ValueError as e:
             rep.witnesses.append(f"dimension {n}: {e}")
             continue

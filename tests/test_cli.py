@@ -273,3 +273,18 @@ def test_reader_leaving_early_exits_1_quietly():
         err = proc.stderr.read()
         assert proc.wait(timeout=300) == 1
     assert err == b""
+
+
+@pytest.mark.parametrize("doc", [
+    {"cells": [1, 2, 10**30], "basepoint": 0},
+    {"cells": [10**30]},
+    {"vertices": 10**30},
+])
+@pytest.mark.parametrize("command", ["check", "homology", "validate"])
+def test_oversized_cell_count_exits_2(capsys, tmp_path, command, doc):
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(p))
+    assert (code, out) == (2, "")
+    assert "at most" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1

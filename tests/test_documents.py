@@ -271,3 +271,37 @@ def test_matrix_checks_grow_with_rows_not_entries(monkeypatch):
     # two checks per row plus a few per document; a walk over the
     # entries would make at least 16 384
     assert calls <= 2 * rows + 20 < entries
+
+
+# a cell count no dense block can be indexed with on any platform
+OVERSIZED = 10**30
+
+
+@pytest.mark.parametrize("cells, at", [([1, 2, OVERSIZED], 2), ([OVERSIZED], 0)])
+def test_complex_oversized_cell_count_is_schema_error(cells, at):
+    with pytest.raises(SchemaError) as exc:
+        loads_complex(json.dumps({"cells": cells, "basepoint": 0}))
+    assert exc.value.path == f"$.cells[{at}]"
+    assert "at most" in str(exc.value)
+
+
+def test_cell_count_limit_is_the_platform_index_root():
+    import math
+    import sys
+    limit = math.isqrt(sys.maxsize)
+    assert complex_from_doc({"cells": [limit]}).cells == (limit,)
+    with pytest.raises(SchemaError):
+        complex_from_doc({"cells": [limit + 1]})
+
+
+def test_map_oversized_source_count_is_schema_error():
+    doc = {"source": {"cells": [1, OVERSIZED]}, "target": {"cells": [1]}, "maps": {}}
+    with pytest.raises(SchemaError) as exc:
+        loads_map(json.dumps(doc))
+    assert exc.value.path == "$.source.cells[1]"
+
+
+def test_presentation_oversized_vertex_count_is_schema_error():
+    with pytest.raises(SchemaError) as exc:
+        loads_complex(json.dumps({"vertices": OVERSIZED}))
+    assert exc.value.path == "$.vertices"

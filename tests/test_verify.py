@@ -215,3 +215,134 @@ def test_les_cone_built_once_per_map_and_nameless(monkeypatch):
     assert (cone.map.name, cone.cone.name, cone.inclusion.source.name) == ("", "cone", "")
     assert (cone.map.source.name, cone.map.target.name) == ("", "")
     assert chainmaps._cone.cache_info().maxsize
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name with a wrapper that records its arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_battery_proves_each_distinct_hom_once(monkeypatch):
+    # the memos read their primitive from the module globals at call
+    # time, so a primitive replaced there sees exactly the misses
+    import cwhom.verify as verify
+    memos = (verify._inverse, verify._exact, verify._subquotient)
+    for memo in memos:
+        memo.cache_clear()
+    seen = {name: _counting(monkeypatch, verify, name)
+            for name in ("invert_iso", "is_exact_pair", "hom_subquotient")}
+    reports = run_battery()
+    assert all(r.passed for r in reports)
+    for name, calls in seen.items():
+        assert calls, name
+        assert len(calls) == len(set(calls)), name
+    assert [m.cache_info().misses for m in memos] == [len(c) for c in seen.values()]
+
+
+def test_les_builds_each_map_once_per_degree(monkeypatch):
+    import cwhom.verify as verify
+    from cwhom.chainmaps import _cone
+    induced = _counting(monkeypatch, verify, "induced_map")
+    connecting = _counting(monkeypatch, verify, "connecting_map")
+    f = sphere_self_map(1, 2)
+    rep = check_les_exactness(f, Z)
+    assert rep.passed, rep.render()
+    inclusion = _cone(f).inclusion
+    iota = [args[1] for args in induced if args[0] == inclusion]
+    f_star = [args[1] for args in induced if args[0] == f]
+    gamma = [args[1] for args in connecting]
+    assert len(iota) + len(f_star) == len(induced)
+    assert iota == f_star == list(rep.dims)
+    assert gamma == [rep.dims.start - 1, *rep.dims]
+
+
+def test_equal_homs_share_one_memo_entry():
+    from cwhom.abgroups import AbHom
+    from cwhom.verify import _exact, _inverse, _subquotient
+    for memo in (_inverse, _exact, _subquotient):
+        memo.cache_clear()
+    z2 = FgAbGroup.free(2)
+
+    def swap():
+        return AbHom(z2, z2, IntMatrix.from_rows([[0, 1], [1, 0]]))
+
+    def project():
+        return AbHom(z2, Z, IntMatrix.from_rows([[1, 0]]))
+
+    def include():
+        return AbHom(Z, z2, IntMatrix.from_rows([[0], [1]]))
+
+    a, b = swap(), swap()
+    assert a is not b and a == b
+    assert _inverse(a) == _inverse(b) == a
+    assert _exact(include(), project()) and _exact(include(), project())
+    assert _subquotient(include(), project()).is_trivial
+    assert _subquotient(include(), project()).is_trivial
+    for memo in (_inverse, _exact, _subquotient):
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 1)
+
+
+def test_failed_inversion_is_reproved_with_the_same_witness(monkeypatch):
+    # a failure is not cached: each report re-proves it and names it alike
+    import cwhom.verify as verify
+    from cwhom.abgroups import zero_hom
+    verify._inverse.cache_clear()
+    real = verify.shift_iso
+
+    def broken(x, n, coeff):
+        s = real(x, n, coeff)
+        return zero_hom(s.source, s.target)
+
+    monkeypatch.setattr(verify, "shift_iso", broken)
+    inverted = _counting(monkeypatch, verify, "invert_iso")
+    t = zoo("torus")
+    first = check_suspension(t, Z)
+    tried = len(inverted)
+    second = check_suspension(t, Z)
+    assert not first.passed
+    assert first.render() == second.render()
+    assert "dimension 1: shift is not invertible" in first.render()
+    # the trivial-group dimensions hit the memo; the failures run again
+    assert len(inverted) - tried == len(first.witnesses)
+
+
+def test_check_memos_are_bounded():
+    from cwhom.verify import _exact, _inverse, _subquotient
+    for memo in (_inverse, _exact, _subquotient):
+        assert memo.cache_info().maxsize
+
+
+def _package_caches():
+    import importlib
+    import pkgutil
+
+    import cwhom
+    names, caches = set(), {}
+    for info in pkgutil.iter_modules(cwhom.__path__):
+        module = importlib.import_module(f"cwhom.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and hasattr(value, "cache_parameters"):
+                names.add(f"{info.name}.{name}")
+                caches[id(value)] = value
+    return names, list(caches.values())
+
+
+def test_every_cache_is_bounded_and_holds_a_battery():
+    names, caches = _package_caches()
+    assert {"homology.chain_group", "homology._reduction", "homology.cells_presentation",
+            "verify._inverse", "verify._exact", "verify._subquotient"} <= names
+    for cache in caches:
+        cache.cache_clear()
+    run_battery()
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None, cache
+        assert info.currsize == info.misses, (cache, info)
