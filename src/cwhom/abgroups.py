@@ -313,12 +313,14 @@ class AbHom:
                 f"({self.target.num_generators} x {self.source.num_generators})"
             )
         t_orders = self.target.generator_orders()
-        rows = m.to_rows()
-        for i, o in enumerate(t_orders):
-            if o:
-                rows[i] = [v % o for v in rows[i]]
-        norm = IntMatrix.from_rows(rows, cols=m.cols)
-        object.__setattr__(self, "matrix", norm)
+        norm = m
+        if any(not 0 <= v < o for i, o in enumerate(t_orders) if o for v in m.row(i)):
+            rows = m.to_rows()
+            for i, o in enumerate(t_orders):
+                if o:
+                    rows[i] = [v % o for v in rows[i]]
+            norm = IntMatrix.from_rows(rows, cols=m.cols)
+            object.__setattr__(self, "matrix", norm)
         for j, d in enumerate(self.source.generator_orders()):
             if d == 0:
                 continue

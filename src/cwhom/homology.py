@@ -5,15 +5,22 @@ cohomology with coefficients in a finitely generated abelian group G is
 computed by dualizing the chain complex per cyclic factor of G (never via
 universal coefficients).  Each cyclic factor Z/d (Z for d = 0) is the
 quotient of the (co)cycles mod d, {v : out v = 0 mod d}, by im(in) + d Z^m,
-both built from the (co)chain complex itself.  At each dimension one SNF
-of the outgoing map, out = U S V, serves every factor: the cycle lattice
-mod d is read off S and V, the denominator is written against it with the
-single product V @ in, and one SNF of those coordinates gives the factor's
+both built from the (co)chain complex itself.  One SNF of the outgoing
+map, out = U S V, serves every factor: the cycle lattice mod d is read
+off S and V, the denominator is written against it with the single
+product V @ in, and one SNF of those coordinates gives the factor's
 group, lifts and coordinate map (``intmat._CycleQuotients``).  Neither
 SNF builds a transform: V @ in is replayed from the first one's operation
 log straight onto in, and the group is read off the second one's
-diagonal.  The whole group, across factors, is the invariant-factor form
-of the factors' generator orders, with no SNF at all.
+diagonal.  The cycle quotient of an (out, in) pair and each factor
+presentation of (out, in, d) are built once per distinct pair in a
+process, in bounded caches keyed by the value of the chain maps: every
+coefficient group that contains Z/d, and every complex with equal
+(residual) boundaries there, shares one immutable presentation.  The
+whole group, across factors, is the invariant-factor form of the
+factors' generator orders, with no SNF at all; a coefficient group with
+one cyclic factor is glued by the identity when that is what the general
+glue gives (see ``_glue``).
 
 The reduced variants use the augmented complex: at dimension 0 the
 all-ones augmentation row (for chains) or column (for cochains) is fed to
@@ -38,7 +45,7 @@ sparse columns are read off the original boundaries on the first
 coordinate query, and only then.  The pivots are units, so the reduction
 is over Z and every cyclic factor of G is still computed directly on C'.  The carried
 augmentation e g_0 is again the all-ones row, so the reduced variants go
-through ``_graded_maps`` on C' unchanged.  A complex with no unit entry is
+through ``_chain_maps`` on C' unchanged.  A complex with no unit entry is
 used as it is.
 """
 
@@ -81,13 +88,6 @@ def coeff_factors(g: FgAbGroup) -> tuple:
     return (0,) * g.rank + g.torsion
 
 
-def _factor_presentations(out_map: IntMatrix, in_map: IntMatrix, coeff: FgAbGroup) -> list:
-    """(modulus, presentation) for each cyclic factor of coeff, all read
-    off one SNF of the outgoing map."""
-    quotients = _CycleQuotients(out_map, in_map)
-    return [(m, quotients.quotient(m)) for m in coeff_factors(coeff)]
-
-
 @dataclass(frozen=True)
 class CoeffPresentation:
     """A (co)homology group with coefficients in G, with presentations.
@@ -109,10 +109,34 @@ class CoeffPresentation:
         return self.group.num_generators
 
 
+class _Canonical(GroupWithPresentation):
+    """A canonical group presented on its own generators: unit lifts, and
+    coordinates reduced mod the generator orders."""
+
+    __slots__ = ()
+
+    @property
+    def lifts(self) -> tuple:
+        n = self.ambient_dim
+        return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+
+    def coords(self, v):
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length mismatch")
+        return tuple(w % o if o else w for w, o in zip(v, self.group.generator_orders()))
+
+
 def _glue(factor_groups) -> GroupWithPresentation:
     """Z^n over the relations o_i e_i for the generator orders o_i of the
     factors: the group is their invariant-factor form, with no SNF; the
-    relations' SNF waits for the first read of lifts or coords."""
+    relations' SNF waits for the first read of lifts or coords.
+
+    One factor of rank at most 1, or with no torsion, is glued by the
+    identity (``_Canonical``), which is what that SNF would give; on a
+    larger rank with torsion its pivots permute the free generators."""
+    if len(factor_groups) == 1 and (factor_groups[0].rank <= 1 or not factor_groups[0].torsion):
+        g = factor_groups[0]
+        return _Canonical(g, g.num_generators)
     orders = [o for g in factor_groups for o in g.generator_orders()]
     n = len(orders)
     rel_cols = [[o if i == j else 0 for i in range(n)] for j, o in enumerate(orders) if o]
@@ -126,23 +150,52 @@ def _assemble(coeff: FgAbGroup, ambient_dim: int, factor_pres) -> CoeffPresentat
     return CoeffPresentation(glue.group, coeff, ambient_dim, tuple(factor_pres), glue)
 
 
+def _chain_maps(x: CwComplex, n: int, reduced: bool):
+    """(outgoing, incoming) chain maps at dimension n: B_n (at n = 0 the
+    all-ones augmentation row when reduced, no row otherwise) and B_{n+1}."""
+    if n == 0:
+        out = _ones(1, x.cells[0]) if reduced else IntMatrix.zeros(0, x.cells[0])
+    else:
+        out = x.boundary(n)
+    return out, x.boundary(n + 1)
+
+
+def _graded(out: IntMatrix, inc: IntMatrix, variant: str):
+    """(outgoing map, incoming map) of the variant's complex from the chain
+    maps: the chain maps, or for cochains their transposes swapped."""
+    if variant == "homology":
+        return out, inc
+    if variant == "cohomology":
+        return inc.transpose(), out.transpose()
+    raise ValueError(f"unknown variant {variant!r}")
+
+
 def _graded_maps(x: CwComplex, n: int, variant: str, reduced: bool):
     """(outgoing map, incoming map) at dimension n; ambient is c_n."""
-    if variant == "homology":
-        if n == 0:
-            out = _ones(1, x.cells[0]) if reduced else IntMatrix.zeros(0, x.cells[0])
-        else:
-            out = x.boundary(n)
-        inc = x.boundary(n + 1)
-    elif variant == "cohomology":
-        out = x.boundary(n + 1).transpose()
-        if n == 0:
-            inc = _ones(x.cells[0], 1) if reduced else IntMatrix.zeros(x.cells[0], 0)
-        else:
-            inc = x.boundary(n).transpose()
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return out, inc
+    return _graded(*_chain_maps(x, n, reduced), variant)
+
+
+# one cycle quotient per distinct (chain maps, variant) and one presentation
+# per distinct (chain maps, variant, d), bounded with headroom over one
+# check battery (48 pairs, 192 factors).  The keys are the chain maps the
+# complex already holds, not the cochain maps: transposes would be built
+# and hashed on every miss and kept alive by the keys.  A factor whose
+# in-map is not a (co)cycle mod d raises, and is not kept.
+@lru_cache(maxsize=64)
+def _cycle_quotients(out: IntMatrix, inc: IntMatrix, variant: str) -> _CycleQuotients:
+    return _CycleQuotients(*_graded(out, inc, variant))
+
+
+@lru_cache(maxsize=256)
+def _factor(out: IntMatrix, inc: IntMatrix, variant: str, modulus: int) -> GroupWithPresentation:
+    return _cycle_quotients(out, inc, variant).quotient(modulus)
+
+
+def _factor_presentations(out: IntMatrix, inc: IntMatrix, variant: str, coeff: FgAbGroup) -> list:
+    """(modulus, presentation) for each cyclic factor of coeff, from the
+    chain maps at one dimension; all are read off one SNF of the outgoing
+    map."""
+    return [(m, _factor(out, inc, variant, m)) for m in coeff_factors(coeff)]
 
 
 def _out_columns(x: CwComplex, n: int, variant: str, reduced: bool) -> list:
@@ -216,17 +269,17 @@ def chain_group(x: CwComplex, n: int, coeff: FgAbGroup, variant: str, reduced: b
         return cells_presentation(0, coeff)
     red = _reduction(x)
     if red is None:
-        pres = _factor_presentations(*_graded_maps(x, n, variant, reduced), coeff)
+        pres = _factor_presentations(*_chain_maps(x, n, reduced), variant, coeff)
     else:
         pres = [(m, _Transported(p, red, x, n, variant, reduced, m))
-                for m, p in _factor_presentations(*_graded_maps(red.residual, n, variant, reduced), coeff)]
+                for m, p in _factor_presentations(*_chain_maps(red.residual, n, reduced), variant, coeff)]
     return _assemble(coeff, x.cells[n], pres)
 
 
 @lru_cache(maxsize=256)
 def cells_presentation(c: int, coeff: FgAbGroup) -> CoeffPresentation:
     """G^c presented on the standard basis of a rank-c cell space."""
-    pres = _factor_presentations(IntMatrix.zeros(0, c), IntMatrix.zeros(c, 0), coeff)
+    pres = _factor_presentations(IntMatrix.zeros(0, c), IntMatrix.zeros(c, 0), "homology", coeff)
     return _assemble(coeff, c, pres)
 
 
@@ -277,6 +330,9 @@ def induced_hom(src: CoeffPresentation, tgt: CoeffPresentation, chain_matrix: In
             concat_cols.append(col)
     total_tgt = sum(tgt_sizes)
     mconcat = IntMatrix.from_columns(concat_cols, rows=total_tgt)
+    if isinstance(src.glue, _Canonical) and isinstance(tgt.glue, _Canonical):
+        # each side is its one factor, on its own generators
+        return AbHom(src.group, tgt.group, mconcat)
     # conjugate through the canonicalizations
     cols = []
     for lift in src.glue.lifts:

@@ -573,6 +573,8 @@ class _Presented(GroupWithPresentation):
         return self._lifts
 
     def coords(self, v):
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length mismatch")
         if self._rel is not None:
             self._read()
         y = _coordinates_from_ext(v if self._t is None else self._t.pair()[0].apply(v), self._e, self._live)

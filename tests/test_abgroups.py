@@ -143,6 +143,22 @@ class TestHoms:
             AbHom(FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), IntMatrix.from_rows([[1]]))
         AbHom(FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), IntMatrix.from_rows([[2]]))
 
+    def test_out_of_range_torsion_entries_come_out_reduced(self):
+        # free rows are kept as given; torsion rows land in [0, order)
+        target = parse_group("Z + Z/4 + Z/12")
+        h = AbHom(FgAbGroup.free(2), target, IntMatrix.from_rows([[-5, 7], [5, -1], [12, 3]]))
+        assert h.matrix == IntMatrix.from_rows([[-5, 7], [1, 3], [0, 3]])
+        reduced = IntMatrix.from_rows([[-5, 7], [1, 3], [0, 3]])
+        assert AbHom(FgAbGroup.free(2), target, reduced).matrix is reduced
+
+    def test_in_range_hom_that_is_not_well_defined_raises(self):
+        # entries already in range skip the rebuild, not the check
+        source, target = FgAbGroup.cyclic(2), parse_group("Z + Z/4")
+        for rows in ([[0], [1]], [[1], [2]], [[0], [3]]):
+            with pytest.raises(ValueError, match="not well-defined"):
+                AbHom(source, target, IntMatrix.from_rows(rows))
+        AbHom(source, target, IntMatrix.from_rows([[0], [2]]))
+
     def test_compose(self):
         g = FgAbGroup.free(1)
         double = AbHom(g, g, IntMatrix.from_rows([[2]]))

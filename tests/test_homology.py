@@ -8,10 +8,15 @@ reductions), not read off from the implementation.
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, strategies as st
 
-from cwhom.abgroups import FgAbGroup, parse_group
+import cwhom.homology as homology
+from cwhom.abgroups import FgAbGroup, normalize_diagonal, parse_group
+from cwhom.chainmaps import identity_map, inclusion_map, induced_map, shift_iso
 from cwhom.homology import _glue, all_groups, chain_group, cohomology, integral_homology
-from cwhom.complexes import zoo
+from cwhom.complexes import skeleton, zoo
+from cwhom.intmat import ContainmentViolation, IntMatrix
+from cwhom.verify import standard_coefficients, standard_corpus
 from lattice_helpers import transform_work
 
 Z = FgAbGroup.free(1)
@@ -154,3 +159,99 @@ class TestPresentations:
             with pytest.raises(FrozenInstanceError):
                 pres.lifts = ()
         assert chain_group(zoo("klein"), 1, parse_group("Z + Z/2"), "cohomology", False) is cp
+
+
+def _clear_presentation_caches():
+    for cache in (homology.chain_group, homology.cells_presentation, homology._factor,
+                  homology._cycle_quotients):
+        cache.cache_clear()
+
+
+def test_coefficient_groups_share_a_factor():
+    # rp2 has no unit entry, so chain_group hands out the factors as built
+    x = zoo("rp", 2)
+    assert homology._reduction(x) is None
+    _clear_presentation_caches()
+    z2 = chain_group(x, 1, parse_group("Z/2"), "cohomology", False)
+    free = chain_group(x, 1, Z, "cohomology", False)
+    with transform_work() as seen:
+        both = chain_group(x, 1, parse_group("Z + Z/2"), "cohomology", False)
+    assert seen.snfs == 0
+    assert both.factors[0][1] is free.factors[0][1]
+    assert both.factors[1][1] is z2.factors[0][1]
+    # one more factor on the same pair: its quotient is the only SNF
+    with transform_work() as seen:
+        chain_group(x, 1, parse_group("Z/4"), "cohomology", False)
+    assert seen.snfs == 1
+
+
+def test_failed_factor_is_not_kept():
+    # out @ in = 1 is not 0 mod 2: the in-map is no cocycle mod 2
+    one = IntMatrix.from_rows([[1]])
+    before = homology._factor.cache_info()
+    for _ in range(2):
+        with pytest.raises(ContainmentViolation):
+            homology._factor(one, one, "homology", 2)
+    after = homology._factor.cache_info()
+    assert (after.misses - before.misses, after.currsize) == (2, before.currsize)
+
+
+def test_factor_caches_stay_bounded():
+    x = zoo("moore", 2, 2)
+    for d in range(2, 1002):
+        cohomology(x, 1, FgAbGroup.cyclic(d))
+    for cache in (homology._factor, homology._cycle_quotients):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert homology._factor.cache_info().currsize == homology._factor.cache_info().maxsize
+    _clear_presentation_caches()
+
+
+def test_glue_coords_check_the_length():
+    for glue in (_glue([parse_group("Z + Z/2"), parse_group("Z/6")]), _glue([parse_group("Z + Z/2")])):
+        n = glue.group.num_generators
+        for v in ((1,) * (n + 1), (1,) * (n - 1)):
+            with pytest.raises(ValueError, match="vector length mismatch"):
+                glue.coords(v)
+
+
+canonical_groups = st.builds(
+    lambda rank, orders: normalize_diagonal(orders, rank),
+    st.integers(0, 4),
+    st.lists(st.integers(2, 12), max_size=4),
+)
+
+
+@given(canonical_groups, st.data())
+def test_one_factor_glue_matches_the_general_path(g, data):
+    one, general = _glue([g]), _glue([g, FgAbGroup.trivial()])
+    assert one.group == general.group == g
+    assert one.lifts == general.lifts
+    n = g.num_generators
+    v = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    assert one.coords(v) == general.coords(v)
+
+
+def _corpus_matrices():
+    out = []
+    for x in standard_corpus():
+        maps = [identity_map(x)]
+        if x.dim >= 1:
+            maps.append(inclusion_map(skeleton(x, x.dim - 1), x))
+        for g in standard_coefficients():
+            for n in range(-1, x.dim + 2):
+                out.append(shift_iso(x, n, g).matrix)
+                out.extend(induced_map(f, n, g).matrix for f in maps)
+    return out
+
+
+def test_glue_shortcuts_match_the_general_path(monkeypatch):
+    _clear_presentation_caches()
+    shortcut = _corpus_matrices()
+    glue = homology._glue
+    monkeypatch.setattr(homology, "_glue", lambda groups: glue([*groups, FgAbGroup.trivial()]))
+    _clear_presentation_caches()
+    general = _corpus_matrices()
+    monkeypatch.undo()
+    _clear_presentation_caches()
+    assert shortcut == general

@@ -322,6 +322,27 @@ def test_reduced_path_builds_no_original_out_map(monkeypatch):
     assert (graded_on_x, big_transposes) == ([], [])
 
 
+def test_reduced_path_reads_no_chain_maps_of_the_original(monkeypatch):
+    # the factor caches are keyed by the residual's chain maps alone
+    import cwhom.homology as homology
+    x = grid_torus(5)
+    on_x = []
+    real = homology._chain_maps
+
+    def counting(y, *args):
+        if y == x:
+            on_x.append(args)
+        return real(y, *args)
+
+    monkeypatch.setattr(homology, "_chain_maps", counting)
+    homology.chain_group.cache_clear()
+    for coeff in COEFFS:
+        for variant, reduced in VARIANTS:
+            for n in range(3):
+                chain_group(x, n, coeff, variant, reduced)
+    assert on_x == [] and homology.chain_group.cache_info().currsize == 3 * len(COEFFS) * len(VARIANTS)
+
+
 def _read_everything(cps):
     for cp in cps:
         for pres in [p for _, p in cp.factors] + [cp.glue]:

@@ -335,6 +335,11 @@ def _package_caches():
     return names, list(caches.values())
 
 
+def test_factor_caches_are_package_caches():
+    names, _ = _package_caches()
+    assert {"homology._cycle_quotients", "homology._factor"} <= names
+
+
 def test_every_cache_is_bounded_and_holds_a_battery():
     names, caches = _package_caches()
     assert {"homology.chain_group", "homology._reduction", "homology.cells_presentation",
