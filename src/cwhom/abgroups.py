@@ -16,6 +16,7 @@ from math import gcd, prod
 
 from .intmat import (
     IntMatrix,
+    _relations,
     _snf_ext,
     preimage_lattice,
     quotient_group,
@@ -281,13 +282,7 @@ def _decimal(n: int) -> str:
 
 def _relation_matrix(g: FgAbGroup) -> IntMatrix:
     """Columns order_i * e_i for each torsion generator, inside Z^n."""
-    n = g.num_generators
-    cols = []
-    for i, d in enumerate(g.torsion):
-        col = [0] * n
-        col[g.rank + i] = d
-        cols.append(col)
-    return IntMatrix.from_columns(cols, rows=n)
+    return _relations(g.generator_orders())
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@ non-basepoint n-cell of the source, with the block boundary
     [[ B'_n,  F_{n-1} (reduced) ],
      [ 0,    -B_{n-1} (reduced) ]].
 
+That layout is decided in ``mapping_cone`` alone: in every dimension the
+target's cells come first and the cells over the source follow.  The
+boundary is stacked from those four blocks, the inclusion of the target
+is the unit columns of the first block and the projection the transposed
+unit columns of the second (``intmat._vstack`` and ``_unit_columns``).
+
 The cone of the degree-q sphere self-map reproduces the Moore space cell
 for cell.  The connecting homomorphism of the long exact sequence is the
 cohomology map induced by the cone's projection onto the (suspended)
@@ -22,7 +28,7 @@ from functools import cached_property, lru_cache
 from .abgroups import AbHom, FgAbGroup, compose_hom
 from .complexes import CwComplex, suspension, zoo
 from .homology import CoeffPresentation, chain_group, induced_hom, integral_homology
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _ones, _unit_columns, _vstack
 
 __all__ = [
     "ChainMap",
@@ -152,8 +158,7 @@ def inclusion_map(sub: CwComplex, total: CwComplex) -> ChainMap:
         cs, ct = sub.cells_at(n), total.cells_at(n)
         if cs > ct:
             raise ValueError(f"level {n}: {cs} cells do not fit in {ct}")
-        rows = [[1 if i == j else 0 for j in range(cs)] for i in range(ct)]
-        maps.append(IntMatrix.from_rows(rows, cols=cs))
+        maps.append(_unit_columns(ct, range(cs)))
     f = ChainMap(sub, total, tuple(maps), "incl")
     return require_valid_map(f)
 
@@ -190,16 +195,7 @@ def susp_map(f: ChainMap) -> ChainMap:
     """
     require_valid_map(f)
     sx, sy = suspension(f.source), suspension(f.target)
-    f0 = f.level(0)
-    pt_col = f0.col(f.source.basepoint)
-    cols = []
-    for v in range(f.source.cells[0]):
-        if v == f.source.basepoint:
-            continue
-        col = [a - b for a, b in zip(f0.col(v), pt_col)]
-        del col[f.target.basepoint]
-        cols.append(col)
-    level1 = IntMatrix.from_columns(cols, rows=f.target.cells[0] - 1)
+    level1 = _relative_columns(f.level(0), f.source.basepoint).delete_row(f.target.basepoint)
     maps = [IntMatrix.identity(1), level1]
     k = max(f.source.dim, f.target.dim)
     maps.extend(f.level(n) for n in range(1, k + 1))
@@ -252,84 +248,55 @@ def _reduced_cells(x: CwComplex, n: int) -> int:
 
 
 def _reduced_boundary(x: CwComplex, n: int) -> IntMatrix:
+    """B_n between reduced complexes: the basepoint row removed at n = 1,
+    and at n = 0 the map from the c_0 - 1 reduced vertices to nothing."""
+    if n == 0:
+        return IntMatrix.zeros(0, _reduced_cells(x, 0))
     b = x.boundary(n)
     return b.delete_row(x.basepoint) if n == 1 else b
 
 
-def _reduced_map_level(f: ChainMap, n: int) -> IntMatrix:
-    """F_n between reduced complexes (basepoint row/column removed at 0).
-    Requires f pointed at level 0."""
-    m = f.level(n)
-    if n == 0:
-        return m.delete_row(f.target.basepoint).delete_col(f.source.basepoint)
-    return m
+def _relative_columns(m: IntMatrix, bp: int) -> IntMatrix:
+    """The columns m_v - m_bp of m, one for each v != bp: where a map
+    whose level 0 is m sends the loop, or cone 1-cell, over vertex v."""
+    pt = m.col(bp)
+    return IntMatrix.from_columns([[a - b for a, b in zip(m.col(v), pt)] for v in range(m.cols) if v != bp],
+                                  rows=m.rows)
+
+
+def _corner(f: ChainMap, n: int) -> IntMatrix:
+    """The block of the cone's B_n that takes the cells over the source
+    to the target's: F_{n-1}, and at n = 1 F_0(v) - F_0(basepoint) for
+    each other source vertex v, because the new 1-cell over v runs from
+    f(v) to the basepoint."""
+    return f.level(n - 1) if n > 1 else _relative_columns(f.level(0), f.source.basepoint)
 
 
 def mapping_cone(f: ChainMap) -> MappingCone:
+    """Cone, inclusion and projection, on the cell layout of the module
+    docstring; level n of the projection carries the sign (-1)^(n+1)."""
     require_valid_map(f, pointed=True)
     x, y = f.source, f.target
-    top = max(y.dim, x.dim + 1)
-    cells = []
-    for n in range(top + 1):
-        cells.append(y.cells_at(n) + _reduced_cells(x, n - 1))
+    cells = [y.cells_at(n) + _reduced_cells(x, n - 1) for n in range(max(y.dim, x.dim + 1) + 1)]
     while len(cells) > 1 and cells[-1] == 0:
         cells.pop()
-    cone_dim = len(cells) - 1
 
-    bnds = []
-    for n in range(1, cone_dim + 1):
-        ry, rx = y.cells_at(n - 1), _reduced_cells(x, n - 2)
-        cy, cx = y.cells_at(n), _reduced_cells(x, n - 1)
-        grid = [[0] * (cy + cx) for _ in range(ry + rx)]
-        by = y.boundary(n)
-        for i in range(by.rows):
-            for j in range(by.cols):
-                grid[i][j] = by.entry(i, j)
-        if n == 1:
-            # a new 1-cell over source vertex v runs from f(v) to the
-            # basepoint, so its column is F_0(v) minus the basepoint unit
-            f0 = f.level(0)
-            vs = [v for v in range(x.cells[0]) if v != x.basepoint]
-            for j, v in enumerate(vs):
-                col = list(f0.col(v))
-                col[y.basepoint] -= 1
-                for i in range(ry):
-                    grid[i][cy + j] = col[i]
-        else:
-            fm = _reduced_map_level(f, n - 1)
-            for i in range(fm.rows):
-                for j in range(fm.cols):
-                    grid[i][cy + j] = fm.entry(i, j)
-            bx = _reduced_boundary(x, n - 1)
-            for i in range(bx.rows):
-                for j in range(bx.cols):
-                    grid[ry + i][cy + j] = -bx.entry(i, j)
-        bnds.append(IntMatrix.from_rows(grid, cols=cy + cx))
-
-    cone = CwComplex(tuple(cells), tuple(bnds), y.basepoint,
+    bnds = tuple(_vstack(IntMatrix.hstack(y.boundary(n), _corner(f, n)),
+                         IntMatrix.hstack(IntMatrix.zeros(_reduced_cells(x, n - 2), y.cells_at(n)),
+                                          -_reduced_boundary(x, n - 1)))
+                 for n in range(1, len(cells)))
+    cone = CwComplex(tuple(cells), bnds, y.basepoint,
                      f"cone({f.name})" if f.name else "cone")
 
-    inc_maps = []
-    for n in range(cone_dim + 1):
-        cy = y.cells_at(n)
-        rows = [[1 if i == j else 0 for j in range(cy)] for i in range(cone.cells_at(n))]
-        inc_maps.append(IntMatrix.from_rows(rows, cols=cy))
-    inclusion = ChainMap(y, cone, _padded(y, cone, inc_maps), "cfcod")
-
+    inclusion = ChainMap(y, cone, tuple(_unit_columns(cone.cells_at(n), range(y.cells_at(n)))
+                                        for n in range(max(y.dim, cone.dim) + 1)), "cfcod")
     sx = _suspended(x)
-    proj_maps = [IntMatrix(1, cone.cells[0], (1,) * cone.cells[0])]
-    for n in range(1, max(cone_dim, sx.dim) + 1):
-        cy = cone.cells_at(n) - _reduced_cells(x, n - 1) if n <= cone_dim else 0
-        rx = _reduced_cells(x, n - 1)
-        sgn = 1 if (n + 1) % 2 == 0 else -1
-        rows = []
-        for i in range(sx.cells_at(n)):
-            row = [0] * cone.cells_at(n)
-            if i < rx:
-                row[cy + i] = sgn
-            rows.append(row)
-        proj_maps.append(IntMatrix.from_rows(rows, cols=cone.cells_at(n)))
-    projection = ChainMap(cone, sx, _padded(cone, sx, proj_maps), "cone proj")
+    proj_maps = [_ones(cone.cells[0])]
+    for n in range(1, max(cone.dim, sx.dim) + 1):
+        cy = y.cells_at(n)
+        m = _unit_columns(cone.cells_at(n), range(cy, cy + sx.cells_at(n))).transpose()
+        proj_maps.append(m if n % 2 else -m)
+    projection = ChainMap(cone, sx, tuple(proj_maps), "cone proj")
     return MappingCone(f, cone, inclusion, projection)
 
 
@@ -388,16 +355,7 @@ def _basepoint_differences(x: CwComplex) -> IntMatrix:
     """One row e_v - e_basepoint per non-basepoint vertex v: shifts a
     0-cochain to vanish on the basepoint and restricts it to the other
     vertices."""
-    c0 = x.cells[0]
-    rows = []
-    for v in range(c0):
-        if v == x.basepoint:
-            continue
-        row = [0] * c0
-        row[v] = 1
-        row[x.basepoint] -= 1
-        rows.append(row)
-    return IntMatrix.from_rows(rows, cols=c0)
+    return _relative_columns(IntMatrix.identity(x.cells[0]), x.basepoint).transpose()
 
 
 def connecting_map(f: ChainMap, n: int, coeff: FgAbGroup, cone: MappingCone | None = None) -> AbHom:

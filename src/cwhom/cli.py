@@ -14,7 +14,7 @@ import os
 import sys
 
 from .abgroups import FgAbGroup, GroupSyntaxError, parse_group
-from .chainmaps import NotASphereModel, degree, mapping_cone, require_valid_map, validate_map
+from .chainmaps import ChainMap, NotASphereModel, degree, mapping_cone, require_valid_map, validate_map
 from .complexes import (
     InvalidComplex,
     ZOO_NAMES,
@@ -26,7 +26,8 @@ from .complexes import (
     wedge,
     zoo,
 )
-from .documents import SchemaError, _parse, complex_to_doc, dumps, loads_complex, loads_map
+from .documents import (SchemaError, _parse, complex_from_doc, complex_to_doc, dumps, loads_complex,
+                        loads_map, map_from_doc)
 from .homology import chain_group
 from .verify import (
     SUITES,
@@ -67,6 +68,15 @@ def _load_map(path: str):
     return loads_map(_read(path), validate=False)
 
 
+def _load_document(path: str):
+    """The chain map (a document with "maps") or the complex a document
+    holds, unvalidated, from one parse of its text."""
+    raw = _parse(_read(path))
+    if isinstance(raw, dict) and "maps" in raw:
+        return map_from_doc(raw)
+    return complex_from_doc(raw)
+
+
 def _coeff(text: str) -> FgAbGroup:
     try:
         return parse_group(text)
@@ -95,14 +105,11 @@ def _parse_range(text: str) -> range:
 
 
 def _cmd_validate(args) -> int:
-    text = _read(args.file)
-    raw = _parse(text)
-    if isinstance(raw, dict) and "maps" in raw:
-        violations = validate_map(loads_map(text, validate=False))
-        label = "chain map"
+    obj = _load_document(args.file)
+    if isinstance(obj, ChainMap):
+        violations, label = validate_map(obj), "chain map"
     else:
-        violations = validate(loads_complex(text, validate=False))
-        label = "complex"
+        violations, label = validate(obj), "complex"
     if violations:
         for v in violations:
             print(v, file=sys.stderr)
@@ -181,17 +188,17 @@ def _cmd_check(args) -> int:
     if args.file is None:
         reports = run_battery(suites=suites)
     else:
-        text = _read(args.file)
-        raw = _parse(text)
+        obj = _load_document(args.file)
         run_all = "all" in suites
         reports = []
         g = args.coeff
-        if isinstance(raw, dict) and "maps" in raw:
-            f = require_valid_map(loads_map(text), pointed=True)
+        if isinstance(obj, ChainMap):
+            # a map with other violations is refused for those alone
+            f = require_valid_map(require_valid_map(obj), pointed=True)
             if run_all or "les" in suites:
                 reports.append(check_les_exactness(f, g, args.range))
         else:
-            x = require_valid(loads_complex(text))
+            x = require_valid(obj)
             if run_all or "suspension" in suites:
                 reports.append(check_suspension(x, g, args.range))
             if run_all or "reformulation" in suites:

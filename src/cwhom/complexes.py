@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .intmat import IntMatrix, _sparse_apply, _sparse_columns
+from .intmat import IntMatrix, _sparse_apply, _sparse_columns, _vstack
 
 __all__ = [
     "CwComplex",
@@ -224,10 +224,7 @@ def quotient_by_skeleton(x: CwComplex, m: int) -> CwComplex:
     if not (0 <= m < x.dim):
         raise ValueError(f"quotient dimension {m} out of range 0..{x.dim - 1}")
     cells = (1,) + (0,) * m + x.cells[m + 1:]
-    bnds = []
-    for n in range(1, m + 1):
-        bnds.append(IntMatrix.zeros(cells[n - 1], cells[n]))
-    bnds.append(IntMatrix.zeros(cells[m], cells[m + 1]))
+    bnds = [IntMatrix.zeros(cells[n - 1], cells[n]) for n in range(1, m + 2)]
     bnds.extend(x.boundaries[m + 1:])
     name = f"{x.name}/skel{m}" if x.name else ""
     return CwComplex(cells, tuple(bnds), 0, name)
@@ -255,63 +252,55 @@ def add_disjoint_basepoint(x: CwComplex) -> CwComplex:
     cells = (c0 + 1,) + x.cells[1:]
     bnds = list(x.boundaries)
     if x.dim >= 1:
-        rows = x.boundary(1).to_rows() + [[0] * x.cells[1]]
-        bnds[0] = IntMatrix.from_rows(rows, cols=x.cells[1])
+        bnds[0] = _vstack(x.boundary(1), IntMatrix.zeros(1, x.cells[1]))
     name = f"{x.name}+" if x.name else ""
     return CwComplex(cells, tuple(bnds), c0, name)
 
 
+def _wedge_cells(xs) -> tuple:
+    """The cell layout of wedge(xs), decided here and nowhere else: the
+    wedge's cell counts, and for each summand k and dimension n the list
+    of wedge indices its n-cells land at.  Every basepoint lands at
+    vertex 0; every other cell follows the earlier summands' cells of its
+    dimension, in input order."""
+    nxt = [1] + [0] * max(x.dim for x in xs)  # next free index per dimension
+    lands = []
+    for x in xs:
+        at = []
+        for n in range(len(nxt)):
+            idx = []
+            for i in range(x.cells_at(n)):
+                if n == 0 and i == x.basepoint:
+                    idx.append(0)
+                else:
+                    idx.append(nxt[n])
+                    nxt[n] += 1
+            at.append(idx)
+        lands.append(at)
+    return tuple(nxt), lands
+
+
 def wedge(xs) -> CwComplex:
     """One-point union: basepoints merged into vertex 0, all other cells
-    concatenated in input order, boundaries assembled blockwise with each
-    basepoint row folded onto the shared row."""
+    concatenated in input order (``_wedge_cells``).  Each boundary entry
+    of each summand is added in at its cells' wedge indices, which folds
+    every basepoint row onto the shared row."""
     xs = list(xs)
     if not xs:
         raise ValueError("wedge of nothing")
     for x in xs:
         require_valid(x)
-    dim = max(x.dim for x in xs)
-    cells = [1 + sum(x.cells[0] - 1 for x in xs)]
-    for n in range(1, dim + 1):
-        cells.append(sum(x.cells_at(n) for x in xs))
-
-    # vertex i of input k lands at v_offset[k] + (index among non-basepoint
-    # vertices), with every basepoint going to 0
-    v_maps = []
-    off = 1
-    for x in xs:
-        vm = {}
-        for v in range(x.cells[0]):
-            if v == x.basepoint:
-                vm[v] = 0
-            else:
-                vm[v] = off
-                off += 1
-        v_maps.append(vm)
-
-    bnds = []
-    for n in range(1, dim + 1):
-        rows_total = cells[n - 1]
-        cols_total = cells[n]
-        grid = [[0] * cols_total for _ in range(rows_total)]
-        coff = 0
-        roff = 0
-        for k, x in enumerate(xs):
-            b = x.boundary(n)
-            if n == 1:
-                for j in range(b.cols):
-                    for v in range(b.rows):
-                        grid[v_maps[k][v]][coff + j] += b.entry(v, j)
-            else:
-                for i in range(b.rows):
-                    for j in range(b.cols):
-                        grid[roff + i][coff + j] = b.entry(i, j)
-            coff += b.cols
-            if n > 1:
-                roff += b.rows
-        bnds.append(IntMatrix.from_rows(grid, cols=cols_total))
+    cells, lands = _wedge_cells(xs)
+    grids = [[[0] * cells[n] for _ in range(cells[n - 1])] for n in range(1, len(cells))]
+    for x, at in zip(xs, lands):
+        for n, b in enumerate(x.boundaries, 1):
+            for i, r in enumerate(at[n - 1]):
+                row = grids[n - 1][r]
+                for c, v in zip(at[n], b.row(i)):
+                    row[c] += v
+    bnds = tuple(IntMatrix.from_rows(g, cols=cells[n]) for n, g in enumerate(grids, 1))
     name = "wedge(" + ", ".join(x.name or "?" for x in xs) + ")"
-    return CwComplex(tuple(cells), tuple(bnds), 0, name)
+    return CwComplex(cells, bnds, 0, name)
 
 
 def _sphere(n: int) -> CwComplex:

@@ -61,10 +61,12 @@ from .intmat import (
     IntMatrix,
     NotInLattice,
     _CycleQuotients,
+    _ones,
     _present,
     _put,
     _sparse_apply,
     _sparse_columns,
+    _unit_columns,
 )
 from .reduction import Reduction, reduce_complex
 
@@ -79,13 +81,8 @@ __all__ = [
 ]
 
 
-def _ones(rows: int, cols: int) -> IntMatrix:
-    return IntMatrix(rows, cols, (1,) * (rows * cols))
-
-
-def coeff_factors(g: FgAbGroup) -> tuple:
-    """Cyclic factor moduli of G, free factors (0) first."""
-    return (0,) * g.rank + g.torsion
+# the cyclic factor moduli of G, free factors (0) first
+coeff_factors = FgAbGroup.generator_orders
 
 
 @dataclass(frozen=True)
@@ -117,8 +114,7 @@ class _Canonical(GroupWithPresentation):
 
     @property
     def lifts(self) -> tuple:
-        n = self.ambient_dim
-        return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+        return tuple(_unit_columns(self.ambient_dim, range(self.ambient_dim)).columns())
 
     def coords(self, v):
         if len(v) != self.ambient_dim:
@@ -128,8 +124,9 @@ class _Canonical(GroupWithPresentation):
 
 def _glue(factor_groups) -> GroupWithPresentation:
     """Z^n over the relations o_i e_i for the generator orders o_i of the
-    factors: the group is their invariant-factor form, with no SNF; the
-    relations' SNF waits for the first read of lifts or coords.
+    factors: the group is their invariant-factor form, with no SNF.  Only
+    the orders are kept; the relation columns are built, and their SNF
+    run, on the first read of lifts or coords.
 
     One factor of rank at most 1, or with no torsion, is glued by the
     identity (``_Canonical``), which is what that SNF would give; on a
@@ -137,12 +134,10 @@ def _glue(factor_groups) -> GroupWithPresentation:
     if len(factor_groups) == 1 and (factor_groups[0].rank <= 1 or not factor_groups[0].torsion):
         g = factor_groups[0]
         return _Canonical(g, g.num_generators)
-    orders = [o for g in factor_groups for o in g.generator_orders()]
+    orders = tuple(o for g in factor_groups for o in g.generator_orders())
     n = len(orders)
-    rel_cols = [[o if i == j else 0 for i in range(n)] for j, o in enumerate(orders) if o]
     # the numerator is all of Z^n: its coordinates are the vector itself
-    return _present(n, IntMatrix.from_columns(rel_cols, rows=n), None, (1,) * n, range(n),
-                    group=normalize_diagonal(orders))
+    return _present(n, orders, None, (1,) * n, range(n), group=normalize_diagonal(orders))
 
 
 def _assemble(coeff: FgAbGroup, ambient_dim: int, factor_pres) -> CoeffPresentation:
@@ -154,7 +149,7 @@ def _chain_maps(x: CwComplex, n: int, reduced: bool):
     """(outgoing, incoming) chain maps at dimension n: B_n (at n = 0 the
     all-ones augmentation row when reduced, no row otherwise) and B_{n+1}."""
     if n == 0:
-        out = _ones(1, x.cells[0]) if reduced else IntMatrix.zeros(0, x.cells[0])
+        out = _ones(x.cells[0]) if reduced else IntMatrix.zeros(0, x.cells[0])
     else:
         out = x.boundary(n)
     return out, x.boundary(n + 1)

@@ -95,7 +95,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return _unit_columns(n, range(n))
 
     @staticmethod
     def diagonal(values: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
@@ -435,9 +435,39 @@ def snf(a: IntMatrix) -> SnfResult:
     return _snf_ext(a, _ALL_TRANSFORMS)
 
 
+# Builders of the structured matrices the package makes; every inclusion,
+# projection, collapse, augmentation and relation matrix comes from one.
+
+
 def _unit_columns(n: int, idx) -> IntMatrix:
-    """The n x len(idx) matrix whose columns are e_j, j in idx."""
-    return IntMatrix.from_columns([[int(i == j) for i in range(n)] for j in idx], rows=n)
+    """The n x len(idx) matrix whose columns are e_i, i in idx."""
+    idx = list(idx)
+    ent = [0] * (n * len(idx))
+    for j, i in enumerate(idx):
+        ent[i * len(idx) + j] = 1
+    return IntMatrix(n, len(idx), tuple(ent))
+
+
+def _ones(c: int) -> IntMatrix:
+    """The 1 x c all-ones row: the augmentation of c vertices."""
+    return IntMatrix(1, c, (1,) * c)
+
+
+def _relations(orders) -> IntMatrix:
+    """The relation columns o_i e_i in Z^n, n = len(orders), one for each
+    nonzero order o_i (0 is a free generator, with no relation)."""
+    live = [i for i, o in enumerate(orders) if o]
+    ent = [0] * (len(orders) * len(live))
+    for j, i in enumerate(live):
+        ent[i * len(live) + j] = orders[i]
+    return IntMatrix(len(orders), len(live), tuple(ent))
+
+
+def _vstack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
+    """top stacked above bottom."""
+    if top.cols != bottom.cols:
+        raise ValueError("column count mismatch in vstack")
+    return IntMatrix(top.rows + bottom.rows, top.cols, top.entries + bottom.entries)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -546,10 +576,11 @@ class _Presented(GroupWithPresentation):
 
     def _read(self):
         """Lifts and the generators' rows of U^-1, from rel's log (or,
-        for a relation matrix given as such, from its SNF now)."""
+        for relation orders given as such, from the SNF of their relation
+        columns, built now)."""
         rel = self._rel
-        if isinstance(rel, IntMatrix):
-            rel = _snf_ext(rel, ()).row_log
+        if not isinstance(rel, _Log):
+            rel = _snf_ext(_relations(rel), ()).row_log
         r, free, tors = rel.n, self.group.rank, len(self.group.torsion)
         rank = r - free
         # free generators past the rank, then the torsion entries of S
@@ -581,13 +612,15 @@ class _Presented(GroupWithPresentation):
         return tuple(w % o if o else w for w, o in zip(self._uinv.apply(y), self.group.generator_orders()))
 
 
-def _present(ambient_dim: int, rel: IntMatrix, t: _Log | None, e, live, group=None) -> GroupWithPresentation:
+def _present(ambient_dim: int, rel, t: _Log | None, e, live, group=None) -> GroupWithPresentation:
     """The quotient of a lattice N in Z^m by a sublattice D, from D's
     generators written in coordinates against the basis of N that t, e
     and live describe (the columns of ``rel``; see ``_Presented``).  One
     SNF of rel, with no transform, gives the canonical group now; the
     lifts and the coordinate map wait for their first read.  A caller
-    that knows the group passes it, and then rel's SNF waits too."""
+    that knows the group passes it, for a D spanned by the o_i e_i, with
+    the orders o_i in place of rel; the relation columns are then built,
+    and their SNF run, only on the first read."""
     from .abgroups import FgAbGroup  # deferred to avoid an import cycle
 
     if group is None:
@@ -659,5 +692,5 @@ class _CycleQuotients:
         if d:
             orders = [g[i] for i in live]
             reduced = [[w % o for w in rel.row(k)] for k, o in enumerate(orders)]
-            rel = IntMatrix.hstack(IntMatrix.from_rows(reduced, cols=rel.cols), IntMatrix.diagonal(orders))
+            rel = IntMatrix.hstack(IntMatrix.from_rows(reduced, cols=rel.cols), _relations(orders))
         return _present(m, rel, self.t, e, live)

@@ -64,6 +64,7 @@ from .chainmaps import (
 )
 from .complexes import (
     CwComplex,
+    _wedge_cells,
     add_disjoint_basepoint,
     quotient_by_skeleton,
     require_valid,
@@ -73,7 +74,7 @@ from .complexes import (
     zoo,
 )
 from .homology import _glue, cells_presentation, chain_group, cohomology, induced_hom
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _ones, _unit_columns
 
 __all__ = [
     "CheckReport",
@@ -186,34 +187,13 @@ def check_suspension(x: CwComplex, coeff: FgAbGroup, dims: range | None = None) 
 
 
 def _wedge_inclusions(xs) -> list[ChainMap]:
-    """The evident pointed inclusions X_k -> wedge(xs), mirroring the
-    cell bookkeeping of `wedge`."""
+    """The evident pointed inclusions X_k -> wedge(xs), all into one
+    wedge: level n of X_k is the unit columns at the wedge indices that
+    ``complexes._wedge_cells`` gives X_k's n-cells, the layout ``wedge``
+    itself is built from."""
     w = wedge(xs)
-    incs = []
-    v_off = 1
-    c_off = [0] * (w.dim + 1)
-    for x in xs:
-        maps = []
-        cols0 = []
-        for v in range(x.cells[0]):
-            col = [0] * w.cells[0]
-            if v == x.basepoint:
-                col[0] = 1
-            else:
-                col[v_off] = 1
-                v_off += 1
-            cols0.append(col)
-        maps.append(IntMatrix.from_columns(cols0, rows=w.cells[0]))
-        for n in range(1, w.dim + 1):
-            cols = []
-            for j in range(x.cells_at(n)):
-                col = [0] * w.cells[n]
-                col[c_off[n] + j] = 1
-                cols.append(col)
-            maps.append(IntMatrix.from_columns(cols, rows=w.cells[n]))
-            c_off[n] += x.cells_at(n)
-        incs.append(ChainMap(x, w, tuple(maps)))
-    return incs
+    return [ChainMap(x, w, tuple(_unit_columns(c, idx) for c, idx in zip(w.cells, at)))
+            for x, at in zip(xs, _wedge_cells(xs)[1])]
 
 
 def _stack_homs(homs) -> AbHom:
@@ -235,8 +215,8 @@ def check_wedge(xs, coeff: FgAbGroup) -> CheckReport:
     """Restriction along the inclusions identifies reduced h^n of a wedge
     with the direct sum over the factors."""
     xs = list(xs)
-    w = wedge(xs)
     incs = _wedge_inclusions(xs)
+    w = incs[0].target
     rep = CheckReport("wedge", _subject(w), coeff, range(0, w.dim + 2))
     for n in rep.dims:
         restricted = _stack_homs(
@@ -388,17 +368,15 @@ def _double_quotient(x: CwComplex, k: int) -> CwComplex:
 
 def _collapse_comparison(cone: MappingCone, q_next: CwComplex) -> ChainMap:
     """cone(Q_k -> W_k) -> Q_{k+1}: identity on the top cells of W_k,
-    everything else to the basepoint."""
+    everything else to the basepoint.  The cone's n-cells start with
+    W_k's (``chainmaps.mapping_cone``), whose top cells are Q_{k+1}'s, so
+    level n >= 1 is the transposed unit columns of the first
+    Q_{k+1}.cells_at(n) cells, and level 0 sends every vertex to Q_{k+1}'s
+    single one."""
     c = cone.cone
-    top = max(c.dim, q_next.dim)
-    maps = [IntMatrix(1, c.cells[0], (1,) * c.cells[0])]
-    for n in range(1, top + 1):
-        rows = []
-        for i in range(q_next.cells_at(n)):
-            row = [0] * c.cells_at(n)
-            row[i] = 1
-            rows.append(row)
-        maps.append(IntMatrix.from_rows(rows, cols=c.cells_at(n)))
+    maps = [_ones(c.cells[0])]
+    maps += [_unit_columns(c.cells_at(n), range(q_next.cells_at(n))).transpose()
+             for n in range(1, max(c.dim, q_next.dim) + 1)]
     return ChainMap(c, q_next, tuple(maps))
 
 

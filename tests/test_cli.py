@@ -140,6 +140,39 @@ def test_check_file_modes(capsys, torus_file, tmp_path):
     assert code == 0 and "les-exactness" in out
 
 
+def _edge_map_doc(f1):
+    # the edge 0 -> 1 with its ends swapped at level 0, which is not
+    # pointed; a chain map exactly when level 1 is -1
+    edge = {"cells": [2, 1], "boundaries": {"1": [[1], [-1]]}}
+    return {"source": edge, "target": edge, "maps": {"0": [[0, 1], [1, 0]], "1": [[f1]]}}
+
+
+def test_check_refuses_other_map_violations_before_pointedness(capsys, tmp_path):
+    p = tmp_path / "map.json"
+    chain = "level 1: chain condition B' @ F != F @ B"
+    pointed = "level 0: basepoint column is not the target basepoint unit vector"
+    p.write_text(dumps(_edge_map_doc(1)))
+    assert run(capsys, "check", str(p)) == (1, "", f"invalid chain map: {chain}\n")
+    assert run(capsys, "validate", str(p)) == (1, "", f"{chain}\n{pointed}\n")
+    p.write_text(dumps(_edge_map_doc(-1)))
+    assert run(capsys, "check", str(p)) == (1, "", f"invalid chain map: {pointed}\n")
+    assert run(capsys, "validate", str(p)) == (1, "", f"{pointed}\n")
+
+
+@pytest.mark.parametrize("command", ["check", "validate"])
+def test_document_is_parsed_once(capsys, monkeypatch, tmp_path, command):
+    real = json.loads
+    calls = []
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(1) or real(*a, **k))
+    p = tmp_path / "doc.json"
+    for doc in (complex_to_doc(zoo("torus")), map_to_doc(identity_map(zoo("torus")))):
+        p.write_text(dumps(doc))
+        calls.clear()
+        code, out, err = run(capsys, command, str(p))
+        assert (code, err, len(calls)) == (0, "", 1)
+        assert out.startswith("PASS" if command == "check" else "valid ")
+
+
 def test_check_suite_all(capsys):
     code, out, err = run(capsys, "check", "--suite", "all")
     assert code == 0

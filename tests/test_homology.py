@@ -255,3 +255,21 @@ def test_glue_shortcuts_match_the_general_path(monkeypatch):
     monkeypatch.undo()
     _clear_presentation_caches()
     assert shortcut == general
+
+
+def test_glue_builds_its_relations_on_first_read(monkeypatch):
+    # the group of a Z + Z/2 glue is read off the orders; the relation
+    # columns are built only when lifts or coords are first read, and the
+    # presentation is then the one built eagerly from those columns
+    import cwhom.intmat as intmat
+    real = intmat._relations
+    calls = []
+    monkeypatch.setattr(intmat, "_relations", lambda orders: calls.append(orders) or real(orders))
+    glue = _glue([Z, FgAbGroup.cyclic(2)])
+    assert glue.group == parse_group("Z + Z/2") and calls == []
+    eager = intmat._present(2, real((0, 2)), None, (1, 1), range(2))
+    assert eager.group == glue.group
+    assert glue.lifts == eager.lifts and len(calls) == 1
+    for v in [(1, 0), (0, 1), (3, -5), (-2, 7)] + list(eager.lifts):
+        assert glue.coords(v) == eager.coords(v)
+    assert len(calls) == 1
