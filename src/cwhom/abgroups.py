@@ -5,7 +5,10 @@ chain d1 | d2 | ... with every entry >= 2.  Equality of groups is plain
 structural equality.  Homomorphisms between presented groups are integer
 matrices on canonical generators (free generators first, then torsion
 generators in chain order), with entries against torsion generators read
-modulo the generator order.
+modulo the generator order.  ``AbHom(...)`` checks that its matrix is
+well defined; ``AbHom._derived`` builds the homs that are well defined by
+construction without that check: composites, identities, zero maps,
+proven inverses and the induced maps of validated chain maps.
 """
 
 from __future__ import annotations
@@ -293,7 +296,7 @@ class AbHom:
     target generator; entries in torsion rows are normalized into
     [0, order).  Construction checks well-definedness: for a source
     generator of finite order d, d times its column must lie in the
-    target's relation lattice.
+    target's relation lattice (but not in ``_derived``).
     """
 
     source: FgAbGroup
@@ -301,6 +304,13 @@ class AbHom:
     matrix: IntMatrix
 
     def __post_init__(self):
+        self._normalize()
+        t_orders = self.target.generator_orders()
+        for j, d in enumerate(self.source.generator_orders()):
+            if d and any(d * v % o if o else v for v, o in zip(self.matrix.col(j), t_orders)):
+                raise ValueError(f"not well-defined: generator {j} of order {d} maps outside relations")
+
+    def _normalize(self):
         m = self.matrix
         if m.rows != self.target.num_generators or m.cols != self.source.num_generators:
             raise ValueError(
@@ -308,38 +318,36 @@ class AbHom:
                 f"({self.target.num_generators} x {self.source.num_generators})"
             )
         t_orders = self.target.generator_orders()
-        norm = m
         if any(not 0 <= v < o for i, o in enumerate(t_orders) if o for v in m.row(i)):
             rows = m.to_rows()
             for i, o in enumerate(t_orders):
                 if o:
                     rows[i] = [v % o for v in rows[i]]
-            norm = IntMatrix.from_rows(rows, cols=m.cols)
-            object.__setattr__(self, "matrix", norm)
-        for j, d in enumerate(self.source.generator_orders()):
-            if d == 0:
-                continue
-            for i, o in enumerate(t_orders):
-                v = d * norm.entry(i, j)
-                if (o == 0 and v != 0) or (o != 0 and v % o):
-                    raise ValueError(
-                        f"not well-defined: generator {j} of order {d} maps outside relations"
-                    )
+            object.__setattr__(self, "matrix", IntMatrix.from_rows(rows, cols=m.cols))
+
+    @classmethod
+    def _derived(cls, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix) -> "AbHom":
+        """``AbHom(source, target, matrix)`` for a matrix derived from
+        checked homs: normalized, but not checked again."""
+        h = object.__new__(cls)
+        h.__dict__.update(source=source, target=target, matrix=matrix)
+        h._normalize()
+        return h
 
 
 def identity_hom(g: FgAbGroup) -> AbHom:
-    return AbHom(g, g, IntMatrix.identity(g.num_generators))
+    return AbHom._derived(g, g, IntMatrix.identity(g.num_generators))
 
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> AbHom:
-    return AbHom(source, target, IntMatrix.zeros(target.num_generators, source.num_generators))
+    return AbHom._derived(source, target, IntMatrix.zeros(target.num_generators, source.num_generators))
 
 
 def compose_hom(g: AbHom, f: AbHom) -> AbHom:
     """g after f."""
     if f.target != g.source:
         raise ValueError("compose: f.target != g.source")
-    return AbHom(f.source, g.target, g.matrix @ f.matrix)
+    return AbHom._derived(f.source, g.target, g.matrix @ f.matrix)
 
 
 def _kernel_lattice(h: AbHom) -> IntMatrix:
@@ -408,7 +416,10 @@ def invert_iso(h: AbHom) -> AbHom:
         if any(v % o if o else v for v in vinv.row(i)[t:]):
             raise NotAnIsomorphism("kernel is nontrivial")
     sol = IntMatrix.from_rows([vinv.row(i)[:t] for i in range(s)], cols=t) @ ext.Uinv
-    g = AbHom(h.target, h.source, sol)
+    # well defined unchecked: h g e_i = e_i modulo the target relations, so
+    # for e_i of order o, h(o g e_i) lies in them, and injectivity puts
+    # o g e_i in the source relations
+    g = AbHom._derived(h.target, h.source, sol)
     if (compose_hom(g, h).matrix != IntMatrix.identity(s)
             or compose_hom(h, g).matrix != IntMatrix.identity(t)):
         raise NotAnIsomorphism("candidate inverse failed verification")

@@ -8,10 +8,16 @@ non-basepoint n-cell of the source, with the block boundary
      [ 0,    -B_{n-1} (reduced) ]].
 
 That layout is decided in ``mapping_cone`` alone: in every dimension the
-target's cells come first and the cells over the source follow.  The
-boundary is stacked from those four blocks, the inclusion of the target
-is the unit columns of the first block and the projection the transposed
-unit columns of the second (``intmat._vstack`` and ``_unit_columns``).
+target's cells come first and the cells over the source, read off its
+suspension, follow.  The boundary is stacked from those four blocks, the
+inclusion of the target is the unit columns of the first block and the
+projection the transposed unit columns of the second.
+
+Chain maps are frozen and cache their violation report, so each is
+validated once, where it enters (``require_valid_map``).  Maps built
+valid from checked input are born with an empty report (``_born_valid``):
+the cone's inclusion and projection, and ``verify``'s collapse maps and
+wedge inclusions.
 
 The cone of the degree-q sphere self-map reproduces the Moore space cell
 for cell.  The connecting homomorphism of the long exact sequence is the
@@ -27,8 +33,8 @@ from functools import cached_property, lru_cache
 
 from .abgroups import AbHom, FgAbGroup, compose_hom
 from .complexes import CwComplex, suspension, zoo
-from .homology import CoeffPresentation, chain_group, induced_hom, integral_homology
-from .intmat import IntMatrix, _ones, _unit_columns, _vstack
+from .homology import _induced, chain_group, integral_homology
+from .intmat import IntMatrix, _ones, _sparse_columns, _sparse_product, _unit_columns, _vstack
 
 __all__ = [
     "ChainMap",
@@ -76,6 +82,13 @@ class ChainMap:
         return tuple(validate_map(self))
 
 
+def _born_valid(f: ChainMap, report: tuple = ()) -> ChainMap:
+    """f with ``report`` as its cached violation report: empty, or that
+    of the map f copies."""
+    object.__setattr__(f, "_violations", report)
+    return f
+
+
 def _padded(source: CwComplex, target: CwComplex, maps) -> tuple:
     k = max(source.dim, target.dim)
     out = list(maps[: k + 1])
@@ -105,14 +118,14 @@ def validate_map(f: ChainMap) -> list[str]:
             out.append(f"level {n}: shape {m.shape} != {want}")
     if out:
         return out
+    cols = [_sparse_columns(m) for m in f.maps]
     for n in range(1, k + 1):
-        lhs = f.target.boundary(n) @ f.level(n)
-        rhs = f.level(n - 1) @ f.source.boundary(n)
-        if lhs != rhs:
+        lhs = _sparse_product(_sparse_columns(f.target.boundary(n)), cols[n])
+        rhs = _sparse_product(cols[n - 1], _sparse_columns(f.source.boundary(n)))
+        if list(lhs) != list(rhs):
             out.append(f"level {n}: chain condition B' @ F != F @ B")
-    f0 = f.level(0)
-    for j in range(f0.cols):
-        s = sum(f0.col(j))
+    for j, col in enumerate(cols[0]):
+        s = sum(v for _, v in col)
         if s != 1:
             out.append(f"level 0: column {j} has entry sum {s}, not 1")
     if not is_pointed(f):
@@ -240,22 +253,6 @@ class MappingCone:
     projection: ChainMap   # cone -> suspension(source)
 
 
-def _reduced_cells(x: CwComplex, n: int) -> int:
-    if n < 0:
-        return 0
-    c = x.cells_at(n)
-    return c - 1 if n == 0 else c
-
-
-def _reduced_boundary(x: CwComplex, n: int) -> IntMatrix:
-    """B_n between reduced complexes: the basepoint row removed at n = 1,
-    and at n = 0 the map from the c_0 - 1 reduced vertices to nothing."""
-    if n == 0:
-        return IntMatrix.zeros(0, _reduced_cells(x, 0))
-    b = x.boundary(n)
-    return b.delete_row(x.basepoint) if n == 1 else b
-
-
 def _relative_columns(m: IntMatrix, bp: int) -> IntMatrix:
     """The columns m_v - m_bp of m, one for each v != bp: where a map
     whose level 0 is m sends the loop, or cone 1-cell, over vertex v."""
@@ -276,28 +273,28 @@ def mapping_cone(f: ChainMap) -> MappingCone:
     """Cone, inclusion and projection, on the cell layout of the module
     docstring; level n of the projection carries the sign (-1)^(n+1)."""
     require_valid_map(f, pointed=True)
-    x, y = f.source, f.target
-    cells = [y.cells_at(n) + _reduced_cells(x, n - 1) for n in range(max(y.dim, x.dim + 1) + 1)]
+    y, sx = f.target, _suspended(f.source)
+    cells = [y.cells_at(n) + (sx.cells_at(n) if n else 0) for n in range(max(y.dim, sx.dim) + 1)]
     while len(cells) > 1 and cells[-1] == 0:
         cells.pop()
 
-    bnds = tuple(_vstack(IntMatrix.hstack(y.boundary(n), _corner(f, n)),
-                         IntMatrix.hstack(IntMatrix.zeros(_reduced_cells(x, n - 2), y.cells_at(n)),
-                                          -_reduced_boundary(x, n - 1)))
-                 for n in range(1, len(cells)))
-    cone = CwComplex(tuple(cells), bnds, y.basepoint,
+    bnds = []
+    for n in range(1, len(cells)):
+        low = -sx.boundary(n) if n > 1 else IntMatrix.zeros(0, sx.cells_at(1))
+        bnds.append(_vstack(IntMatrix.hstack(y.boundary(n), _corner(f, n)),
+                            IntMatrix.hstack(IntMatrix.zeros(low.rows, y.cells_at(n)), low)))
+    cone = CwComplex(tuple(cells), tuple(bnds), y.basepoint,
                      f"cone({f.name})" if f.name else "cone")
 
     inclusion = ChainMap(y, cone, tuple(_unit_columns(cone.cells_at(n), range(y.cells_at(n)))
                                         for n in range(max(y.dim, cone.dim) + 1)), "cfcod")
-    sx = _suspended(x)
     proj_maps = [_ones(cone.cells[0])]
     for n in range(1, max(cone.dim, sx.dim) + 1):
         cy = y.cells_at(n)
         m = _unit_columns(cone.cells_at(n), range(cy, cy + sx.cells_at(n))).transpose()
         proj_maps.append(m if n % 2 else -m)
     projection = ChainMap(cone, sx, tuple(proj_maps), "cone proj")
-    return MappingCone(f, cone, inclusion, projection)
+    return MappingCone(f, cone, _born_valid(inclusion), _born_valid(projection))
 
 
 def induced_map(f: ChainMap, n: int, coeff: FgAbGroup, variant: str = "cohomology",
@@ -307,11 +304,11 @@ def induced_map(f: ChainMap, n: int, coeff: FgAbGroup, variant: str = "cohomolog
     if variant == "cohomology":
         src = chain_group(f.target, n, coeff, "cohomology", reduced)
         tgt = chain_group(f.source, n, coeff, "cohomology", reduced)
-        return induced_hom(src, tgt, f.level(n).transpose())
+        return _induced(src, tgt, f.level(n).transpose())
     if variant == "homology":
         src = chain_group(f.source, n, coeff, "homology", reduced)
         tgt = chain_group(f.target, n, coeff, "homology", reduced)
-        return induced_hom(src, tgt, f.level(n))
+        return _induced(src, tgt, f.level(n))
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -327,9 +324,9 @@ def shift_iso(x: CwComplex, n: int, coeff: FgAbGroup) -> AbHom:
     src = chain_group(x, n, coeff, "cohomology", True)
     tgt = chain_group(sx, n + 1, coeff, "cohomology", True)
     if n < 0 or n > x.dim:
-        return induced_hom(src, tgt, IntMatrix.zeros(tgt.ambient_dim, src.ambient_dim))
+        return _induced(src, tgt, IntMatrix.zeros(tgt.ambient_dim, src.ambient_dim))
     t = IntMatrix.identity(x.cells[n]) if n >= 1 else _basepoint_differences(x)
-    return induced_hom(src, tgt, t)
+    return _induced(src, tgt, t)
 
 
 @lru_cache(maxsize=64)
@@ -345,10 +342,11 @@ def _suspended(x: CwComplex) -> CwComplex:
 def _cone(f: ChainMap) -> MappingCone:
     """mapping_cone(f), built once per chain map for the checks that visit
     it with every coefficient group; bounded like ``_suspended``.  Built
-    from a nameless copy of f and of its complexes: equal maps with
-    different names share an entry, and no cached name can reach a
-    report."""
-    return mapping_cone(ChainMap(f.source.with_name(""), f.target.with_name(""), f.maps))
+    from a nameless copy of f and of its complexes, which takes over f's
+    violation report: equal maps with different names share an entry,
+    and no cached name can reach a report."""
+    copy = ChainMap(f.source.with_name(""), f.target.with_name(""), f.maps)
+    return mapping_cone(_born_valid(copy, f._violations))
 
 
 def _basepoint_differences(x: CwComplex) -> IntMatrix:

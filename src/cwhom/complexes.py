@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .intmat import IntMatrix, _sparse_apply, _sparse_columns, _vstack
+from .intmat import IntMatrix, _sparse_columns, _sparse_product, _vstack
 
 __all__ = [
     "CwComplex",
@@ -128,7 +128,7 @@ def validate(x: CwComplex) -> list[str]:
             out.append(f"dimension 1: column {j} has entry sum {s}, not 0")
     for n in range(2, x.dim + 1):
         upper = _sparse_columns(x.boundary(n))
-        if any(any(_sparse_apply(lower, col).values()) for col in upper):
+        if any(_sparse_product(lower, upper)):
             out.append(f"dimension {n}: chain condition B_{n-1} @ B_{n} != 0")
         lower = upper
     return out

@@ -302,8 +302,16 @@ def induced_hom(src: CoeffPresentation, tgt: CoeffPresentation, chain_matrix: In
 
     ``chain_matrix`` must send the source's representative lattice into
     the target's in every factor (a NotInLattice escape here means the
-    matrix is not a chain-level map for these presentations).
+    matrix is not a chain-level map for these presentations).  The
+    matrix is arbitrary, so the result is checked to be well defined.
     """
+    h = _induced(src, tgt, chain_matrix)
+    return AbHom(h.source, h.target, h.matrix)
+
+
+def _induced(src: CoeffPresentation, tgt: CoeffPresentation, chain_matrix: IntMatrix) -> AbHom:
+    """``induced_hom`` for a validated chain map, or a chain-level matrix
+    the package builds: well defined, so not checked again."""
     if src.coeff != tgt.coeff:
         raise ValueError("coefficient groups differ")
     if chain_matrix.shape != (tgt.ambient_dim, src.ambient_dim):
@@ -327,10 +335,10 @@ def induced_hom(src: CoeffPresentation, tgt: CoeffPresentation, chain_matrix: In
     mconcat = IntMatrix.from_columns(concat_cols, rows=total_tgt)
     if isinstance(src.glue, _Canonical) and isinstance(tgt.glue, _Canonical):
         # each side is its one factor, on its own generators
-        return AbHom(src.group, tgt.group, mconcat)
+        return AbHom._derived(src.group, tgt.group, mconcat)
     # conjugate through the canonicalizations
     cols = []
     for lift in src.glue.lifts:
         cols.append(tgt.glue.coords(mconcat.apply(lift)))
     mat = IntMatrix.from_columns(cols, rows=tgt.group.num_generators)
-    return AbHom(src.group, tgt.group, mat)
+    return AbHom._derived(src.group, tgt.group, mat)

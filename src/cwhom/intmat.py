@@ -216,6 +216,13 @@ def _sparse_apply(columns, pairs) -> dict:
     return out
 
 
+def _sparse_product(a, b):
+    """The columns of a @ b, for a and b given by ``_sparse_columns``, as
+    {row: value} without zero entries: the one chain-condition check."""
+    for col in b:
+        yield {i: v for i, v in _sparse_apply(a, col).items() if v}
+
+
 class _Log:
     """The row operations that build one unimodular transform T of an SNF
     from the n x n identity, in order, as flat (i, j, k) triples: row_i +=

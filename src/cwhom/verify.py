@@ -52,6 +52,7 @@ from .chainmaps import (
     ChainMap,
     MappingCone,
     _basepoint_differences,
+    _born_valid,
     _cone,
     connecting_map,
     identity_map,
@@ -69,11 +70,10 @@ from .complexes import (
     quotient_by_skeleton,
     require_valid,
     skeleton,
-    suspension,
     wedge,
     zoo,
 )
-from .homology import _glue, cells_presentation, chain_group, cohomology, induced_hom
+from .homology import _glue, _induced, cells_presentation, chain_group, cohomology
 from .intmat import IntMatrix, _ones, _unit_columns
 
 __all__ = [
@@ -192,7 +192,7 @@ def _wedge_inclusions(xs) -> list[ChainMap]:
     ``complexes._wedge_cells`` gives X_k's n-cells, the layout ``wedge``
     itself is built from."""
     w = wedge(xs)
-    return [ChainMap(x, w, tuple(_unit_columns(c, idx) for c, idx in zip(w.cells, at)))
+    return [_born_valid(ChainMap(x, w, tuple(_unit_columns(c, idx) for c, idx in zip(w.cells, at))))
             for x, at in zip(xs, _wedge_cells(xs)[1])]
 
 
@@ -208,7 +208,7 @@ def _stack_homs(homs) -> AbHom:
             vec.extend(h.matrix.col(j))
         cols.append(glue.coords(vec))
     mat = IntMatrix.from_columns(cols, rows=glue.group.num_generators)
-    return AbHom(src, glue.group, mat)
+    return AbHom._derived(src, glue.group, mat)
 
 
 def check_wedge(xs, coeff: FgAbGroup) -> CheckReport:
@@ -377,7 +377,7 @@ def _collapse_comparison(cone: MappingCone, q_next: CwComplex) -> ChainMap:
     maps = [_ones(c.cells[0])]
     maps += [_unit_columns(c.cells_at(n), range(q_next.cells_at(n))).transpose()
              for n in range(1, max(c.dim, q_next.dim) + 1)]
-    return ChainMap(c, q_next, tuple(maps))
+    return _born_valid(ChainMap(c, q_next, tuple(maps)))
 
 
 @lru_cache(maxsize=64)
@@ -404,7 +404,7 @@ def _cell_basis_iso(q: CwComplex, k: int, coeff: FgAbGroup) -> AbHom:
     tgt = cells_presentation(q.cells_at(k) if k >= 1 else q.cells[0] - 1, coeff)
     src = chain_group(q, k, coeff, "cohomology", True)
     t = IntMatrix.identity(q.cells_at(k)) if k >= 1 else _basepoint_differences(q)
-    return induced_hom(src, tgt, t)
+    return _induced(src, tgt, t)
 
 
 def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
@@ -451,7 +451,7 @@ def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
     q0 = quotients[0]
     col = [[1] for _ in range(q0.cells[0])]
     col[q0.basepoint] = [0]
-    aug = induced_hom(
+    aug = _induced(
         cells_presentation(1, coeff),
         chain_group(q0, 0, coeff, "cohomology", True),
         IntMatrix.from_rows(col, cols=1),
@@ -478,7 +478,7 @@ def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
         iso_next = cell_isos[k + 1][0]
         inv_here = cell_isos[k][1]
         cellwise = compose_hom(iso_next, compose_hom(deltas[k], inv_here))
-        expected = induced_hom(
+        expected = _induced(
             cells_presentation(x.cells_at(k), coeff),
             cells_presentation(x.cells_at(k + 1), coeff),
             x.boundary(k + 1).transpose(),

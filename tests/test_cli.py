@@ -321,3 +321,70 @@ def test_oversized_cell_count_exits_2(capsys, tmp_path, command, doc):
     assert (code, out) == (2, "")
     assert "at most" in err and "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["zoo", "sphere", "-1"], (1, "", "sphere dimension must be >= 0\n")),
+    (["zoo", "moore", "1", "1"], (1, "", "moore requires q >= 2 and n >= 1\n")),
+    (["quotient", "{torus}", "--below", "5"], (1, "", "quotient dimension 5 out of range 0..1\n")),
+    (["degree", "{torus_map}"], (1, "", "reduced H_1 = Z^2\n")),
+    (["homology", "{invalid}"], (1, "", "dimension 2: chain condition B_1 @ B_2 != 0\n")),
+])
+def test_semantic_errors_share_one_path(capsys, tmp_path, argv, want):
+    # every semantic failure prints its message alone on stderr and exits 1
+    docs = {
+        "torus": complex_to_doc(zoo("torus")),
+        "torus_map": map_to_doc(identity_map(zoo("torus"))),
+        "invalid": {"cells": [2, 1, 1], "boundaries": {"1": [[1], [-1]], "2": [[1]]}},
+    }
+    paths = {}
+    for key, doc in docs.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(dumps(doc))
+    assert run(capsys, *(a.format(**paths) for a in argv)) == want
+
+
+def _grid_torus(k):
+    """The k x k square-grid torus from its edge presentation: edge
+    2v + 1 runs from v = (i, j) to (i + 1, j), edge 2v + 2 to (i, j + 1)."""
+    from cwhom.complexes import EdgePresentation, from_presentation
+
+    def v(i, j):
+        return (i % k) * k + j % k
+    edges = [e for i in range(k) for j in range(k) for e in ((v(i, j), v(i + 1, j)), (v(i, j), v(i, j + 1)))]
+    faces = [(2 * v(i, j) + 1, 2 * v(i + 1, j) + 2, -(2 * v(i, j + 1) + 1), -(2 * v(i, j) + 2))
+             for i in range(k) for j in range(k)]
+    return from_presentation(EdgePresentation(k * k, tuple(edges), tuple(faces)))
+
+
+def test_les_check_validates_the_given_map_once_and_sparsely(capsys, monkeypatch, tmp_path):
+    # the cone's copy of the map, its inclusion and its projection are
+    # not validated again, and the chain condition builds no dense product
+    import cwhom.chainmaps as chainmaps
+    from cwhom.chainmaps import inclusion_map
+    from cwhom.complexes import skeleton
+    from cwhom.intmat import IntMatrix
+    t = _grid_torus(4)
+    p = tmp_path / "incl.json"
+    p.write_text(dumps(map_to_doc(inclusion_map(skeleton(t, 1), t))))
+    validated, inside, dense = [], [], []
+    real_validate, real_matmul = chainmaps.validate_map, IntMatrix.__matmul__
+
+    def validate(f):
+        validated.append(f)
+        inside.append(f)
+        try:
+            return real_validate(f)
+        finally:
+            inside.pop()
+
+    def matmul(a, b):
+        if inside:
+            dense.append((a.shape, b.shape))
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(chainmaps, "validate_map", validate)
+    monkeypatch.setattr(IntMatrix, "__matmul__", matmul)
+    got = run(capsys, "check", str(p), "--suite", "les", "--coeff", "Z/2", "--range", "0..0")
+    assert got == (0, "PASS les-exactness incl G=Z/2 dims=0..0\n", "")
+    assert (len(validated), dense) == (1, [])

@@ -273,3 +273,15 @@ def test_glue_builds_its_relations_on_first_read(monkeypatch):
     for v in [(1, 0), (0, 1), (3, -5), (-2, 7)] + list(eager.lifts):
         assert glue.coords(v) == eager.coords(v)
     assert len(calls) == 1
+
+
+def test_public_constructors_still_check_well_definedness():
+    from cwhom.abgroups import AbHom
+    from cwhom.homology import induced_hom
+    with pytest.raises(ValueError, match="not well-defined"):
+        AbHom(FgAbGroup.cyclic(2), Z, IntMatrix.from_rows([[1]]))
+    # the generator of h^2(RP2) = Z/2 sent to the generator of h^2(S2) = Z
+    src = chain_group(zoo("rp", 2), 2, Z, "cohomology", True)
+    tgt = chain_group(zoo("sphere", 2), 2, Z, "cohomology", True)
+    with pytest.raises(ValueError, match="not well-defined"):
+        induced_hom(src, tgt, IntMatrix.identity(1))

@@ -351,3 +351,37 @@ def test_every_cache_is_bounded_and_holds_a_battery():
         info = cache.cache_info()
         assert info.maxsize is not None, cache
         assert info.currsize == info.misses, (cache, info)
+
+
+def test_born_valid_maps_pass_a_fresh_check():
+    # cone inclusions and projections and collapse maps carry an empty
+    # violation report from birth, so validate_map runs on them afresh
+    # here, with the skeletal tower's inclusions
+    from cwhom.chainmaps import _cone, validate_map
+    from cwhom.verify import _skeletal_tower
+    t, r = zoo("torus"), zoo("rp", 3)
+    les = [sphere_self_map(1, d) for d in (0, 1, 2, 6)]
+    les += [sphere_self_map(2, 3), identity_map(t), inclusion_map(skeleton(t, 1), t),
+            inclusion_map(skeleton(r, 2), r)]
+    born = [m for f in les for m in (_cone(f).inclusion, _cone(f).projection)]
+    for x in standard_corpus():
+        for j, cone, collapse in _skeletal_tower(x)[1]:
+            born += [j, cone.inclusion, cone.projection, collapse]
+    assert len(born) == 16 + 4 * sum(x.dim for x in standard_corpus())
+    for f in born:
+        assert f._violations == ()
+        assert validate_map(f) == [], (f.name, f.source, f.target)
+
+
+def test_derived_homs_equal_the_checked_constructor(monkeypatch):
+    # every hom the battery builds without the well-definedness check
+    # passes that check, and comes out as the public constructor makes it
+    from cwhom.abgroups import AbHom
+    derived, real = [], AbHom._derived
+    monkeypatch.setattr(AbHom, "_derived", staticmethod(lambda *a: derived.append(real(*a)) or derived[-1]))
+    for cache in _package_caches()[1]:
+        cache.cache_clear()
+    assert all(r.passed for r in run_battery())
+    assert len(derived) > 4000
+    for h in set(derived):
+        assert AbHom(h.source, h.target, h.matrix) == h
