@@ -15,9 +15,10 @@ projection the transposed unit columns of the second.
 
 Chain maps are frozen and cache their violation report, so each is
 validated once, where it enters (``require_valid_map``).  Maps built
-valid from checked input are born with an empty report (``_born_valid``):
-the cone's inclusion and projection, and ``verify``'s collapse maps and
-wedge inclusions.
+valid from checked input are born with an empty report
+(``complexes._born_valid``): the cone's inclusion and projection, and
+``verify``'s collapse maps, wedge inclusions and skeletal-tower
+inclusions.  So is the cone complex itself.
 
 The cone of the degree-q sphere self-map reproduces the Moore space cell
 for cell.  The connecting homomorphism of the long exact sequence is the
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .abgroups import AbHom, FgAbGroup, compose_hom
-from .complexes import CwComplex, suspension, zoo
+from .complexes import CwComplex, _born_valid, suspension, zoo
 from .homology import _induced, chain_group, integral_homology
 from .intmat import IntMatrix, _ones, _sparse_columns, _sparse_product, _unit_columns, _vstack
 
@@ -80,13 +81,6 @@ class ChainMap:
     def _violations(self) -> tuple:
         # the map is frozen, so its validity is computed at most once
         return tuple(validate_map(self))
-
-
-def _born_valid(f: ChainMap, report: tuple = ()) -> ChainMap:
-    """f with ``report`` as its cached violation report: empty, or that
-    of the map f copies."""
-    object.__setattr__(f, "_violations", report)
-    return f
 
 
 def _padded(source: CwComplex, target: CwComplex, maps) -> tuple:
@@ -165,6 +159,11 @@ def compose(g: ChainMap, f: ChainMap) -> ChainMap:
 def inclusion_map(sub: CwComplex, total: CwComplex) -> ChainMap:
     """The evident inclusion of a complex whose cells are an initial
     segment of ``total``'s in every dimension (e.g. a skeleton)."""
+    return require_valid_map(_inclusion(sub, total))
+
+
+def _inclusion(sub: CwComplex, total: CwComplex) -> ChainMap:
+    """``inclusion_map`` without the check."""
     k = max(sub.dim, total.dim)
     maps = []
     for n in range(k + 1):
@@ -172,8 +171,7 @@ def inclusion_map(sub: CwComplex, total: CwComplex) -> ChainMap:
         if cs > ct:
             raise ValueError(f"level {n}: {cs} cells do not fit in {ct}")
         maps.append(_unit_columns(ct, range(cs)))
-    f = ChainMap(sub, total, tuple(maps), "incl")
-    return require_valid_map(f)
+    return ChainMap(sub, total, tuple(maps), "incl")
 
 
 def sphere_self_map(n: int, d: int) -> ChainMap:
@@ -283,8 +281,8 @@ def mapping_cone(f: ChainMap) -> MappingCone:
         low = -sx.boundary(n) if n > 1 else IntMatrix.zeros(0, sx.cells_at(1))
         bnds.append(_vstack(IntMatrix.hstack(y.boundary(n), _corner(f, n)),
                             IntMatrix.hstack(IntMatrix.zeros(low.rows, y.cells_at(n)), low)))
-    cone = CwComplex(tuple(cells), tuple(bnds), y.basepoint,
-                     f"cone({f.name})" if f.name else "cone")
+    cone = _born_valid(CwComplex(tuple(cells), tuple(bnds), y.basepoint,
+                                 f"cone({f.name})" if f.name else "cone"))
 
     inclusion = ChainMap(y, cone, tuple(_unit_columns(cone.cells_at(n), range(y.cells_at(n)))
                                         for n in range(max(y.dim, cone.dim) + 1)), "cfcod")
@@ -342,8 +340,8 @@ def _suspended(x: CwComplex) -> CwComplex:
 def _cone(f: ChainMap) -> MappingCone:
     """mapping_cone(f), built once per chain map for the checks that visit
     it with every coefficient group; bounded like ``_suspended``.  Built
-    from a nameless copy of f and of its complexes, which takes over f's
-    violation report: equal maps with different names share an entry,
+    from nameless copies of f and its complexes, which take over their
+    violation reports: equal maps with different names share an entry,
     and no cached name can reach a report."""
     copy = ChainMap(f.source.with_name(""), f.target.with_name(""), f.maps)
     return mapping_cone(_born_valid(copy, f._violations))

@@ -10,13 +10,14 @@ the boundary coefficients (the winding numbers of the attaching loops).
 Sign convention for 1-cells: an edge from x to y contributes +1 at x and
 -1 at y; a self-loop contributes the zero column.
 
-Complexes are frozen, and each caches its own violation report, so
-``require_valid`` runs ``validate`` at most once per object.
+Complexes are frozen and cache their violation report, so ``validate``
+runs at most once per object.  ``from_presentation`` checks its output,
+because it is where word presentations enter.  The constructions below
+are born with their report (``_born_valid``, shared with chain maps):
 ``suspension``, ``add_disjoint_basepoint``, ``wedge`` and
-``quotient_by_skeleton`` build valid output from valid input, so they
-check only their input, and the fixed zoo complexes are valid as
-written.  ``from_presentation`` checks its output, because it is where
-word presentations enter.
+``quotient_by_skeleton`` check only their input and build valid output,
+the fixed zoo complexes are valid as written, and so is a skeleton of a
+valid complex; ``with_name`` takes over the report of its original.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class CwComplex:
         return tuple(validate(self))
 
     def with_name(self, name: str) -> "CwComplex":
-        return CwComplex(self.cells, self.boundaries, self.basepoint, name)
+        return _born_valid(CwComplex(self.cells, self.boundaries, self.basepoint, name), self._violations)
 
     def __str__(self) -> str:
         label = self.name or "complex"
@@ -94,6 +95,13 @@ class EdgePresentation:
     edges: tuple          # (source, target) pairs, 0-based vertices
     faces: tuple = ()     # attaching words: nonzero signed 1-based edge indices
     basepoint: int = 0
+
+
+def _born_valid(obj, report: tuple = ()):
+    """obj (a complex or a chain map) with ``report`` as its cached
+    violation report: empty, or that of the object obj copies."""
+    object.__setattr__(obj, "_violations", report)
+    return obj
 
 
 def validate(x: CwComplex) -> list[str]:
@@ -207,10 +215,8 @@ def euler_characteristic(x: CwComplex) -> int:
 def skeleton(x: CwComplex, n: int) -> CwComplex:
     if not (0 <= n <= x.dim):
         raise ValueError(f"skeleton dimension {n} out of range 0..{x.dim}")
-    return CwComplex(
-        x.cells[: n + 1], x.boundaries[:n], x.basepoint,
-        f"{x.name}_skel{n}" if x.name else "",
-    )
+    s = CwComplex(x.cells[: n + 1], x.boundaries[:n], x.basepoint, f"{x.name}_skel{n}" if x.name else "")
+    return s if x._violations else _born_valid(s)
 
 
 def quotient_by_skeleton(x: CwComplex, m: int) -> CwComplex:
@@ -227,7 +233,7 @@ def quotient_by_skeleton(x: CwComplex, m: int) -> CwComplex:
     bnds = [IntMatrix.zeros(cells[n - 1], cells[n]) for n in range(1, m + 2)]
     bnds.extend(x.boundaries[m + 1:])
     name = f"{x.name}/skel{m}" if x.name else ""
-    return CwComplex(cells, tuple(bnds), 0, name)
+    return _born_valid(CwComplex(cells, tuple(bnds), 0, name))
 
 
 def suspension(x: CwComplex) -> CwComplex:
@@ -241,7 +247,7 @@ def suspension(x: CwComplex) -> CwComplex:
         bnds.append(x.boundary(1).delete_row(x.basepoint))
         bnds.extend(x.boundaries[1:])
     name = f"susp({x.name})" if x.name else ""
-    return CwComplex(tuple(cells), tuple(bnds), 0, name)
+    return _born_valid(CwComplex(tuple(cells), tuple(bnds), 0, name))
 
 
 def add_disjoint_basepoint(x: CwComplex) -> CwComplex:
@@ -254,7 +260,7 @@ def add_disjoint_basepoint(x: CwComplex) -> CwComplex:
     if x.dim >= 1:
         bnds[0] = _vstack(x.boundary(1), IntMatrix.zeros(1, x.cells[1]))
     name = f"{x.name}+" if x.name else ""
-    return CwComplex(cells, tuple(bnds), c0, name)
+    return _born_valid(CwComplex(cells, tuple(bnds), c0, name))
 
 
 def _wedge_cells(xs) -> tuple:
@@ -300,15 +306,27 @@ def wedge(xs) -> CwComplex:
                     row[c] += v
     bnds = tuple(IntMatrix.from_rows(g, cols=cells[n]) for n, g in enumerate(grids, 1))
     name = "wedge(" + ", ".join(x.name or "?" for x in xs) + ")"
-    return CwComplex(cells, bnds, 0, name)
+    return _born_valid(CwComplex(cells, bnds, 0, name))
+
+
+_ZOO_MAX = 10 ** 5  # largest zoo dimension or genus, so a mistyped size cannot exhaust memory
+
+
+def _size(what: str, v: int, low: int) -> int:
+    """v, if it is a zoo dimension or genus in low.._ZOO_MAX."""
+    if v < low:
+        raise ValueError(f"{what} must be >= {low}")
+    if v > _ZOO_MAX:
+        raise ValueError(f"{what} must be <= {_ZOO_MAX}")
+    return v
 
 
 def _sphere(n: int) -> CwComplex:
     if n == 0:
-        return CwComplex((2,), (), 0, "S0")
+        return _born_valid(CwComplex((2,), (), 0, "S0"))
     cells = (1,) + (0,) * (n - 1) + (1,)
     bnds = tuple(IntMatrix.zeros(cells[k - 1], cells[k]) for k in range(1, n + 1))
-    return CwComplex(cells, bnds, 0, f"S{n}")
+    return _born_valid(CwComplex(cells, bnds, 0, f"S{n}"))
 
 
 def _surface_word(g: int):
@@ -322,22 +340,23 @@ def _surface_word(g: int):
 def _rp(n: int) -> CwComplex:
     cells = (1,) * (n + 1)
     bnds = tuple(IntMatrix.from_rows([[1 + (-1) ** k]]) for k in range(1, n + 1))
-    return CwComplex(cells, bnds, 0, f"RP{n}")
+    return _born_valid(CwComplex(cells, bnds, 0, f"RP{n}"))
 
 
 def _cp(n: int) -> CwComplex:
     cells = tuple(1 if k % 2 == 0 else 0 for k in range(2 * n + 1))
     bnds = tuple(IntMatrix.zeros(cells[k - 1], cells[k]) for k in range(1, 2 * n + 1))
-    return CwComplex(cells, bnds, 0, f"CP{n}")
+    return _born_valid(CwComplex(cells, bnds, 0, f"CP{n}"))
 
 
 def _moore(q: int, n: int) -> CwComplex:
     if q < 2 or n < 1:
         raise ValueError("moore requires q >= 2 and n >= 1")
+    _size("moore dimension", n, 1)
     cells = (1,) + (0,) * (n - 1) + (1, 1)
     bnds = [IntMatrix.zeros(cells[k - 1], cells[k]) for k in range(1, n + 1)]
     bnds.append(IntMatrix.from_rows([[q]]))
-    return CwComplex(cells, tuple(bnds), 0, f"M(Z/{q},{n})")
+    return _born_valid(CwComplex(cells, tuple(bnds), 0, f"M(Z/{q},{n})"))
 
 
 def _lens(p: int) -> CwComplex:
@@ -348,7 +367,7 @@ def _lens(p: int) -> CwComplex:
         IntMatrix.from_rows([[p]]),
         IntMatrix.from_rows([[0]]),
     )
-    return CwComplex((1, 1, 1, 1), bnds, 0, f"L({p})")
+    return _born_valid(CwComplex((1, 1, 1, 1), bnds, 0, f"L({p})"))
 
 
 ZOO_NAMES = ("point", "sphere", "torus", "klein", "rp", "cp", "moore", "surface", "lens")
@@ -362,13 +381,10 @@ def zoo(name: str, *params: int) -> CwComplex:
 
     if name == "point":
         arity(0)
-        return CwComplex((1,), (), 0, "point")
+        return _born_valid(CwComplex((1,), (), 0, "point"))
     if name == "sphere":
         arity(1)
-        n = params[0]
-        if n < 0:
-            raise ValueError("sphere dimension must be >= 0")
-        return _sphere(n)
+        return _sphere(_size("sphere dimension", params[0], 0))
     if name == "torus":
         arity(0)
         return from_presentation(
@@ -381,23 +397,17 @@ def zoo(name: str, *params: int) -> CwComplex:
         ).with_name("klein")
     if name == "surface":
         arity(1)
-        g = params[0]
-        if g < 1:
-            raise ValueError("surface genus must be >= 1")
+        g = _size("surface genus", params[0], 1)
         edges = tuple((0, 0) for _ in range(2 * g))
         return from_presentation(
             EdgePresentation(1, edges, (_surface_word(g),))
         ).with_name(f"surface{g}")
     if name == "rp":
         arity(1)
-        if params[0] < 1:
-            raise ValueError("rp dimension must be >= 1")
-        return _rp(params[0])
+        return _rp(_size("rp dimension", params[0], 1))
     if name == "cp":
         arity(1)
-        if params[0] < 1:
-            raise ValueError("cp dimension must be >= 1")
-        return _cp(params[0])
+        return _cp(_size("cp dimension", params[0], 1))
     if name == "moore":
         arity(2)
         return _moore(params[0], params[1])

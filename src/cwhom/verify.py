@@ -52,8 +52,8 @@ from .chainmaps import (
     ChainMap,
     MappingCone,
     _basepoint_differences,
-    _born_valid,
     _cone,
+    _inclusion,
     connecting_map,
     identity_map,
     inclusion_map,
@@ -65,6 +65,7 @@ from .chainmaps import (
 )
 from .complexes import (
     CwComplex,
+    _born_valid,
     _wedge_cells,
     add_disjoint_basepoint,
     quotient_by_skeleton,
@@ -393,7 +394,7 @@ def _skeletal_tower(x: CwComplex) -> tuple:
     quotients = tuple(_filtration_quotient(x, k) for k in range(x.dim + 1))
     levels = []
     for k in range(x.dim):
-        j = inclusion_map(quotients[k], _double_quotient(x, k))
+        j = _born_valid(_inclusion(quotients[k], _double_quotient(x, k)))
         cone = mapping_cone(j)
         levels.append((j, cone, _collapse_comparison(cone, quotients[k + 1])))
     return quotients, tuple(levels)

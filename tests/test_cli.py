@@ -388,3 +388,15 @@ def test_les_check_validates_the_given_map_once_and_sparsely(capsys, monkeypatch
     got = run(capsys, "check", str(p), "--suite", "les", "--coeff", "Z/2", "--range", "0..0")
     assert got == (0, "PASS les-exactness incl G=Z/2 dims=0..0\n", "")
     assert (len(validated), dense) == (1, [])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sphere", str(10**30)], "sphere dimension must be <= 100000\n"),
+    (["rp", str(10**30)], "rp dimension must be <= 100000\n"),
+    (["cp", str(10**30)], "cp dimension must be <= 100000\n"),
+    (["surface", str(10**30)], "surface genus must be <= 100000\n"),
+    (["moore", "2", str(10**30)], "moore dimension must be <= 100000\n"),
+    (["sphere", "100001"], "sphere dimension must be <= 100000\n"),
+])
+def test_zoo_sizes_above_the_ceiling_exit_1(capsys, argv, message):
+    assert run(capsys, "zoo", *argv) == (1, "", message)

@@ -208,3 +208,36 @@ def test_validity_is_computed_once_per_object(monkeypatch):
             require_valid(bad)
         assert "entry sum 2" in str(exc.value)
     assert calls == [good, bad]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("sphere", 10**5 + 1), "sphere dimension must be <= 100000"),
+    (("rp", 10**30), "rp dimension must be <= 100000"),
+    (("cp", 10**30), "cp dimension must be <= 100000"),
+    (("surface", 10**30), "surface genus must be <= 100000"),
+    (("moore", 2, 10**30), "moore dimension must be <= 100000"),
+])
+def test_zoo_refuses_sizes_above_the_ceiling(args, message):
+    # refused before any cell list is built: 10**30 would overflow or
+    # never finish
+    with pytest.raises(ValueError) as exc:
+        zoo(*args)
+    assert str(exc.value) == message
+
+
+def test_zoo_ceiling_itself_is_allowed():
+    assert zoo("sphere", 10**5).cells[-1] == 1
+
+
+def test_copies_and_skeleta_of_invalid_complexes_stay_invalid():
+    # with_name takes over its original's report, and a skeleton of an
+    # invalid complex computes its own, so neither is born valid
+    bad = CwComplex((2, 1, 1), (IntMatrix.from_rows([[1], [-1]]), IntMatrix.from_rows([[1]])))
+    for x in (bad.with_name("bad"), skeleton(bad, 2), bad.with_name("bad").with_name("")):
+        with pytest.raises(InvalidComplex, match="chain condition"):
+            require_valid(x)
+    # below the faulty dimension the skeleton is a valid complex
+    assert require_valid(skeleton(bad, 1)).cells == (2, 1)
+    unsummed = CwComplex((2, 1), (IntMatrix.from_rows([[1], [1]]),))
+    with pytest.raises(InvalidComplex, match="entry sum 2"):
+        require_valid(skeleton(unsummed, 1).with_name("s"))

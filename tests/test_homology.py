@@ -6,18 +6,22 @@ reductions), not read off from the implementation.
 """
 
 from dataclasses import FrozenInstanceError
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cwhom.homology as homology
 from cwhom.abgroups import FgAbGroup, normalize_diagonal, parse_group
 from cwhom.chainmaps import identity_map, inclusion_map, induced_map, shift_iso
 from cwhom.homology import _glue, all_groups, chain_group, cohomology, integral_homology
 from cwhom.complexes import skeleton, zoo
+from cwhom.documents import complex_from_doc
 from cwhom.intmat import ContainmentViolation, IntMatrix
 from cwhom.verify import standard_coefficients, standard_corpus
 from lattice_helpers import transform_work
+from test_documents import grid_torus_doc
+from test_reduction import conjugates
 
 Z = FgAbGroup.free(1)
 
@@ -285,3 +289,40 @@ def test_public_constructors_still_check_well_definedness():
     tgt = chain_group(zoo("sphere", 2), 2, Z, "cohomology", True)
     with pytest.raises(ValueError, match="not well-defined"):
         induced_hom(src, tgt, IntMatrix.identity(1))
+
+
+UCT_MODULI = (0, 2, 3, 4, 6)
+
+
+def _universal_coefficients(x, n, d):
+    """H^n(X; Z/d) from integral homology alone, as
+    Hom(H_n, Z/d) + Ext(H_{n-1}, Z/d); d = 0 stands for Z, where this is
+    free(H_n) + tors(H_{n-1}).  A cross-check only: the engine never
+    goes through universal coefficients."""
+    h, below = integral_homology(x, n).group, integral_homology(x, n - 1).group
+    if d == 0:
+        return normalize_diagonal([0] * h.rank + list(below.torsion))
+    return normalize_diagonal([d] * h.rank + [gcd(t, d) for t in h.torsion + below.torsion])
+
+
+def _check_universal_coefficients(x):
+    for d in UCT_MODULI:
+        coeff = FgAbGroup.cyclic(d) if d else Z
+        for n in range(x.dim + 2):
+            assert cohomology(x, n, coeff).group == _universal_coefficients(x, n, d), (x, n, d)
+
+
+def test_universal_coefficients_on_corpus():
+    for x in standard_corpus():
+        _check_universal_coefficients(x)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_universal_coefficients_on_grid_tori(k):
+    _check_universal_coefficients(complex_from_doc(grid_torus_doc(k)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugates())
+def test_universal_coefficients_on_conjugates(data):
+    _check_universal_coefficients(data[0])

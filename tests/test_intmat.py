@@ -454,3 +454,21 @@ def test_replayed_products_match_snf_transforms():
         assert lean.col_log.times(m, inverse=True) == full.Vinv @ m
         assert lean.row_log.times(mr) == full.Uinv @ mr
         assert lean.row_log.times(mr, inverse=True) == full.U @ mr
+
+
+def test_snf_matches_sympy():
+    # an independent Smith normal form, up to the sign of each entry;
+    # half the cases are products through a narrow middle, so that zero
+    # invariant factors are common
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    rng = random.Random(11)
+    for case in range(300):
+        a = random_matrix(rng, max_side=6)
+        if case % 2:
+            inner = rng.randint(1, 3)
+            a = (IntMatrix(a.rows, inner, tuple(rng.randint(-4, 4) for _ in range(a.rows * inner)))
+                 @ IntMatrix(inner, a.cols, tuple(rng.randint(-4, 4) for _ in range(inner * a.cols))))
+        want = smith_normal_form(sympy.Matrix([list(a.row(i)) for i in range(a.rows)]), domain=sympy.ZZ)
+        k = min(a.rows, a.cols)
+        assert snf(a).diagonal() == tuple(abs(int(want[i, i])) for i in range(k)), a

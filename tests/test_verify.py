@@ -385,3 +385,59 @@ def test_derived_homs_equal_the_checked_constructor(monkeypatch):
     assert len(derived) > 4000
     for h in set(derived):
         assert AbHom(h.source, h.target, h.matrix) == h
+
+
+def test_battery_validates_only_what_enters(monkeypatch):
+    # complexes are validated where edge words enter (from_presentation)
+    # and maps where they are handed to the LES check; every complex and
+    # map the package derives from them is born with its report
+    import cwhom.chainmaps as chainmaps
+    import cwhom.complexes as complexes
+    import cwhom.verify as verify
+    validated, presented, maps_validated, handed = [], [], [], []
+    real_validate, real_present = complexes.validate, complexes.from_presentation
+    real_validate_map, real_les = chainmaps.validate_map, verify.check_les_exactness
+    monkeypatch.setattr(complexes, "validate", lambda x: validated.append(x) or real_validate(x))
+    monkeypatch.setattr(complexes, "from_presentation", lambda p: presented.append(real_present(p)) or presented[-1])
+    monkeypatch.setattr(chainmaps, "validate_map", lambda f: maps_validated.append(f) or real_validate_map(f))
+    monkeypatch.setattr(verify, "check_les_exactness", lambda f, g: handed.append(f) or real_les(f, g))
+    for cache in _package_caches()[1]:
+        cache.cache_clear()
+    assert all(r.passed for r in run_battery())
+    assert [id(x) for x in validated] == [id(x) for x in presented]
+    assert len(presented) == 6
+    # inclusion_map validates its two maps when run_battery builds them,
+    # before the LES checks start
+    assert sorted(map(id, maps_validated)) == sorted({id(f) for f in handed})
+    assert len(maps_validated) == 8
+
+
+def test_cached_derived_complexes_are_born_valid():
+    # every complex the skeletal tower and the cone cache hold carries an
+    # empty report from birth, and passes validate afresh
+    from cwhom.chainmaps import _cone
+    from cwhom.complexes import validate
+    from cwhom.verify import _skeletal_tower
+    for cache in _package_caches()[1]:
+        cache.cache_clear()
+    run_battery()
+    towers, cones = _skeletal_tower.cache_info(), _cone.cache_info()
+    t, r = zoo("torus"), zoo("rp", 3)
+    les = [sphere_self_map(1, d) for d in (0, 1, 2, 6)]
+    les += [sphere_self_map(2, 3), identity_map(t), inclusion_map(skeleton(t, 1), t),
+            inclusion_map(skeleton(r, 2), r)]
+    held = []
+    for x in standard_corpus():
+        quotients, levels = _skeletal_tower(x)
+        held += quotients
+        for j, cone, collapse in levels:
+            held += [j.source, j.target, cone.cone, cone.projection.target, collapse.target]
+    for f in les:
+        c = _cone(f)
+        held += [c.map.source, c.map.target, c.cone, c.projection.target]
+    # every lookup hit, and every entry was looked up
+    assert (_skeletal_tower.cache_info().misses, _cone.cache_info().misses) == (towers.misses, cones.misses)
+    assert (towers.currsize, cones.currsize) == (len(set(standard_corpus())), len(set(les)))
+    for x in held:
+        assert x._violations == ()
+        assert validate(x) == [], x
