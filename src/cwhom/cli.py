@@ -17,6 +17,7 @@ from .abgroups import FgAbGroup, GroupSyntaxError, parse_group
 from .chainmaps import ChainMap, degree, mapping_cone, require_valid_map, validate_map
 from .complexes import (
     ZOO_NAMES,
+    _ZOO_MAX,
     euler_characteristic,
     quotient_by_skeleton,
     require_valid,
@@ -96,6 +97,8 @@ def _parse_range(text: str) -> range:
         raise argparse.ArgumentTypeError(f"expected a..b, got {text!r}")
     if not sep or b < a:
         raise argparse.ArgumentTypeError(f"expected a..b with a <= b, got {text!r}")
+    if b - a > _ZOO_MAX:  # the zoo's ceiling: a mistyped bound cannot run for hours
+        raise argparse.ArgumentTypeError(f"expected a..b spanning at most {_ZOO_MAX + 1} dimensions, got {text!r}")
     return range(a, b + 1)
 
 

@@ -77,6 +77,14 @@ class CwComplex:
         return IntMatrix.zeros(self.cells_at(n - 1), self.cells_at(n))
 
     @cached_property
+    def _hash(self) -> int:
+        # frozen, and the key of every homology cache: hashed at most once
+        return hash((self.cells, self.boundaries, self.basepoint))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
     def _violations(self) -> tuple:
         # the complex is frozen, so its validity is computed at most once
         return tuple(validate(self))

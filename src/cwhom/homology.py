@@ -7,20 +7,20 @@ universal coefficients).  Each cyclic factor Z/d (Z for d = 0) is the
 quotient of the (co)cycles mod d, {v : out v = 0 mod d}, by im(in) + d Z^m,
 both built from the (co)chain complex itself.  One SNF of the outgoing
 map, out = U S V, serves every factor: the cycle lattice mod d is read
-off S and V, the denominator is written against it with the single
-product V @ in, and one SNF of those coordinates gives the factor's
-group, lifts and coordinate map (``intmat._CycleQuotients``).  Neither
-SNF builds a transform: V @ in is replayed from the first one's operation
-log straight onto in, and the group is read off the second one's
-diagonal.  The cycle quotient of an (out, in) pair and each factor
-presentation of (out, in, d) are built once per distinct pair in a
-process, in bounded caches keyed by the value of the chain maps: every
-coefficient group that contains Z/d, and every complex with equal
-(residual) boundaries there, shares one immutable presentation.  The
-whole group, across factors, is the invariant-factor form of the
-factors' generator orders, with no SNF at all; a coefficient group with
-one cyclic factor is glued by the identity when that is what the general
-glue gives (see ``_glue``).
+off S and V, and the denominator is written against it with the single
+product V @ in (``intmat._CycleQuotients``).  Each chain matrix B is
+eliminated once, with no transform, as the out-map of chains (V) and of
+cochains (B^T = V^T S^T U^T: U^T, from B's row log transposed), and as
+the in-map of both, whose diagonal gives the integral factor's group:
+only a factor Z/d, d >= 2, runs an SNF of its own.  These eliminations,
+the cycle quotient of an (out, in) pair and each factor presentation of
+(out, in, d) are built once per distinct key in a process, in bounded
+caches keyed by the value of the chain maps: every coefficient group
+that contains Z/d, and every complex with equal (residual) boundaries
+there, shares one immutable presentation.  The whole group, across
+factors, is the invariant-factor form of the factors' generator orders,
+with no SNF at all; a coefficient group with one cyclic factor is glued
+by the identity when that is what the general glue gives (see ``_glue``).
 
 The reduced variants use the augmented complex: at dimension 0 the
 all-ones augmentation row (for chains) or column (for cochains) is fed to
@@ -61,6 +61,7 @@ from .intmat import (
     IntMatrix,
     NotInLattice,
     _CycleQuotients,
+    _eliminate,
     _ones,
     _present,
     _put,
@@ -170,15 +171,24 @@ def _graded_maps(x: CwComplex, n: int, variant: str, reduced: bool):
     return _graded(*_chain_maps(x, n, reduced), variant)
 
 
-# one cycle quotient per distinct (chain maps, variant) and one presentation
-# per distinct (chain maps, variant, d), bounded with headroom over one
-# check battery (48 pairs, 192 factors).  The keys are the chain maps the
+# one elimination per distinct chain matrix, one cycle quotient per
+# distinct (chain maps, variant) and one presentation per distinct (chain
+# maps, variant, d), bounded with headroom over one check battery (23
+# matrices, 48 pairs, 192 factors).  The keys are the chain maps the
 # complex already holds, not the cochain maps: transposes would be built
 # and hashed on every miss and kept alive by the keys.  A factor whose
 # in-map is not a (co)cycle mod d raises, and is not kept.
+_elimination = lru_cache(maxsize=96)(_eliminate)
+
+
 @lru_cache(maxsize=64)
 def _cycle_quotients(out: IntMatrix, inc: IntMatrix, variant: str) -> _CycleQuotients:
-    return _CycleQuotients(*_graded(out, inc, variant))
+    a, b = _elimination(out), _elimination(inc)
+    if variant == "cohomology":
+        # inc^T is eliminated by b's transpose; of out^T only the diagonal
+        # is read, and out's elimination a has it
+        a, b = b.transpose(), a
+    return _CycleQuotients(*_graded(out, inc, variant), a, b)
 
 
 @lru_cache(maxsize=256)
@@ -188,8 +198,8 @@ def _factor(out: IntMatrix, inc: IntMatrix, variant: str, modulus: int) -> Group
 
 def _factor_presentations(out: IntMatrix, inc: IntMatrix, variant: str, coeff: FgAbGroup) -> list:
     """(modulus, presentation) for each cyclic factor of coeff, from the
-    chain maps at one dimension; all are read off one SNF of the outgoing
-    map."""
+    chain maps at one dimension; all are read off one elimination of
+    each chain map."""
     return [(m, _factor(out, inc, variant, m)) for m in coeff_factors(coeff)]
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "IntMatrix",
@@ -230,10 +230,9 @@ class _Log:
     changes sign (i == j).  T @ M replays them onto the rows of M, and
     T^-1 @ M replays their inverses backwards.
 
-    ``pair()`` replays (T, T^-1) onto the identity once and then drops the
-    operations, so ``times`` comes first: a log shared by several
-    presentations is replayed at most once, and never when none of them
-    is read.
+    ``pair()`` replays (T, T^-1) onto the identity once, and never when
+    no presentation sharing the log is read; the operations stay, since
+    every cycle quotient read off one elimination replays them too.
     """
 
     __slots__ = ("n", "ops", "_pair")
@@ -247,7 +246,7 @@ class _Log:
         """T @ m, or T^-1 @ m when ``inverse``."""
         if m.rows != self.n:
             raise ValueError(f"shape mismatch {self.n}x{self.n} @ {m.shape}")
-        if len(self.ops) == 0:  # T = I; a log pair() has dropped fails here
+        if not self.ops:  # T = I
             return m
         rows = m.to_rows()
         if inverse:
@@ -270,8 +269,15 @@ class _Log:
         if self._pair is None:
             eye = IntMatrix.identity(self.n)
             self._pair = (self.times(eye), self.times(eye, inverse=True))
-            self.ops = None
         return self._pair
+
+    def transposed(self) -> "_Log":
+        """The log of T^-T: each operation inverted and transposed, in
+        order (row_j -= k row_i for row_i += k row_j; swaps and signs stay)."""
+        log = _Log(self.n)
+        it = iter(self.ops)
+        log.ops = [v for i, j, k in zip(it, it, it) for v in (j, i, -k)]
+        return log
 
 
 class _SnfWork:
@@ -433,6 +439,24 @@ def _snf_ext(a: IntMatrix, want) -> SnfResult:
                      w.row_log, w.col_log)
 
 
+class _Elimination(NamedTuple):
+    """A transform-free SNF A = U S V kept for reuse: the nonzero diagonal
+    s of S and the logs that build U^-1 (``rows``) and V (``cols``)."""
+
+    s: tuple
+    rows: _Log
+    cols: _Log
+
+    def transpose(self) -> "_Elimination":
+        """That of A^T = V^T S^T U^T, with no SNF."""
+        return _Elimination(self.s, self.cols.transposed(), self.rows.transposed())
+
+
+def _eliminate(a: IntMatrix) -> _Elimination:
+    ext = _snf_ext(a, ())
+    return _Elimination(ext.diagonal()[:ext.rank], ext.row_log, ext.col_log)
+
+
 def snf(a: IntMatrix) -> SnfResult:
     """Smith normal form A = U @ S @ V with unimodular U and V.
 
@@ -480,8 +504,8 @@ def _vstack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Columns form a Z-basis of the integer kernel {x : a @ x = 0}: the
     columns rank.. of V^-1, replayed onto those unit vectors alone."""
-    ext = _snf_ext(a, ())
-    return ext.col_log.times(_unit_columns(a.cols, range(ext.rank, a.cols)), inverse=True)
+    s, _, cols = _eliminate(a)
+    return cols.times(_unit_columns(a.cols, range(len(s), a.cols)), inverse=True)
 
 
 def _coordinates_from_ext(y: Sequence[int], e: Sequence[int], live: Sequence[int]) -> tuple:
@@ -506,14 +530,13 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     replayed from the SNF's logs."""
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
-    ext = _snf_ext(a, ())
-    r = ext.rank
+    s, rows, cols = _eliminate(a)
+    r = len(s)
     try:
-        z = _coordinate_columns(ext.row_log.times(b), ext.diagonal()[:r] + (0,) * (b.rows - r), range(r))
+        z = _coordinate_columns(rows.times(b), s + (0,) * (b.rows - r), range(r))
     except NotInLattice:
         return None
-    return ext.col_log.times(IntMatrix(a.cols, b.cols, z.entries + (0,) * ((a.cols - r) * b.cols)),
-                             inverse=True)
+    return cols.times(IntMatrix(a.cols, b.cols, z.entries + (0,) * ((a.cols - r) * b.cols)), inverse=True)
 
 
 def preimage_lattice(m: IntMatrix, relations: IntMatrix) -> IntMatrix:
@@ -567,12 +590,12 @@ class GroupWithPresentation:
 class _Presented(GroupWithPresentation):
     """The quotient N / D of a lattice N in Z^m by a sublattice D, kept as
     the log of the SNF rel = U S V of D's coordinates against a basis of N
-    until lifts or coords are read.  N's basis is e_i T^-1_i, i in
-    ``live``, for a unimodular T given by its log (None: the identity):
-    v lies in N when e_i divides (T v)_i for every i, and its coordinates
-    are then (T v)_i / e_i, i in live.  The first read replays the
-    generators' columns of U and rows of U^-1 and drops rel's log; T's
-    log is replayed once for every presentation that shares it."""
+    (or rel, while that SNF waits) until lifts or coords are read.  N's
+    basis is e_i T^-1_i, i in ``live``, for a unimodular T given by its
+    log (None: the identity): v lies in N when e_i divides (T v)_i for
+    every i, and its coordinates are then (T v)_i / e_i, i in live.  The
+    first read replays the generators' columns of U and rows of U^-1 and
+    drops rel; T's log is replayed once for every presentation sharing it."""
 
     __slots__ = ("_t", "_e", "_live", "_rel", "_lifts", "_uinv")
 
@@ -582,12 +605,11 @@ class _Presented(GroupWithPresentation):
             _put(self, name, value)
 
     def _read(self):
-        """Lifts and the generators' rows of U^-1, from rel's log (or,
-        for relation orders given as such, from the SNF of their relation
-        columns, built now)."""
-        rel = self._rel
-        if not isinstance(rel, _Log):
-            rel = _snf_ext(_relations(rel), ()).row_log
+        """Lifts and the generators' rows of U^-1, from rel's log (run
+        now if it waits, on relation columns built now from orders)."""
+        rel = _relations(self._rel) if isinstance(self._rel, tuple) else self._rel
+        if isinstance(rel, IntMatrix):
+            rel = _eliminate(rel).rows
         r, free, tors = rel.n, self.group.rank, len(self.group.torsion)
         rank = r - free
         # free generators past the rank, then the torsion entries of S
@@ -619,22 +641,23 @@ class _Presented(GroupWithPresentation):
         return tuple(w % o if o else w for w, o in zip(self._uinv.apply(y), self.group.generator_orders()))
 
 
+def _cokernel(rows: int, s) -> "FgAbGroup":  # FgAbGroup: cwhom.abgroups
+    """Z^rows over relations whose SNF has the nonzero diagonal s."""
+    from .abgroups import FgAbGroup  # deferred to avoid an import cycle
+    return FgAbGroup(rows - len(s), tuple(x for x in s if x >= 2))
+
+
 def _present(ambient_dim: int, rel, t: _Log | None, e, live, group=None) -> GroupWithPresentation:
     """The quotient of a lattice N in Z^m by a sublattice D, from D's
     generators written in coordinates against the basis of N that t, e
     and live describe (the columns of ``rel``; see ``_Presented``).  One
     SNF of rel, with no transform, gives the canonical group now; the
     lifts and the coordinate map wait for their first read.  A caller
-    that knows the group passes it, for a D spanned by the o_i e_i, with
-    the orders o_i in place of rel; the relation columns are then built,
-    and their SNF run, only on the first read."""
-    from .abgroups import FgAbGroup  # deferred to avoid an import cycle
-
+    that knows the group passes it, and rel's SNF waits for that read too
+    (rel may then be the orders o_i, a tuple, of a D spanned by o_i e_i)."""
     if group is None:
-        ext = _snf_ext(rel, ())
-        d = ext.diagonal()
-        group = FgAbGroup(rel.rows - ext.rank, tuple(x for x in d[:ext.rank] if x >= 2))
-        rel = ext.row_log
+        s, log, _ = _eliminate(rel)
+        group, rel = _cokernel(rel.rows, s), log
     return _Presented(group, ambient_dim, t, e, live, rel)
 
 
@@ -650,19 +673,18 @@ def quotient_group(ambient_dim: int, numerator: IntMatrix, denominator: IntMatri
     """
     if numerator.rows != ambient_dim or denominator.rows != ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    ext = _snf_ext(numerator, ())
-    r = ext.rank
-    e = ext.diagonal()[:r] + (0,) * (ambient_dim - r)
+    s, rows, _ = _eliminate(numerator)
+    e = s + (0,) * (ambient_dim - len(s))
     try:
-        rel = _coordinate_columns(ext.row_log.times(denominator), e, range(r))
+        rel = _coordinate_columns(rows.times(denominator), e, range(len(s)))
     except NotInLattice as exc:
         raise ContainmentViolation(f"denominator column outside numerator lattice: {exc}") from None
-    return _present(ambient_dim, rel, ext.row_log, e, range(r))
+    return _present(ambient_dim, rel, rows, e, range(len(s)))
 
 
 class _CycleQuotients:
     """ker(out mod d) / im(in mod d) for every modulus d (d = 0: over Z),
-    all read off one SNF out = U S V that computes no transform.
+    all read off one SNF out = U S V and one of in, with no transform.
 
     With y = V v and s the diagonal (s_i = 0 past the rank), out v = 0
     mod d exactly when d divides every s_i y_i, that is when e_i divides
@@ -673,16 +695,20 @@ class _CycleQuotients:
     product V @ in replayed onto in and shared by every modulus, and,
     because V Z^m = Z^m, the diagonal block d / e_i, which lets row i of
     the in-part be reduced mod d / e_i.  Coordinates where d / e_i = 1
-    are killed outright and dropped.  V and V^-1 themselves are replayed
-    only when some factor's lifts or coords are read, once for all.
+    are killed outright and dropped.  Over Z, ker(out) is saturated and
+    contains im(in): the group is Z^(m - rank out - rank in) plus the
+    invariant factors of in, and only a factor mod d >= 2 runs the SNF of
+    its coordinates now.  Both SNFs are the caller's when it has them.
+    V and V^-1 are replayed only when some factor is read, once for all.
     """
 
-    def __init__(self, out_map: IntMatrix, in_map: IntMatrix):
+    def __init__(self, out_map: IntMatrix, in_map: IntMatrix,
+                 out_elim: _Elimination | None = None, in_elim: _Elimination | None = None):
         if in_map.rows != out_map.cols:
             raise ValueError("shapes not composable")
-        ext = _snf_ext(out_map, ())
-        self.t, self.s = ext.col_log, ext.diagonal()[:ext.rank]
-        self.v_in = ext.col_log.times(in_map)
+        self.s, _, self.t = out_elim or _eliminate(out_map)
+        self.in_s = (in_elim or _eliminate(in_map)).s
+        self.v_in = self.t.times(in_map)
 
     def quotient(self, d: int) -> GroupWithPresentation:
         """The factor for modulus d; ContainmentViolation when some column
@@ -696,8 +722,9 @@ class _CycleQuotients:
             rel = _coordinate_columns(self.v_in, e, live)
         except NotInLattice as exc:
             raise ContainmentViolation(f"in-map column outside the cycle lattice: {exc}") from None
-        if d:
-            orders = [g[i] for i in live]
-            reduced = [[w % o for w in rel.row(k)] for k, o in enumerate(orders)]
-            rel = IntMatrix.hstack(IntMatrix.from_rows(reduced, cols=rel.cols), _relations(orders))
+        if not d:
+            return _present(m, rel, self.t, e, live, group=_cokernel(len(live), self.in_s))
+        orders = [g[i] for i in live]
+        reduced = [[w % o for w in rel.row(k)] for k, o in enumerate(orders)]
+        rel = IntMatrix.hstack(IntMatrix.from_rows(reduced, cols=rel.cols), _relations(orders))
         return _present(m, rel, self.t, e, live)

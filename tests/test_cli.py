@@ -400,3 +400,21 @@ def test_les_check_validates_the_given_map_once_and_sparsely(capsys, monkeypatch
 ])
 def test_zoo_sizes_above_the_ceiling_exit_1(capsys, argv, message):
     assert run(capsys, "zoo", *argv) == (1, "", message)
+
+
+def test_check_range_above_the_ceiling_exits_3(capsys, torus_file):
+    # a range of more than 100 001 dimensions is a usage error, refused
+    # before any check runs, like a range with a > b
+    with pytest.raises(SystemExit) as exc:
+        main(["check", torus_file, "--range", "0..99999999999"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 3 and out == ""
+    assert err.splitlines()[-1] == ("cwhom check: error: argument --range: expected a..b spanning at most "
+                                    "100001 dimensions, got '0..99999999999'")
+    assert sum("error" in line for line in err.splitlines()) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["check", torus_file, "--range=-5..99996"])
+    assert exc.value.code == 3 and "spanning at most 100001" in capsys.readouterr().err
+    # the widest range accepted
+    from cwhom.cli import _parse_range
+    assert _parse_range("-5..99995") == range(-5, 99996) and len(_parse_range("0..100000")) == 100001

@@ -241,3 +241,16 @@ def test_copies_and_skeleta_of_invalid_complexes_stay_invalid():
     unsummed = CwComplex((2, 1), (IntMatrix.from_rows([[1], [1]]),))
     with pytest.raises(InvalidComplex, match="entry sum 2"):
         require_valid(skeleton(unsummed, 1).with_name("s"))
+
+
+def test_complex_hash_is_kept_on_the_instance():
+    # every homology cache is keyed by the complex: its boundaries are
+    # hashed once, not on every lookup
+    x = zoo("rp", 3)
+    assert "_hash" not in x.__dict__
+    h = hash(x)
+    assert x.__dict__["_hash"] == h == hash((x.cells, x.boundaries, x.basepoint)) == hash(x)
+    y = x.with_name("other")
+    assert y is not x and y.name == "other"
+    assert hash(y) == h and y == x
+    assert {x: "hit"}.get(y) == "hit"

@@ -326,3 +326,73 @@ def test_universal_coefficients_on_grid_tori(k):
 @given(conjugates())
 def test_universal_coefficients_on_conjugates(data):
     _check_universal_coefficients(data[0])
+
+
+def test_one_snf_per_chain_matrix():
+    # chains, cochains and the integral factor of both share one
+    # elimination of each chain matrix; only a Z/4 factor runs an SNF of
+    # its own relations.  x has no unit entry, so nothing is reduced away.
+    from cwhom.complexes import CwComplex, require_valid
+    from cwhom.homology import _chain_maps
+    x = require_valid(CwComplex((1, 2, 2, 1), (
+        IntMatrix.zeros(1, 2),
+        IntMatrix.from_rows([[2, 2], [2, 2]]),
+        IntMatrix.from_rows([[3], [-3]]),
+    )))
+    assert homology._reduction(x) is None
+    z4 = parse_group("Z + Z/4")
+    _clear_presentation_caches()
+    homology._elimination.cache_clear()
+    with transform_work() as seen:
+        tables = [[str(g) for g in all_groups(x, coeff, variant, reduced).values()]
+                  for reduced in (False, True) for coeff, variant in ((Z, "homology"), (z4, "cohomology"))]
+    assert tables == [
+        ["0", "Z", "Z + Z/2", "Z/3", "0", "0"],
+        ["0", "Z + Z/4", "Z + Z/2 + Z/4", "Z/2 + Z/2", "Z/3", "0"],
+        ["0", "0", "Z + Z/2", "Z/3", "0", "0"],
+        ["0", "0", "Z + Z/2 + Z/4", "Z/2 + Z/2", "Z/3", "0"],
+    ]
+    pairs = {_chain_maps(x, n, reduced) for n in range(x.dim + 1) for reduced in (False, True)}
+    # out-of-range dimensions read the pair of empty maps (cells_presentation)
+    empty = IntMatrix.zeros(0, 0)
+    matrices = {m for pair in pairs for m in pair} | {empty}
+    assert len(matrices) == 7 and len(pairs) == 5
+    assert seen.snfs == len(matrices) + len(pairs) + 1
+    assert (seen.transforms, seen.matmuls) == ([], [])
+
+
+def _sympy_invariants(sympy, b):
+    """(rank, torsion) of b from sympy's Smith normal form."""
+    from sympy.matrices.normalforms import smith_normal_form
+    if not b.rows or not b.cols:
+        return 0, ()
+    s = smith_normal_form(sympy.Matrix(b.to_rows()), domain=sympy.ZZ)
+    d = [abs(int(s[i, i])) for i in range(min(b.rows, b.cols))]
+    return sum(1 for v in d if v), tuple(sorted(v for v in d if v >= 2))
+
+
+def _check_against_sympy(x):
+    # H_n = Z^(c_n - r_n - r_{n+1}) + tors(B_{n+1}); H^n has the same
+    # rank and the torsion of B_n.  The SNF here is sympy's, not the engine's.
+    sympy = pytest.importorskip("sympy")
+    inv = [_sympy_invariants(sympy, x.boundary(n)) for n in range(x.dim + 2)]
+    for n in range(x.dim + 1):
+        free = x.cells[n] - inv[n][0] - inv[n + 1][0]
+        assert chain_group(x, n, Z, "homology", False).group == normalize_diagonal([0] * free + list(inv[n + 1][1]))
+        assert chain_group(x, n, Z, "cohomology", False).group == normalize_diagonal([0] * free + list(inv[n][1]))
+
+
+def test_integral_groups_match_sympy_on_corpus():
+    for x in standard_corpus():
+        _check_against_sympy(x)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_integral_groups_match_sympy_on_grid_tori(k):
+    _check_against_sympy(complex_from_doc(grid_torus_doc(k)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugates())
+def test_integral_groups_match_sympy_on_conjugates(data):
+    _check_against_sympy(data[0])

@@ -472,3 +472,38 @@ def test_snf_matches_sympy():
         want = smith_normal_form(sympy.Matrix([list(a.row(i)) for i in range(a.rows)]), domain=sympy.ZZ)
         k = min(a.rows, a.cols)
         assert snf(a).diagonal() == tuple(abs(int(want[i, i])) for i in range(k)), a
+
+
+def test_transposed_row_log_replays_u_transpose():
+    # A = U S V gives A^T = V^T S^T U^T: the row log transposed builds U^T,
+    # the V of A^T, with no SNF of A^T and no product with U
+    rng = random.Random(61)
+
+    def rand(r, c):
+        return IntMatrix(r, c, tuple(rng.randint(-9, 9) for _ in range(r * c)))
+
+    for _ in range(150):
+        a = rand(rng.randint(0, 7), rng.randint(0, 7))
+        full, lean = snf(a), _snf_ext(a, ())
+        m = rand(a.rows, rng.randint(0, 3))
+        log = lean.row_log.transposed()
+        assert log.times(m) == full.U.transpose() @ m
+        assert log.times(m, inverse=True) == full.Uinv.transpose() @ m
+        # the log it came from still replays after its pair is built
+        assert lean.row_log.pair() == (full.Uinv, full.U)
+        assert lean.row_log.times(m) == full.Uinv @ m
+
+
+@pytest.mark.parametrize("out, inn", [
+    ([[1]], [[1]]),
+    ([[2]], [[3]]),
+    ([[1, 1]], [[1], [0]]),
+    ([[2, 0], [0, 0]], [[0, 1], [1, 0]]),
+])
+def test_integral_factor_of_a_non_complex_pair_still_raises(out, inn):
+    # the group over Z is read off in's SNF, but the in-map is still
+    # checked against the cycles at once
+    out, inn = IntMatrix.from_rows(out), IntMatrix.from_rows(inn)
+    assert not (out @ inn).is_zero()
+    with pytest.raises(ContainmentViolation):
+        _CycleQuotients(out, inn).quotient(0)
