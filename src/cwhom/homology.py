@@ -10,9 +10,12 @@ map, out = U S V, serves every factor: the cycle lattice mod d is read
 off S and V, and the denominator is written against it with the single
 product V @ in (``intmat._CycleQuotients``).  Each chain matrix B is
 eliminated once, with no transform, as the out-map of chains (V) and of
-cochains (B^T = V^T S^T U^T: U^T, from B's row log transposed), and as
-the in-map of both, whose diagonal gives the integral factor's group:
-only a factor Z/d, d >= 2, runs an SNF of its own.  These eliminations,
+cochains (B^T = V^T S^T U^T: U^T, B's row log read transposed in place),
+and as the in-map of both, whose diagonal gives the integral factor's
+group: only a factor Z/d, d >= 2, runs an SNF of its own.  The complex
+was proved valid where it came in, so V @ in (and a cochain in-map B^T)
+is built only for such a factor or on the first read of the integral
+factor's lifts or coords, never for its group alone.  These eliminations,
 the cycle quotient of an (out, in) pair and each factor presentation of
 (out, in, d) are built once per distinct key in a process, in bounded
 caches keyed by the value of the chain maps: every coefficient group
@@ -156,19 +159,15 @@ def _chain_maps(x: CwComplex, n: int, reduced: bool):
     return out, x.boundary(n + 1)
 
 
-def _graded(out: IntMatrix, inc: IntMatrix, variant: str):
-    """(outgoing map, incoming map) of the variant's complex from the chain
-    maps: the chain maps, or for cochains their transposes swapped."""
+def _graded_maps(x: CwComplex, n: int, variant: str, reduced: bool):
+    """(outgoing map, incoming map) at dimension n; ambient is c_n: the
+    chain maps, or for cochains their transposes swapped."""
+    out, inc = _chain_maps(x, n, reduced)
     if variant == "homology":
         return out, inc
     if variant == "cohomology":
         return inc.transpose(), out.transpose()
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def _graded_maps(x: CwComplex, n: int, variant: str, reduced: bool):
-    """(outgoing map, incoming map) at dimension n; ambient is c_n."""
-    return _graded(*_chain_maps(x, n, reduced), variant)
 
 
 # one elimination per distinct chain matrix, one cycle quotient per
@@ -183,12 +182,16 @@ _elimination = lru_cache(maxsize=96)(_eliminate)
 
 @lru_cache(maxsize=64)
 def _cycle_quotients(out: IntMatrix, inc: IntMatrix, variant: str) -> _CycleQuotients:
-    a, b = _elimination(out), _elimination(inc)
+    """The cycle quotients of chain maps of a complex ``require_valid``
+    proved (or of its residual), so the chain condition is not checked."""
+    if variant == "homology":
+        s, _, t = _elimination(out)
+        return _CycleQuotients.of_complex(s, t, _elimination(inc).s, lambda: inc)
     if variant == "cohomology":
-        # inc^T is eliminated by b's transpose; of out^T only the diagonal
-        # is read, and out's elimination a has it
-        a, b = b.transpose(), a
-    return _CycleQuotients(*_graded(out, inc, variant), a, b)
+        # inc^T = V^T S^T U^T: its V is U^T, inc's row log read transposed
+        s, rows, _ = _elimination(inc)
+        return _CycleQuotients.of_complex(s, rows.transposed(), _elimination(out).s, out.transpose)
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 @lru_cache(maxsize=256)

@@ -16,7 +16,7 @@ must accept them.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -228,18 +228,20 @@ class _Log:
     from the n x n identity, in order, as flat (i, j, k) triples: row_i +=
     k row_j when k != 0; otherwise rows i and j swap (i != j) or row i
     changes sign (i == j).  T @ M replays them onto the rows of M, and
-    T^-1 @ M replays their inverses backwards.
+    T^-1 @ M replays their inverses backwards.  A transposed log builds
+    T^-T from the same list, reading row_i += k row_j as row_j -= k row_i.
 
     ``pair()`` replays (T, T^-1) onto the identity once, and never when
     no presentation sharing the log is read; the operations stay, since
     every cycle quotient read off one elimination replays them too.
     """
 
-    __slots__ = ("n", "ops", "_pair")
+    __slots__ = ("n", "ops", "_transposed", "_pair")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, ops=None, transposed: bool = False):
         self.n = n
-        self.ops = []
+        self.ops = [] if ops is None else ops
+        self._transposed = transposed
         self._pair = None
 
     def times(self, m: IntMatrix, inverse: bool = False) -> IntMatrix:
@@ -249,12 +251,12 @@ class _Log:
         if not self.ops:  # T = I
             return m
         rows = m.to_rows()
-        if inverse:
-            it = reversed(self.ops)
-            triples = ((i, j, -k) for k, j, i in zip(it, it, it))
+        it = reversed(self.ops) if inverse else iter(self.ops)
+        ops = zip(it, it, it)  # (k, j, i) when reversed
+        if self._transposed:
+            triples = ((j, i, k) for k, j, i in ops) if inverse else ((j, i, -k) for i, j, k in ops)
         else:
-            it = iter(self.ops)
-            triples = zip(it, it, it)
+            triples = ((i, j, -k) for k, j, i in ops) if inverse else ops
         for i, j, k in triples:
             if k:
                 rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
@@ -272,12 +274,8 @@ class _Log:
         return self._pair
 
     def transposed(self) -> "_Log":
-        """The log of T^-T: each operation inverted and transposed, in
-        order (row_j -= k row_i for row_i += k row_j; swaps and signs stay)."""
-        log = _Log(self.n)
-        it = iter(self.ops)
-        log.ops = [v for i, j, k in zip(it, it, it) for v in (j, i, -k)]
-        return log
+        """The log of T^-T, reading this log's operations in place."""
+        return _Log(self.n, self.ops, not self._transposed)
 
 
 class _SnfWork:
@@ -447,10 +445,6 @@ class _Elimination(NamedTuple):
     rows: _Log
     cols: _Log
 
-    def transpose(self) -> "_Elimination":
-        """That of A^T = V^T S^T U^T, with no SNF."""
-        return _Elimination(self.s, self.cols.transposed(), self.rows.transposed())
-
 
 def _eliminate(a: IntMatrix) -> _Elimination:
     ext = _snf_ext(a, ())
@@ -590,12 +584,13 @@ class GroupWithPresentation:
 class _Presented(GroupWithPresentation):
     """The quotient N / D of a lattice N in Z^m by a sublattice D, kept as
     the log of the SNF rel = U S V of D's coordinates against a basis of N
-    (or rel, while that SNF waits) until lifts or coords are read.  N's
-    basis is e_i T^-1_i, i in ``live``, for a unimodular T given by its
-    log (None: the identity): v lies in N when e_i divides (T v)_i for
-    every i, and its coordinates are then (T v)_i / e_i, i in live.  The
-    first read replays the generators' columns of U and rows of U^-1 and
-    drops rel; T's log is replayed once for every presentation sharing it."""
+    (or rel, or a callable that builds it, while that SNF waits) until
+    lifts or coords are read.  N's basis is e_i T^-1_i, i in ``live``, for
+    a unimodular T given by its log (None: the identity): v lies in N when
+    e_i divides (T v)_i for every i, and its coordinates are then (T v)_i /
+    e_i, i in live.  The first read replays the generators' columns of U
+    and rows of U^-1 and drops rel; T's log is replayed once for every
+    presentation sharing it."""
 
     __slots__ = ("_t", "_e", "_live", "_rel", "_lifts", "_uinv")
 
@@ -606,8 +601,8 @@ class _Presented(GroupWithPresentation):
 
     def _read(self):
         """Lifts and the generators' rows of U^-1, from rel's log (run
-        now if it waits, on relation columns built now from orders)."""
-        rel = _relations(self._rel) if isinstance(self._rel, tuple) else self._rel
+        now if it waits, on rel built now if it is not yet)."""
+        rel = self._rel() if callable(self._rel) else self._rel
         if isinstance(rel, IntMatrix):
             rel = _eliminate(rel).rows
         r, free, tors = rel.n, self.group.rank, len(self.group.torsion)
@@ -654,7 +649,10 @@ def _present(ambient_dim: int, rel, t: _Log | None, e, live, group=None) -> Grou
     SNF of rel, with no transform, gives the canonical group now; the
     lifts and the coordinate map wait for their first read.  A caller
     that knows the group passes it, and rel's SNF waits for that read too
-    (rel may then be the orders o_i, a tuple, of a D spanned by o_i e_i)."""
+    (rel may then be a callable that builds it, or the orders o_i, a
+    tuple, of a D spanned by o_i e_i, whose columns wait for that read)."""
+    if isinstance(rel, tuple):
+        rel = partial(_relations, rel)
     if group is None:
         s, log, _ = _eliminate(rel)
         group, rel = _cokernel(rel.rows, s), log
@@ -698,32 +696,54 @@ class _CycleQuotients:
     are killed outright and dropped.  Over Z, ker(out) is saturated and
     contains im(in): the group is Z^(m - rank out - rank in) plus the
     invariant factors of in, and only a factor mod d >= 2 runs the SNF of
-    its coordinates now.  Both SNFs are the caller's when it has them.
-    V and V^-1 are replayed only when some factor is read, once for all.
+    its coordinates now.  V and V^-1 are replayed only when some factor
+    is read, once for all.
+
+    Each factor of a pair of any two maps checks the in-map against its
+    cycles as it is built.  A pair of a complex proved valid where it came
+    in (``of_complex``) is not checked again: V @ in, and the in-map, are
+    built for the first factor mod d >= 2 or the first read of the
+    integral factor's lifts or coords, never for its group alone.
     """
 
-    def __init__(self, out_map: IntMatrix, in_map: IntMatrix,
-                 out_elim: _Elimination | None = None, in_elim: _Elimination | None = None):
+    def __init__(self, out_map: IntMatrix, in_map: IntMatrix):
         if in_map.rows != out_map.cols:
             raise ValueError("shapes not composable")
-        self.s, _, self.t = out_elim or _eliminate(out_map)
-        self.in_s = (in_elim or _eliminate(in_map)).s
-        self.v_in = self.t.times(in_map)
+        self.s, _, self.t = _eliminate(out_map)
+        self.in_s, self._in_map, self._checked = _eliminate(in_map).s, lambda: in_map, True
+
+    @classmethod
+    def of_complex(cls, s: tuple, t: _Log, in_s: tuple, in_map) -> "_CycleQuotients":
+        """Those of a pair with out @ in = 0 over Z: out's nonzero diagonal
+        s and its V's log t, in's nonzero diagonal in_s, and in's builder."""
+        q = cls.__new__(cls)
+        q.s, q.t, q.in_s, q._in_map, q._checked = s, t, in_s, in_map, False
+        return q
+
+    @cached_property
+    def _v_in(self) -> IntMatrix:
+        return self.t.times(self._in_map())
+
+    def _coordinates(self, e, live) -> IntMatrix:
+        """in's coordinates against the basis e, live, or ContainmentViolation."""
+        try:
+            return _coordinate_columns(self._v_in, e, live)
+        except NotInLattice as exc:
+            raise ContainmentViolation(f"in-map column outside the cycle lattice: {exc}") from None
 
     def quotient(self, d: int) -> GroupWithPresentation:
         """The factor for modulus d; ContainmentViolation when some column
-        of the in-map is not a (co)cycle mod d."""
+        of the in-map is checked and is not a (co)cycle mod d."""
         m = self.t.n
         # g_i = d / e_i is the order of coordinate i in the quotient (0: free)
         g = [gcd(d, si) for si in self.s] + [d] * (m - len(self.s))
         e = tuple(d // gi if gi else 1 for gi in g)
         live = tuple(i for i in range(m) if e[i] and g[i] != 1)
-        try:
-            rel = _coordinate_columns(self.v_in, e, live)
-        except NotInLattice as exc:
-            raise ContainmentViolation(f"in-map column outside the cycle lattice: {exc}") from None
         if not d:
-            return _present(m, rel, self.t, e, live, group=_cokernel(len(live), self.in_s))
+            rel = partial(self._coordinates, e, live)
+            return _present(m, rel() if self._checked else rel, self.t, e, live,
+                            group=_cokernel(len(live), self.in_s))
+        rel = self._coordinates(e, live)
         orders = [g[i] for i in live]
         reduced = [[w % o for w in rel.row(k)] for k, o in enumerate(orders)]
         rel = IntMatrix.hstack(IntMatrix.from_rows(reduced, cols=rel.cols), _relations(orders))

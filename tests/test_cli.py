@@ -1,18 +1,23 @@
+import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cwhom
 from cwhom.chainmaps import identity_map, sphere_self_map
 from cwhom.cli import main
 from cwhom.complexes import zoo
 from cwhom.documents import complex_to_doc, dumps, map_to_doc
+from test_documents import sample_complex_documents, sample_map_documents, spoiled_documents
 
 
 @pytest.fixture
@@ -418,3 +423,114 @@ def test_check_range_above_the_ceiling_exits_3(capsys, torus_file):
     # the widest range accepted
     from cwhom.cli import _parse_range
     assert _parse_range("-5..99995") == range(-5, 99996) and len(_parse_range("0..100000")) == 100001
+
+
+def _battery_les_maps():
+    """The eight maps of the battery's les suite."""
+    from cwhom.chainmaps import inclusion_map
+    from cwhom.complexes import skeleton
+    t, r = zoo("torus"), zoo("rp", 3)
+    return ([sphere_self_map(1, d) for d in (0, 1, 2, 6)] + [sphere_self_map(2, 3), identity_map(t)]
+            + [inclusion_map(skeleton(t, 1), t), inclusion_map(skeleton(r, 2), r)])
+
+
+def _les_range_transcript(directory):
+    """Exit code and stdout of ``check --suite les`` on each battery les
+    map, over Z and Z + Z/2, at the default range and at -5..40."""
+    chunks = []
+    for i, f in enumerate(_battery_les_maps()):
+        p = Path(directory) / f"f{i}.json"
+        p.write_text(dumps(map_to_doc(f)))
+        for coeff in ("Z", "Z + Z/2"):
+            for extra in ((), ("--range=-5..40",)):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["check", str(p), "--suite", "les", "--coeff", coeff, *extra])
+                chunks.append(f"{code} {out.getvalue()}{err.getvalue()}")
+    return "".join(chunks)
+
+
+def test_les_check_over_a_range_is_pinned(tmp_path):
+    # dimensions outside the cone's range are no longer computed; every
+    # report, range header and exit code is as before
+    want = (Path(__file__).parent / "data" / "les_ranges.txt").read_text()
+    assert _les_range_transcript(tmp_path) == want
+
+
+@pytest.mark.parametrize("suite", ["les", "suspension"])
+def test_check_work_does_not_grow_with_the_range(capsys, monkeypatch, tmp_path, suite):
+    # every group outside a check's default range is 0: a longer --range
+    # induces no more maps, and the report still names the range asked for
+    import cwhom.chainmaps as chainmaps
+    import cwhom.verify as verify
+    calls = []
+    for module in (chainmaps, verify):
+        for name in ("induced_map", "shift_iso"):
+            def counting(*args, real=getattr(module, name), **kwargs):
+                calls.append(args[1])
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+    t = zoo("torus")
+    p = tmp_path / "doc.json"
+    p.write_text(dumps(map_to_doc(identity_map(t)) if suite == "les" else complex_to_doc(t)))
+    counts = []
+    for top in (10, 2000):
+        calls.clear()
+        code, out, err = run(capsys, "check", str(p), "--suite", suite, f"--range=0..{top}")
+        assert (code, err) == (0, "") and out.startswith("PASS ") and out.endswith(f" dims=0..{top}\n")
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0 and max(calls) < 10
+
+
+def _exit_code(argv, stdin=""):
+    """cli.main's exit code on argv, with stdin holding ``stdin``; any
+    exception it lets out fails the test, as a traceback would."""
+    from unittest import mock
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+_DOCUMENT_COMMANDS = (["homology", "-"], ["validate", "-"], ["check", "-", "--suite", "suspension"],
+                      ["check", "-", "--suite", "les"], ["cone", "-"], ["degree", "-"])
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(st.one_of(spoiled_documents(sample_complex_documents()), spoiled_documents(sample_map_documents())))
+def test_spoiled_documents_end_in_a_documented_exit_code(text):
+    for argv in _DOCUMENT_COMMANDS:
+        assert _exit_code(argv, text) in (0, 1, 2, 3)
+
+
+_COEFF_TERMS = st.one_of(
+    st.just("Z"), st.builds("Z/{}".format, st.integers(-1, 13)), st.builds("Z^{}".format, st.integers(0, 12)),
+    st.builds("(Z/{})^{}".format, st.integers(0, 13), st.integers(0, 4)))
+
+
+@st.composite
+def coefficient_texts(draw):
+    """A sum of coefficient terms, with now and then one character put in
+    at a random place, or any short text."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(max_size=6))
+    text = " + ".join(draw(st.lists(_COEFF_TERMS, max_size=3)))
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from(["", "", "", "+", "(", ")", "^", "/", "٢", "²", "x", " "])) + text[at:]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(coefficient_texts())
+def test_any_coefficient_text_ends_in_a_documented_exit_code(text):
+    # digit runs are cut to two digits: Z^99 is a group the engine
+    # computes at once, where Z^999999 is only slow
+    text = re.sub(r"\d{3,}", lambda m: m.group()[:2], text)
+    doc = dumps(complex_to_doc(zoo("torus")))
+    for argv in (["homology", "-", "--coeff", text], ["homology", "-", "--cohomology", f"--coeff={text}"],
+                 ["check", "-", "--suite", "suspension", f"--coeff={text}"]):
+        assert _exit_code(argv, doc) in (0, 1, 2, 3)

@@ -305,3 +305,86 @@ def test_presentation_oversized_vertex_count_is_schema_error():
     with pytest.raises(SchemaError) as exc:
         loads_complex(json.dumps({"vertices": OVERSIZED}))
     assert exc.value.path == "$.vertices"
+
+
+# whole documents, spoiled anywhere: values from small JSON of every
+# type, so that a spoiled document still stays small when it parses
+_DOC_KEYS = ["cells", "boundaries", "basepoint", "name", "vertices", "edges", "faces",
+             "source", "target", "maps", "0", "1", "2", "3", ""]
+_DOC_VALUES = st.one_of(
+    st.integers(-3, 6), st.booleans(), st.none(), st.text(max_size=3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(-2, 4), max_size=4),
+    st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(_DOC_KEYS), st.integers(-1, 3), max_size=2),
+)
+
+
+def _json_paths(value, at=()):
+    """The path of every value inside a JSON document, the root first."""
+    yield at
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from _json_paths(inner, at + (key,))
+
+
+def _value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def spoiled_documents(draw, docs):
+    """The JSON text of one of ``docs`` with up to three values anywhere
+    in it replaced (a matrix by one ``matrix_documents`` spoils, an
+    integer by a near one), deleted or joined by a sibling, and now and
+    then the text cut short."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(docs))))
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_json_paths(doc))
+        matrices = [p for p in paths if p and isinstance(_value_at(doc, p), list)
+                    and all(isinstance(row, list) for row in _value_at(doc, p))]
+        ints = [p for p in paths if type(_value_at(doc, p)) is int]
+        kind = draw(st.sampled_from(["replace", "delete", "insert"] + ["matrix"] * bool(matrices)
+                                    + ["nudge"] * bool(ints)))
+        path = draw(st.sampled_from({"matrix": matrices, "nudge": ints}.get(kind, paths)))
+        if kind == "matrix":
+            value = draw(matrix_documents())[0]
+        elif kind == "nudge":
+            value = _value_at(doc, path) + draw(st.sampled_from((-2, -1, 1, 2)))
+        else:
+            value = draw(_DOC_VALUES)
+        if not path:
+            doc = value if kind == "replace" else doc
+            continue
+        parent, key = _value_at(doc, path[:-1]), path[-1]
+        if kind in ("replace", "matrix", "nudge"):
+            parent[key] = value
+        elif kind == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, value)
+        else:
+            parent[draw(st.sampled_from(_DOC_KEYS))] = value
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+def sample_complex_documents():
+    """Small valid complex documents, in both forms."""
+    from cwhom.complexes import zoo
+    docs = [complex_to_doc(zoo(*args)) for args in (("point",), ("sphere", 2), ("torus",), ("klein",),
+                                                    ("rp", 2), ("moore", 2, 2))]
+    return docs + [{"vertices": 1, "edges": [[0, 0], [0, 0]], "faces": [[1, 2, -1, -2]], "name": "T"}]
+
+
+def sample_map_documents():
+    """Small valid chain map documents."""
+    from cwhom.chainmaps import identity_map, inclusion_map
+    from cwhom.complexes import skeleton, zoo
+    t = zoo("torus")
+    return [map_to_doc(f) for f in (sphere_self_map(1, 2), sphere_self_map(2, 3), identity_map(t),
+                                    inclusion_map(skeleton(t, 1), t))]

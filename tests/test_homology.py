@@ -17,10 +17,11 @@ from cwhom.chainmaps import identity_map, inclusion_map, induced_map, shift_iso
 from cwhom.homology import _glue, all_groups, chain_group, cohomology, integral_homology
 from cwhom.complexes import skeleton, zoo
 from cwhom.documents import complex_from_doc
-from cwhom.intmat import ContainmentViolation, IntMatrix
+from cwhom.intmat import ContainmentViolation, IntMatrix, NotInLattice, _CycleQuotients
 from cwhom.verify import standard_coefficients, standard_corpus
 from lattice_helpers import transform_work
 from test_documents import grid_torus_doc
+from test_intmat import cycle_pairs
 from test_reduction import conjugates
 
 Z = FgAbGroup.free(1)
@@ -396,3 +397,133 @@ def test_integral_groups_match_sympy_on_grid_tori(k):
 @given(conjugates())
 def test_integral_groups_match_sympy_on_conjugates(data):
     _check_against_sympy(data[0])
+
+
+def _record_replays(monkeypatch):
+    """Record, for every ``_Log.times`` and ``_coordinate_columns`` call,
+    the modulus of the factor being built then (None: outside one)."""
+    import cwhom.intmat as intmat
+    seen, building = [], []
+    real_quotient, real_times, real_columns = (intmat._CycleQuotients.quotient, intmat._Log.times,
+                                               intmat._coordinate_columns)
+
+    def quotient(q, d):
+        building.append(d)
+        try:
+            return real_quotient(q, d)
+        finally:
+            building.pop()
+
+    def times(log, m, inverse=False):
+        seen.append(("times", building[-1] if building else None))
+        return real_times(log, m, inverse)
+
+    def columns(*args):
+        seen.append(("columns", building[-1] if building else None))
+        return real_columns(*args)
+
+    monkeypatch.setattr(intmat._CycleQuotients, "quotient", quotient)
+    monkeypatch.setattr(intmat._Log, "times", times)
+    monkeypatch.setattr(intmat, "_coordinate_columns", columns)
+    return seen
+
+
+def _group_tables(x):
+    z4 = parse_group("Z + Z/4")
+    return [[str(g) for g in all_groups(x, coeff, variant, reduced).values()]
+            for reduced in (False, True) for coeff, variant in ((Z, "homology"), (z4, "cohomology"))]
+
+
+def _unit_free_complex():
+    from cwhom.complexes import CwComplex, require_valid
+    return require_valid(CwComplex((1, 2, 2, 1), (
+        IntMatrix.zeros(1, 2),
+        IntMatrix.from_rows([[2, 2], [2, 2]]),
+        IntMatrix.from_rows([[3], [-3]]),
+    )))
+
+
+def _assert_only_z4_factors_replay(x, monkeypatch):
+    _clear_presentation_caches()
+    homology._elimination.cache_clear()
+    seen = _record_replays(monkeypatch)
+    tables = _group_tables(x)
+    monkeypatch.undo()
+    # a pair read only over Z (every homology pair) replays nothing and
+    # writes no coordinates; a cochain pair does both for Z/4 alone
+    assert seen and {modulus for _, modulus in seen} == {4}
+    _clear_presentation_caches()
+    return tables
+
+
+def test_group_tables_replay_nothing_for_the_integral_factor(monkeypatch):
+    x = _unit_free_complex()
+    assert _assert_only_z4_factors_replay(x, monkeypatch) == [
+        ["0", "Z", "Z + Z/2", "Z/3", "0", "0"],
+        ["0", "Z + Z/4", "Z + Z/2 + Z/4", "Z/2 + Z/2", "Z/3", "0"],
+        ["0", "0", "Z + Z/2", "Z/3", "0", "0"],
+        ["0", "0", "Z + Z/2 + Z/4", "Z/2 + Z/2", "Z/3", "0"],
+    ]
+
+
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(conjugates().filter(lambda data: any(abs(d) >= 2 for ds in data[2].values() for d in ds)))
+def test_group_tables_of_a_conjugate_replay_nothing_for_the_integral_factor(data):
+    # seeded conjugates with torsion, which hypothesis would otherwise
+    # begin with the one-vertex complex
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_only_z4_factors_replay(data[0], monkeypatch)
+
+
+def _assert_lazy_matches_eager(lazy, eager):
+    assert lazy.group == eager.group and lazy.lifts == eager.lifts
+    m = eager.ambient_dim
+    for v in [tuple(int(i == j) for i in range(m)) for j in range(m)] + list(eager.lifts):
+        try:
+            want = eager.coords(v)
+        except NotInLattice:
+            with pytest.raises(NotInLattice):
+                lazy.coords(v)
+        else:
+            assert lazy.coords(v) == want
+
+
+def _assert_lazy_integral_factors(out, inc):
+    # the chain and cochain cycle quotients of the chain maps (out, inc)
+    # as chain_group builds them, against the eager two-map form on the
+    # graded pair.  The cochain side's V is inc's row log transposed,
+    # where the eager form runs an SNF of inc^T of its own: that basis of
+    # the cocycles may differ, so the eager form is read off the same V.
+    for variant, pair in (("homology", (out, inc)), ("cohomology", (inc.transpose(), out.transpose()))):
+        lazy = homology._cycle_quotients.__wrapped__(out, inc, variant)
+        eager = _CycleQuotients(*pair)
+        assert (eager.s, eager.in_s) == (lazy.s, lazy.in_s)
+        eager.t = lazy.t
+        _assert_lazy_matches_eager(lazy.quotient(0), eager.quotient(0))
+
+
+def _assert_lazy_integral_factors_of(x):
+    from cwhom.homology import _chain_maps
+    red = homology._reduction(x)
+    for y in (x,) if red is None else (x, red.residual):
+        for n in range(y.dim + 1):
+            for reduced in (False, True):
+                _assert_lazy_integral_factors(*_chain_maps(y, n, reduced))
+
+
+def test_lazy_integral_factor_matches_the_eager_one_on_corpus():
+    for x in standard_corpus():
+        _assert_lazy_integral_factors_of(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugates())
+def test_lazy_integral_factor_matches_the_eager_one_on_conjugates(data):
+    _assert_lazy_integral_factors_of(data[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(cycle_pairs(moduli=(0,)))
+def test_lazy_integral_factor_matches_the_eager_one_on_cycle_pairs(pair):
+    out, inn, _ = pair
+    _assert_lazy_integral_factors(out, inn)

@@ -507,3 +507,28 @@ def test_integral_factor_of_a_non_complex_pair_still_raises(out, inn):
     assert not (out @ inn).is_zero()
     with pytest.raises(ContainmentViolation):
         _CycleQuotients(out, inn).quotient(0)
+
+
+def test_transposed_log_shares_its_operations():
+    # the transposed log reads its source's list in place: building it
+    # copies none of the 10 000 operations, and transposing it again
+    # gives back T (its replays are checked against snf() above)
+    import tracemalloc
+    from cwhom.intmat import _Log
+    rng = random.Random(67)
+    log = _Log(6)
+    for _ in range(10_000):
+        i, j = rng.randrange(6), rng.randrange(6)
+        log.ops += (i, j, rng.choice((-2, -1, 1, 2)) if i != j else 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        transposed = log.transposed()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1024
+    assert transposed.ops is log.ops and transposed.transposed().ops is log.ops
+    m = IntMatrix(6, 2, tuple(rng.randint(-3, 3) for _ in range(12)))
+    assert transposed.transposed().times(m) == log.times(m)
