@@ -21,6 +21,8 @@ from .intmat import (
     IntMatrix,
     _relations,
     _snf_ext,
+    _unit_columns,
+    _vstack,
     preimage_lattice,
     quotient_group,
     solve_columns,
@@ -400,22 +402,26 @@ def invert_iso(h: AbHom) -> AbHom:
     """Two-sided inverse of an isomorphism; NotAnIsomorphism otherwise.
 
     One SNF [h | rel] = U S V (rel: the target relations) decides all of
-    it.  h is onto iff that lattice is Z^t: rank t, every s_i = 1.  The
-    columns rank.. of V^-1 span ker [h | rel]; their first s rows generate
-    the preimage of the target relations, and h is injective iff those
-    lie in the source relations: 0 in free rows, a multiple of the order
-    in torsion rows.  The inverse is the first s rows of V^-1[:, :t] U^-1,
-    which solves [h | rel] X = I; both composites are still verified.
+    it, read off its logs with no dense transform.  h is onto iff that
+    lattice is Z^t: rank t, every s_i = 1.  The columns rank.. of V^-1,
+    replayed onto those unit vectors alone, span ker [h | rel]; their
+    first s rows generate the preimage of the target relations, and h is
+    injective iff those lie in the source relations: 0 in free rows, a
+    multiple of the order in torsion rows.  The inverse is the first s
+    rows of V^-1 [U^-1; 0], replayed onto U^-1 stacked above zeros, which
+    solves [h | rel] X = I; both composites are still verified.
     """
     s, t = h.source.num_generators, h.target.num_generators
-    ext = _snf_ext(IntMatrix.hstack(h.matrix, _relation_matrix(h.target)), ("Uinv", "Vinv"))
-    if ext.rank != t or any(d != 1 for d in ext.diagonal()[:t]):
+    a = IntMatrix.hstack(h.matrix, _relation_matrix(h.target))
+    d, rows, cols = _snf_ext(a)
+    if d != (1,) * t:
         raise NotAnIsomorphism("not surjective")
-    vinv = ext.Vinv
+    kernel = cols.times(_unit_columns(a.cols, range(t, a.cols)), inverse=True)
     for i, o in enumerate(h.source.generator_orders()):
-        if any(v % o if o else v for v in vinv.row(i)[t:]):
+        if any(v % o if o else v for v in kernel.row(i)):
             raise NotAnIsomorphism("kernel is nontrivial")
-    sol = IntMatrix.from_rows([vinv.row(i)[:t] for i in range(s)], cols=t) @ ext.Uinv
+    x = cols.times(_vstack(rows.times(IntMatrix.identity(t)), IntMatrix.zeros(a.cols - t, t)), inverse=True)
+    sol = IntMatrix(s, t, x.entries[:s * t])
     # well defined unchecked: h g e_i = e_i modulo the target relations, so
     # for e_i of order o, h(o g e_i) lies in them, and injectivity puts
     # o g e_i in the source relations

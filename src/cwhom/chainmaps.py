@@ -107,9 +107,9 @@ def validate_map(f: ChainMap) -> list[str]:
         return out
     for n in range(k + 1):
         m = f.maps[n]
-        want = (f.target.cells_at(n), f.source.cells_at(n))
-        if m.shape != want:
-            out.append(f"level {n}: shape {m.shape} != {want}")
+        expected = (f.target.cells_at(n), f.source.cells_at(n))
+        if m.shape != expected:
+            out.append(f"level {n}: shape {m.shape} != {expected}")
     if out:
         return out
     cols = [_sparse_columns(m) for m in f.maps]

@@ -165,12 +165,20 @@ def _cmd_degree(args) -> int:
     return 0
 
 
+# the suites that run on a document of each kind; the others need the corpus
+_DOCUMENT_SUITES = {"chain map": ("les",), "complex": ("suspension", "reformulation")}
+
+
 def _cmd_check(args) -> int:
     suites = set(args.suite) if args.suite else {"all"}
     if args.file is None:
         reports = run_battery(suites=suites)
     else:
         obj = _load_document(args.file)
+        kind = "chain map" if isinstance(obj, ChainMap) else "complex"
+        for name in args.suite or ():
+            if name != "all" and name not in _DOCUMENT_SUITES[kind]:
+                args.usage_error(f"argument --suite: {name!r} does not apply to a {kind} document")
         run_all = "all" in suites
         reports = []
         g = args.coeff
@@ -261,7 +269,7 @@ def build_parser() -> _Parser:
                     help="dimension range a..b for suspension/les checks")
     sp.add_argument("--suite", action="append", choices=SUITES + ("all",),
                     help="restrict to a suite (repeatable; default all)")
-    sp.set_defaults(func=_cmd_check)
+    sp.set_defaults(func=_cmd_check, usage_error=sp.error)
 
     return p
 

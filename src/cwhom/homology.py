@@ -64,10 +64,12 @@ from .intmat import (
     IntMatrix,
     NotInLattice,
     _CycleQuotients,
-    _eliminate,
+    _Elimination,
+    _Log,
     _ones,
     _present,
     _put,
+    _snf_ext,
     _sparse_apply,
     _sparse_columns,
     _unit_columns,
@@ -83,10 +85,6 @@ __all__ = [
     "cells_presentation",
     "induced_hom",
 ]
-
-
-# the cyclic factor moduli of G, free factors (0) first
-coeff_factors = FgAbGroup.generator_orders
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,7 @@ def _glue(factor_groups) -> GroupWithPresentation:
     orders = tuple(o for g in factor_groups for o in g.generator_orders())
     n = len(orders)
     # the numerator is all of Z^n: its coordinates are the vector itself
-    return _present(n, orders, None, (1,) * n, range(n), group=normalize_diagonal(orders))
+    return _present(n, orders, _Log(n), (1,) * n, range(n), group=normalize_diagonal(orders))
 
 
 def _assemble(coeff: FgAbGroup, ambient_dim: int, factor_pres) -> CoeffPresentation:
@@ -159,17 +157,6 @@ def _chain_maps(x: CwComplex, n: int, reduced: bool):
     return out, x.boundary(n + 1)
 
 
-def _graded_maps(x: CwComplex, n: int, variant: str, reduced: bool):
-    """(outgoing map, incoming map) at dimension n; ambient is c_n: the
-    chain maps, or for cochains their transposes swapped."""
-    out, inc = _chain_maps(x, n, reduced)
-    if variant == "homology":
-        return out, inc
-    if variant == "cohomology":
-        return inc.transpose(), out.transpose()
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 # one elimination per distinct chain matrix, one cycle quotient per
 # distinct (chain maps, variant) and one presentation per distinct (chain
 # maps, variant, d), bounded with headroom over one check battery (23
@@ -177,7 +164,10 @@ def _graded_maps(x: CwComplex, n: int, variant: str, reduced: bool):
 # complex already holds, not the cochain maps: transposes would be built
 # and hashed on every miss and kept alive by the keys.  A factor whose
 # in-map is not a (co)cycle mod d raises, and is not kept.
-_elimination = lru_cache(maxsize=96)(_eliminate)
+@lru_cache(maxsize=96)
+def _elimination(a: IntMatrix) -> _Elimination:
+    # _snf_ext is looked up when a miss runs, so a replaced kernel sees it
+    return _snf_ext(a)
 
 
 @lru_cache(maxsize=64)
@@ -203,14 +193,14 @@ def _factor_presentations(out: IntMatrix, inc: IntMatrix, variant: str, coeff: F
     """(modulus, presentation) for each cyclic factor of coeff, from the
     chain maps at one dimension; all are read off one elimination of
     each chain map."""
-    return [(m, _factor(out, inc, variant, m)) for m in coeff_factors(coeff)]
+    return [(m, _factor(out, inc, variant, m)) for m in coeff.generator_orders()]
 
 
 def _out_columns(x: CwComplex, n: int, variant: str, reduced: bool) -> list:
-    """The sparse columns of ``_graded_maps(x, n, variant, reduced)[0]``,
-    read off x's row-major boundaries without building the map: the
-    columns of B_n (the all-ones row, or no row, at n = 0) for chains,
-    the rows of B_{n+1} for cochains."""
+    """The sparse columns of the out-map at dimension n, read off x's
+    row-major boundaries without building it: the columns of B_n (the
+    all-ones row, or no row, at n = 0) for chains, the rows of B_{n+1}
+    for cochains."""
     if variant == "cohomology":
         b = x.boundary(n + 1)
         return [[(j, v) for j, v in enumerate(b.row(i)) if v] for i in range(b.rows)]

@@ -3,10 +3,12 @@
 Everything here runs over Python's arbitrary-precision integers; there is
 deliberately no floating point and no fixed-width fast path.  The central
 routine is Smith normal form, from which kernels, lattice solving and
-finitely generated quotient groups are derived.  Its elimination works on
-S alone and logs every row and column operation; a unimodular transform,
-or its product with a given matrix, is replayed from that log only when a
-caller reads it, so a query that needs only the group pays for none.
+finitely generated quotient groups are derived.  Its one kernel,
+``_snf_ext``, works on S alone and logs every row and column operation.
+A unimodular transform is only ever that log: each caller replays it onto
+the vectors it reads (a product, a lift, one coordinate vector), and
+``snf`` alone replays it onto the identity.  A query that needs only the
+group pays for no transform.
 
 Matrices with zero rows and/or zero columns are first-class values; they
 show up constantly (complexes with empty dimensions) and every operation
@@ -15,7 +17,7 @@ must accept them.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, partial
 from math import gcd
 from typing import NamedTuple, Sequence
@@ -228,21 +230,19 @@ class _Log:
     from the n x n identity, in order, as flat (i, j, k) triples: row_i +=
     k row_j when k != 0; otherwise rows i and j swap (i != j) or row i
     changes sign (i == j).  T @ M replays them onto the rows of M, and
-    T^-1 @ M replays their inverses backwards.  A transposed log builds
-    T^-T from the same list, reading row_i += k row_j as row_j -= k row_i.
-
-    ``pair()`` replays (T, T^-1) onto the identity once, and never when
-    no presentation sharing the log is read; the operations stay, since
-    every cycle quotient read off one elimination replays them too.
+    T^-1 @ M replays their inverses backwards; an empty log is the
+    identity and replays nothing.  A transposed log builds T^-T from the
+    same list, reading row_i += k row_j as row_j -= k row_i.  No transform
+    is kept densely: every presentation and cycle quotient sharing a log
+    replays it onto what it reads.
     """
 
-    __slots__ = ("n", "ops", "_transposed", "_pair")
+    __slots__ = ("n", "ops", "_transposed")
 
     def __init__(self, n: int, ops=None, transposed: bool = False):
         self.n = n
         self.ops = [] if ops is None else ops
         self._transposed = transposed
-        self._pair = None
 
     def times(self, m: IntMatrix, inverse: bool = False) -> IntMatrix:
         """T @ m, or T^-1 @ m when ``inverse``."""
@@ -265,13 +265,6 @@ class _Log:
             else:
                 rows[i] = [-a for a in rows[i]]
         return IntMatrix(m.rows, m.cols, tuple(v for row in rows for v in row))
-
-    def pair(self) -> tuple:
-        """(T, T^-1)."""
-        if self._pair is None:
-            eye = IntMatrix.identity(self.n)
-            self._pair = (self.times(eye), self.times(eye, inverse=True))
-        return self._pair
 
     def transposed(self) -> "_Log":
         """The log of T^-T, reading this log's operations in place."""
@@ -396,17 +389,15 @@ class _SnfWork:
 @dataclass(frozen=True)
 class SnfResult:
     """Decomposition A = U @ S @ V with unimodular U, V and diagonal S;
-    Uinv and Vinv are the inverses of U and V.  A transform its caller
-    did not ask ``_snf_ext`` for is None, but its products are still at
-    hand: ``row_log`` builds U^-1 and ``col_log`` builds V (see ``_Log``)."""
+    Uinv and Vinv are the inverses of U and V.  ``snf`` builds all five
+    from one ``_snf_ext``: S from its diagonal, each transform replayed
+    from its log onto the identity."""
 
-    U: IntMatrix | None
-    Uinv: IntMatrix | None
+    U: IntMatrix
+    Uinv: IntMatrix
     S: IntMatrix
-    V: IntMatrix | None
-    Vinv: IntMatrix | None
-    row_log: _Log | None = field(default=None, compare=False, repr=False)
-    col_log: _Log | None = field(default=None, compare=False, repr=False)
+    V: IntMatrix
+    Vinv: IntMatrix
 
     def diagonal(self) -> tuple:
         k = min(self.S.rows, self.S.cols)
@@ -417,38 +408,23 @@ class SnfResult:
         return sum(1 for d in self.diagonal() if d != 0)
 
 
-_ALL_TRANSFORMS = ("U", "Uinv", "V", "Vinv")
-
-
-def _snf_ext(a: IntMatrix, want) -> SnfResult:
-    """SNF of a with the transforms named in ``want``; the others are None
-    and cost nothing.  The elimination does not depend on ``want``: each
-    transform is replayed from its log onto the identity afterwards, so it
-    is the one ``snf`` returns."""
-    w = _SnfWork(a)
-    w.run()
-
-    def made(name, log, inverse):
-        return log.times(IntMatrix.identity(log.n), inverse) if name in want else None
-
-    return SnfResult(made("U", w.row_log, True), made("Uinv", w.row_log, False),
-                     IntMatrix(a.rows, a.cols, tuple(v for row in w.s for v in row)),
-                     made("V", w.col_log, False), made("Vinv", w.col_log, True),
-                     w.row_log, w.col_log)
-
-
 class _Elimination(NamedTuple):
-    """A transform-free SNF A = U S V kept for reuse: the nonzero diagonal
-    s of S and the logs that build U^-1 (``rows``) and V (``cols``)."""
+    """An SNF A = U S V with no transform: the nonzero diagonal s of S and
+    the logs that build U^-1 (``rows``) and V (``cols``)."""
 
     s: tuple
     rows: _Log
     cols: _Log
 
 
-def _eliminate(a: IntMatrix) -> _Elimination:
-    ext = _snf_ext(a, ())
-    return _Elimination(ext.diagonal()[:ext.rank], ext.row_log, ext.col_log)
+def _snf_ext(a: IntMatrix) -> _Elimination:
+    """The one SNF kernel: S is eliminated alone, and each transform is
+    left as its log for the caller to replay onto what it reads."""
+    w = _SnfWork(a)
+    w.run()
+    # the nonzero entries lead the diagonal
+    s = tuple(v for v in (w.s[i][i] for i in range(min(a.rows, a.cols))) if v)
+    return _Elimination(s, w.row_log, w.col_log)
 
 
 def snf(a: IntMatrix) -> SnfResult:
@@ -457,7 +433,10 @@ def snf(a: IntMatrix) -> SnfResult:
     The diagonal of S is non-negative, satisfies the divisibility chain
     s1 | s2 | ..., and has all zeros trailing.  Output is deterministic.
     """
-    return _snf_ext(a, _ALL_TRANSFORMS)
+    s, rows, cols = _snf_ext(a)
+    eye_r, eye_c = IntMatrix.identity(a.rows), IntMatrix.identity(a.cols)
+    return SnfResult(rows.times(eye_r, inverse=True), rows.times(eye_r),
+                     IntMatrix.diagonal(s, a.rows, a.cols), cols.times(eye_c), cols.times(eye_c, inverse=True))
 
 
 # Builders of the structured matrices the package makes; every inclusion,
@@ -498,7 +477,7 @@ def _vstack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Columns form a Z-basis of the integer kernel {x : a @ x = 0}: the
     columns rank.. of V^-1, replayed onto those unit vectors alone."""
-    s, _, cols = _eliminate(a)
+    s, _, cols = _snf_ext(a)
     return cols.times(_unit_columns(a.cols, range(len(s), a.cols)), inverse=True)
 
 
@@ -524,7 +503,7 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     replayed from the SNF's logs."""
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
-    s, rows, cols = _eliminate(a)
+    s, rows, cols = _snf_ext(a)
     r = len(s)
     try:
         z = _coordinate_columns(rows.times(b), s + (0,) * (b.rows - r), range(r))
@@ -584,56 +563,53 @@ class GroupWithPresentation:
 class _Presented(GroupWithPresentation):
     """The quotient N / D of a lattice N in Z^m by a sublattice D, kept as
     the log of the SNF rel = U S V of D's coordinates against a basis of N
-    (or rel, or a callable that builds it, while that SNF waits) until
-    lifts or coords are read.  N's basis is e_i T^-1_i, i in ``live``, for
-    a unimodular T given by its log (None: the identity): v lies in N when
-    e_i divides (T v)_i for every i, and its coordinates are then (T v)_i /
-    e_i, i in live.  The first read replays the generators' columns of U
-    and rows of U^-1 and drops rel; T's log is replayed once for every
-    presentation sharing it."""
+    (or rel, or a callable that builds it, while that SNF waits for the
+    first read of lifts or coords).  N's basis is e_i T^-1_i, i in
+    ``live``, for a unimodular T given by its log: v lies in N when e_i
+    divides (T v)_i for every i, and its coordinates are then (T v)_i /
+    e_i, i in live.  The generators are the columns of U past the rank of
+    rel, then those of its torsion entries.  Their lifts are one replay of
+    T^-1 onto those columns, scaled by e; the coordinates of v are T
+    replayed onto v, then U^-1 onto N's coordinates, read at the
+    generators' rows.  No transform is kept densely."""
 
-    __slots__ = ("_t", "_e", "_live", "_rel", "_lifts", "_uinv")
+    __slots__ = ("_t", "_e", "_live", "_rel", "_lifts")
 
-    def __init__(self, group, ambient_dim, t: _Log | None, e, live, rel):
+    def __init__(self, group, ambient_dim, t: _Log, e, live, rel):
         super().__init__(group, ambient_dim)
-        for name, value in (("_t", t), ("_e", e), ("_live", live), ("_rel", rel)):
+        for name, value in (("_t", t), ("_e", e), ("_live", live), ("_rel", rel), ("_lifts", None)):
             _put(self, name, value)
 
-    def _read(self):
-        """Lifts and the generators' rows of U^-1, from rel's log (run
-        now if it waits, on rel built now if it is not yet)."""
-        rel = self._rel() if callable(self._rel) else self._rel
-        if isinstance(rel, IntMatrix):
-            rel = _eliminate(rel).rows
-        r, free, tors = rel.n, self.group.rank, len(self.group.torsion)
-        rank = r - free
-        # free generators past the rank, then the torsion entries of S
-        gens = [*range(rank, r), *range(rank - tors, rank)]
-        inv = None if self._t is None else self._t.pair()[1]
-        lifts = []
-        for c in rel.times(_unit_columns(r, gens), inverse=True).columns():
-            y = [0] * len(self._e)
-            for i, ci in zip(self._live, c):
-                y[i] = self._e[i] * ci
-            lifts.append(tuple(y) if inv is None else inv.apply(y))
-        uinv = rel.times(IntMatrix.identity(r))
-        _put(self, "_lifts", tuple(lifts))
-        _put(self, "_uinv", IntMatrix.from_rows([uinv.row(j) for j in gens], cols=r))
-        _put(self, "_rel", None)
+    def _generators(self) -> tuple:
+        """rel's row log (its SNF run now if it waits, on rel built now if
+        it is not yet) and the generators' indices: the free ones past the
+        rank, then the torsion entries of S."""
+        rel = self._rel
+        if not isinstance(rel, _Log):
+            rel = _snf_ext(rel() if callable(rel) else rel).rows
+            _put(self, "_rel", rel)
+        rank = rel.n - self.group.rank
+        return rel, [*range(rank, rel.n), *range(rank - len(self.group.torsion), rank)]
 
     @property
     def lifts(self) -> tuple:
-        if self._rel is not None:
-            self._read()
+        if self._lifts is None:
+            rel, gens = self._generators()
+            u, k = rel.times(_unit_columns(rel.n, gens), inverse=True), len(gens)
+            y = [0] * (self.ambient_dim * k)
+            for row, i in enumerate(self._live):
+                y[i * k:(i + 1) * k] = [self._e[i] * c for c in u.row(row)]
+            scaled = IntMatrix(self.ambient_dim, k, tuple(y))
+            _put(self, "_lifts", tuple(self._t.times(scaled, inverse=True).columns()))
         return self._lifts
 
     def coords(self, v):
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        if self._rel is not None:
-            self._read()
-        y = _coordinates_from_ext(v if self._t is None else self._t.pair()[0].apply(v), self._e, self._live)
-        return tuple(w % o if o else w for w, o in zip(self._uinv.apply(y), self.group.generator_orders()))
+        rel, gens = self._generators()
+        y = _coordinates_from_ext(self._t.times(IntMatrix.column(v)).entries, self._e, self._live)
+        w = rel.times(IntMatrix.column(y)).entries
+        return tuple(w[j] % o if o else w[j] for j, o in zip(gens, self.group.generator_orders()))
 
 
 def _cokernel(rows: int, s) -> "FgAbGroup":  # FgAbGroup: cwhom.abgroups
@@ -642,19 +618,20 @@ def _cokernel(rows: int, s) -> "FgAbGroup":  # FgAbGroup: cwhom.abgroups
     return FgAbGroup(rows - len(s), tuple(x for x in s if x >= 2))
 
 
-def _present(ambient_dim: int, rel, t: _Log | None, e, live, group=None) -> GroupWithPresentation:
+def _present(ambient_dim: int, rel, t: _Log, e, live, group=None) -> GroupWithPresentation:
     """The quotient of a lattice N in Z^m by a sublattice D, from D's
     generators written in coordinates against the basis of N that t, e
-    and live describe (the columns of ``rel``; see ``_Presented``).  One
-    SNF of rel, with no transform, gives the canonical group now; the
-    lifts and the coordinate map wait for their first read.  A caller
+    and live describe (the columns of ``rel``; see ``_Presented``; an
+    empty log is T = I).  One SNF of rel, with no transform, gives the
+    canonical group now; the lifts and the coordinate map wait for their
+    first read, and replay the logs onto what they read.  A caller
     that knows the group passes it, and rel's SNF waits for that read too
     (rel may then be a callable that builds it, or the orders o_i, a
     tuple, of a D spanned by o_i e_i, whose columns wait for that read)."""
     if isinstance(rel, tuple):
         rel = partial(_relations, rel)
     if group is None:
-        s, log, _ = _eliminate(rel)
+        s, log, _ = _snf_ext(rel)
         group, rel = _cokernel(rel.rows, s), log
     return _Presented(group, ambient_dim, t, e, live, rel)
 
@@ -671,7 +648,7 @@ def quotient_group(ambient_dim: int, numerator: IntMatrix, denominator: IntMatri
     """
     if numerator.rows != ambient_dim or denominator.rows != ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    s, rows, _ = _eliminate(numerator)
+    s, rows, _ = _snf_ext(numerator)
     e = s + (0,) * (ambient_dim - len(s))
     try:
         rel = _coordinate_columns(rows.times(denominator), e, range(len(s)))
@@ -696,8 +673,8 @@ class _CycleQuotients:
     are killed outright and dropped.  Over Z, ker(out) is saturated and
     contains im(in): the group is Z^(m - rank out - rank in) plus the
     invariant factors of in, and only a factor mod d >= 2 runs the SNF of
-    its coordinates now.  V and V^-1 are replayed only when some factor
-    is read, once for all.
+    its coordinates now.  V and V^-1 are replayed only onto the vectors
+    a read of some factor's lifts or coords asks for.
 
     Each factor of a pair of any two maps checks the in-map against its
     cycles as it is built.  A pair of a complex proved valid where it came
@@ -709,8 +686,8 @@ class _CycleQuotients:
     def __init__(self, out_map: IntMatrix, in_map: IntMatrix):
         if in_map.rows != out_map.cols:
             raise ValueError("shapes not composable")
-        self.s, _, self.t = _eliminate(out_map)
-        self.in_s, self._in_map, self._checked = _eliminate(in_map).s, lambda: in_map, True
+        self.s, _, self.t = _snf_ext(out_map)
+        self.in_s, self._in_map, self._checked = _snf_ext(in_map).s, lambda: in_map, True
 
     @classmethod
     def of_complex(cls, s: tuple, t: _Log, in_s: tuple, in_map) -> "_CycleQuotients":

@@ -156,9 +156,9 @@ def check_dimension(coeff: FgAbGroup, span: int = 3) -> CheckReport:
     rep = CheckReport("dimension", "point", coeff, range(-span, span + 1))
     for n in rep.dims:
         g = cohomology(pt, n, coeff, reduced=False).group
-        want = coeff if n == 0 else FgAbGroup.trivial()
-        if g != want:
-            rep.witnesses.append(f"h^{n}(point) = {g}, expected {want}")
+        expected = coeff if n == 0 else FgAbGroup.trivial()
+        if g != expected:
+            rep.witnesses.append(f"h^{n}(point) = {g}, expected {expected}")
         gr = cohomology(pt, n, coeff, reduced=True).group
         if not gr.is_trivial:
             rep.witnesses.append(f"reduced h^{n}(point) = {gr}, expected 0")
@@ -468,10 +468,10 @@ def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
         except ValueError as e:
             rep.witnesses.append(f"dimension {n}: {e}")
             continue
-        want = cohomology(x, n, coeff, reduced=True).group
-        if got != want:
+        expected = cohomology(x, n, coeff, reduced=True).group
+        if got != expected:
             rep.witnesses.append(
-                f"dimension {n}: rebuilt group {got}, cellular group {want}"
+                f"dimension {n}: rebuilt group {got}, cellular group {expected}"
             )
 
     # (c) in cell coordinates every composite is the transposed boundary

@@ -2,11 +2,12 @@
 kept primitives (``snf``, ``solve_columns``, ``_CycleQuotients``), and a
 recorder of the transform work a block of code does."""
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from types import SimpleNamespace
 from unittest import mock
 
 import cwhom.abgroups as abgroups
+import cwhom.homology as homology
 import cwhom.intmat as intmat
 from cwhom.intmat import (
     ChainConditionViolation,
@@ -73,33 +74,37 @@ def mod_d_quotient(out_map: IntMatrix, in_map: IntMatrix, d: int):
 @contextmanager
 def transform_work():
     """Record, while the block runs, every transform built on the identity
-    (an SNF asked for transforms, a shared log replayed, a presentation's
-    lifts and coords built) in ``transforms``, every dense product
-    ``IntMatrix.__matmul__`` in ``matmuls``, and the number of SNFs in
-    ``snfs``."""
+    (an ``snf`` call) or read off a presentation (its lifts or coords) in
+    ``transforms``, every dense product ``IntMatrix.__matmul__`` in
+    ``matmuls``, and the number of SNFs in ``snfs``."""
     seen = SimpleNamespace(transforms=[], matmuls=[], snfs=0)
-    real_snf, real_pair = intmat._snf_ext, intmat._Log.pair
-    real_read, real_matmul = intmat._Presented._read, IntMatrix.__matmul__
+    real_ext, real_snf, real_matmul = intmat._snf_ext, intmat.snf, IntMatrix.__matmul__
+    real_lifts, real_coords = intmat._Presented.lifts, intmat._Presented.coords
 
-    def snf_ext(a, want):
+    def snf_ext(a):
         seen.snfs += 1
-        if want:
-            seen.transforms.append(("_snf_ext", tuple(want)))
-        return real_snf(a, want)
+        return real_ext(a)
 
-    def pair(log):
-        seen.transforms.append(("_Log.pair", log.n))
-        return real_pair(log)
+    def snf(a):
+        seen.transforms.append(("snf", a.shape))
+        return real_snf(a)
 
-    def read(pres):
-        seen.transforms.append(("_Presented._read", pres.group))
-        return real_read(pres)
+    def lifts(pres):
+        seen.transforms.append(("_Presented.lifts", pres.group))
+        return real_lifts.fget(pres)
+
+    def coords(pres, v):
+        seen.transforms.append(("_Presented.coords", pres.group))
+        return real_coords(pres, v)
 
     def matmul(a, b):
         seen.matmuls.append((a.shape, b.shape))
         return real_matmul(a, b)
 
-    with mock.patch.object(intmat, "_snf_ext", snf_ext), mock.patch.object(abgroups, "_snf_ext", snf_ext), \
-            mock.patch.object(intmat._Log, "pair", pair), mock.patch.object(intmat._Presented, "_read", read), \
-            mock.patch.object(IntMatrix, "__matmul__", matmul):
+    with ExitStack() as stack:
+        for module in (intmat, abgroups, homology):  # every binding of the kernel
+            stack.enter_context(mock.patch.object(module, "_snf_ext", snf_ext))
+        for owner, name, value in ((intmat, "snf", snf), (intmat._Presented, "lifts", property(lifts)),
+                                   (intmat._Presented, "coords", coords), (IntMatrix, "__matmul__", matmul)):
+            stack.enter_context(mock.patch.object(owner, name, value))
         yield seen

@@ -425,6 +425,27 @@ def test_check_range_above_the_ceiling_exits_3(capsys, torus_file):
     assert _parse_range("-5..99995") == range(-5, 99996) and len(_parse_range("0..100000")) == 100001
 
 
+@pytest.mark.parametrize("kind, suite", [("complex", "les"), ("complex", "wedge"), ("complex", "dimension"),
+                                         ("chain map", "suspension"), ("chain map", "reformulation")])
+def test_check_suite_that_does_not_fit_the_document_exits_3(capsys, tmp_path, kind, suite):
+    # a suite that a document of this kind cannot run is a usage error,
+    # not a silent pass; a malformed document is still refused as such
+    doc = complex_to_doc(zoo("torus")) if kind == "complex" else map_to_doc(identity_map(zoo("torus")))
+    p = tmp_path / "doc.json"
+    p.write_text(dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(p), "--suite", suite])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 3 and out == ""
+    assert err.startswith("usage: cwhom check")
+    assert err.splitlines()[-1] == (f"cwhom check: error: argument --suite: {suite!r} does not apply "
+                                    f"to a {kind} document")
+    assert sum("error" in line for line in err.splitlines()) == 1
+    p.write_text('{"cells": "nope"}')
+    code, out, err = run(capsys, "check", str(p), "--suite", suite)
+    assert (code, out) == (2, "") and "cells" in err
+
+
 def _battery_les_maps():
     """The eight maps of the battery's les suite."""
     from cwhom.chainmaps import inclusion_map

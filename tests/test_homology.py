@@ -172,6 +172,30 @@ def _clear_presentation_caches():
         cache.cache_clear()
 
 
+def test_reading_presentations_builds_no_identity(monkeypatch):
+    # a transform is only its log, replayed onto the vectors a read asks
+    # for: the groups, lifts and coords of every corpus presentation
+    # build no identity matrix
+    calls = []
+    real = IntMatrix.identity
+    monkeypatch.setattr(IntMatrix, "identity", staticmethod(lambda n: calls.append(n) or real(n)))
+    _clear_presentation_caches()
+    homology._elimination.cache_clear()
+    read = 0
+    for x in standard_corpus():
+        for coeff in standard_coefficients():
+            for variant in ("homology", "cohomology"):
+                for reduced in (False, True):
+                    for n in range(x.dim + 1):
+                        cp = chain_group(x, n, coeff, variant, reduced)
+                        for pres in [p for _, p in cp.factors] + [cp.glue]:
+                            for i, lift in enumerate(pres.lifts):
+                                assert pres.coords(lift) == tuple(int(i == j) for j in range(len(pres.lifts)))
+                                read += 1
+    assert read and calls == []
+    _clear_presentation_caches()
+
+
 def test_coefficient_groups_share_a_factor():
     # rp2 has no unit entry, so chain_group hands out the factors as built
     x = zoo("rp", 2)
@@ -272,7 +296,7 @@ def test_glue_builds_its_relations_on_first_read(monkeypatch):
     monkeypatch.setattr(intmat, "_relations", lambda orders: calls.append(orders) or real(orders))
     glue = _glue([Z, FgAbGroup.cyclic(2)])
     assert glue.group == parse_group("Z + Z/2") and calls == []
-    eager = intmat._present(2, real((0, 2)), None, (1, 1), range(2))
+    eager = intmat._present(2, real((0, 2)), intmat._Log(2), (1, 1), range(2))
     assert eager.group == glue.group
     assert glue.lifts == eager.lifts and len(calls) == 1
     for v in [(1, 0), (0, 1), (3, -5), (-2, 7)] + list(eager.lifts):

@@ -15,13 +15,27 @@ from hypothesis import strategies as st
 from cwhom.abgroups import normalize_diagonal, parse_group
 from cwhom.chainmaps import ChainMap, degree, induced_map, require_valid_map
 from cwhom.complexes import CwComplex, EdgePresentation, from_presentation, require_valid, zoo
-from cwhom.homology import _graded_maps, all_groups, chain_group, coeff_factors
+from cwhom.homology import _chain_maps, all_groups, chain_group
 from cwhom.intmat import IntMatrix, NotInLattice, _coordinate_columns, _coordinates_from_ext, snf
 from cwhom.reduction import reduce_complex
 from lattice_helpers import factor_presentation as _factor_presentation, transform_work
 
 COEFFS = [parse_group(g) for g in ("Z", "Z/2", "Z + Z/4")]
 VARIANTS = [(v, r) for v in ("homology", "cohomology") for r in (False, True)]
+
+
+def coeff_factors(coeff):
+    """The cyclic factor moduli of G, free factors (0) first."""
+    return coeff.generator_orders()
+
+
+def _graded_maps(x, n, variant, reduced):
+    """(outgoing map, incoming map) at dimension n; ambient is c_n: the
+    chain maps, or for cochains their transposes swapped."""
+    out, inc = _chain_maps(x, n, reduced)
+    if variant == "homology":
+        return out, inc
+    return inc.transpose(), out.transpose()
 
 
 def _matmul(a, b, cols):
@@ -277,13 +291,13 @@ def test_reduced_path_builds_no_original_out_map(monkeypatch):
     # original out-map is read sparse, and only once coords is asked
     import cwhom.homology as homology
     x = grid_torus(5)
-    graded_on_x, big_transposes = [], []
-    real_graded, real_transpose = homology._graded_maps, IntMatrix.transpose
+    maps_on_x, big_transposes = [], []
+    real_maps, real_transpose = homology._chain_maps, IntMatrix.transpose
 
-    def counting_graded(y, *args):
+    def counting_maps(y, *args):
         if y == x:
-            graded_on_x.append(args)
-        return real_graded(y, *args)
+            maps_on_x.append(args)
+        return real_maps(y, *args)
 
     def counting_transpose(m):
         if max(m.shape) >= x.cells[0]:
@@ -297,7 +311,7 @@ def test_reduced_path_builds_no_original_out_map(monkeypatch):
         column_reads.append(args)
         return real_columns(*args)
 
-    monkeypatch.setattr(homology, "_graded_maps", counting_graded)
+    monkeypatch.setattr(homology, "_chain_maps", counting_maps)
     monkeypatch.setattr(homology, "_out_columns", counting_columns)
     monkeypatch.setattr(IntMatrix, "transpose", counting_transpose)
     homology.chain_group.cache_clear()
@@ -306,7 +320,7 @@ def test_reduced_path_builds_no_original_out_map(monkeypatch):
         for variant, reduced in VARIANTS:
             for n in range(3):
                 groups[coeff, variant, reduced, n] = chain_group(x, n, coeff, variant, reduced)
-    assert (graded_on_x, big_transposes, column_reads) == ([], [], [])
+    assert (maps_on_x, big_transposes, column_reads) == ([], [], [])
     # coords reads the out-map, rejecting what f alone would accept
     rejected = 0
     for cp in groups.values():
@@ -319,7 +333,7 @@ def test_reduced_path_builds_no_original_out_map(monkeypatch):
                 except NotInLattice:
                     rejected += 1
     assert rejected > 0 and column_reads
-    assert (graded_on_x, big_transposes) == ([], [])
+    assert (maps_on_x, big_transposes) == ([], [])
 
 
 def test_reduced_path_reads_no_chain_maps_of_the_original(monkeypatch):
