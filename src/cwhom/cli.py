@@ -172,6 +172,9 @@ _DOCUMENT_SUITES = {"chain map": ("les",), "complex": ("suspension", "reformulat
 def _cmd_check(args) -> int:
     suites = set(args.suite) if args.suite else {"all"}
     if args.file is None:
+        for name in ("coeff", "range"):
+            if getattr(args, name) is not None:
+                args.usage_error(f"argument --{name}: applies only to a FILE check, not to the corpus battery")
         reports = run_battery(suites=suites)
     else:
         obj = _load_document(args.file)
@@ -179,9 +182,11 @@ def _cmd_check(args) -> int:
         for name in args.suite or ():
             if name != "all" and name not in _DOCUMENT_SUITES[kind]:
                 args.usage_error(f"argument --suite: {name!r} does not apply to a {kind} document")
+        if args.range is not None and not suites & {"all", "suspension", "les"}:
+            args.usage_error("argument --range: only the suspension and les suites read a range")
         run_all = "all" in suites
         reports = []
-        g = args.coeff
+        g = FgAbGroup.free(1) if args.coeff is None else args.coeff
         if isinstance(obj, ChainMap):
             # a map with other violations is refused for those alone
             f = require_valid_map(require_valid_map(obj), pointed=True)
@@ -264,7 +269,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("check", help="axiom checks (no file: full corpus battery)")
     sp.add_argument("file", nargs="?", default=None)
-    sp.add_argument("--coeff", type=_coeff, default=FgAbGroup.free(1))
+    sp.add_argument("--coeff", type=_coeff, default=None, help="coefficient group of a FILE check (default Z)")
     sp.add_argument("--range", type=_parse_range, default=None,
                     help="dimension range a..b for suspension/les checks")
     sp.add_argument("--suite", action="append", choices=SUITES + ("all",),

@@ -8,7 +8,8 @@ finitely generated quotient groups are derived.  Its one kernel,
 A unimodular transform is only ever that log: each caller replays it onto
 the vectors it reads (a product, a lift, one coordinate vector), and
 ``snf`` alone replays it onto the identity.  A query that needs only the
-group pays for no transform.
+group pays for no transform.  Storage is dense; ``@`` and ``apply`` are
+one product, ``_sparse_apply``, over the nonzero columns a matrix keeps.
 
 Matrices with zero rows and/or zero columns are first-class values; they
 show up constantly (complexes with empty dimensions) and every operation
@@ -51,7 +52,8 @@ class ChainConditionViolation(ValueError):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix, row-major, immutable."""
+    """Dense integer matrix, row-major, immutable; ``@`` and ``apply``
+    read its nonzero columns, kept from the first product on."""
 
     rows: int
     cols: int
@@ -73,6 +75,12 @@ class IntMatrix:
 
     def __hash__(self) -> int:
         return self._hash
+
+    @cached_property
+    def _columns(self) -> list:
+        # what @ and apply read: the nonzeros of each column, built once on
+        # the frozen matrix like ``_hash`` and outside eq and hash
+        return _sparse_columns(self)
 
     # -- constructors -------------------------------------------------
 
@@ -174,23 +182,14 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        a, b = self, other
-        bt = b.transpose()
-        out = []
-        for i in range(a.rows):
-            ra = a.row(i)
-            for j in range(b.cols):
-                rb = bt.row(j)
-                out.append(sum(x * y for x, y in zip(ra, rb)))
-        return IntMatrix(a.rows, b.cols, tuple(out))
+        cols = list(_sparse_product(self._columns, other._columns))
+        return IntMatrix(self.rows, other.cols, tuple(col.get(i, 0) for i in range(self.rows) for col in cols))
 
     def apply(self, vec: Sequence[int]) -> tuple:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum(self.entries[i * self.cols + j] * vec[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        image = _sparse_apply(self._columns, ((j, a) for j, a in enumerate(vec) if a))
+        return tuple(image.get(i, 0) for i in range(self.rows))
 
     def delete_row(self, i: int) -> "IntMatrix":
         rows = self.to_rows()

@@ -446,6 +446,30 @@ def test_check_suite_that_does_not_fit_the_document_exits_3(capsys, tmp_path, ki
     assert (code, out) == (2, "") and "cells" in err
 
 
+@pytest.mark.parametrize("argv, option, message", [
+    (["--coeff", "Z/7", "--suite", "dimension"], "coeff", "applies only to a FILE check, not to the corpus battery"),
+    (["--coeff", "Z"], "coeff", "applies only to a FILE check, not to the corpus battery"),
+    (["--range", "0..1"], "range", "applies only to a FILE check, not to the corpus battery"),
+    (["{torus}", "--suite", "reformulation", "--range", "5..9"], "range",
+     "only the suspension and les suites read a range"),
+])
+def test_check_option_that_would_go_unread_exits_3(capsys, torus_file, argv, option, message):
+    # --coeff and --range that no selected check reads are usage errors,
+    # not silently dropped
+    with pytest.raises(SystemExit) as exc:
+        main(["check", *(a.format(torus=torus_file) for a in argv)])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 3 and out == ""
+    assert err.startswith("usage: cwhom check")
+    assert err.splitlines()[-1] == f"cwhom check: error: argument --{option}: {message}"
+    assert sum("error" in line for line in err.splitlines()) == 1
+    # where a suite reads them, they are used: a FILE check defaults to Z
+    code, out, _ = run(capsys, "check", torus_file, "--suite", "reformulation", "--suite", "suspension",
+                       "--range", "0..1")
+    assert code == 0 and out.splitlines() == ["PASS suspension torus G=Z dims=0..1",
+                                              "PASS skeletal torus G=Z dims=0..2"]
+
+
 def _battery_les_maps():
     """The eight maps of the battery's les suite."""
     from cwhom.chainmaps import inclusion_map

@@ -515,3 +515,71 @@ def test_transposed_log_shares_its_operations():
     assert transposed.ops is log.ops and transposed.transposed().ops is log.ops
     m = IntMatrix(6, 2, tuple(rng.randint(-3, 3) for _ in range(12)))
     assert transposed.transposed().times(m) == log.times(m)
+
+
+def _dense_matmul(a, b):
+    """The row-by-column product ``@`` computed before it read sparse
+    columns; kept here as the oracle."""
+    return IntMatrix(a.rows, b.cols, tuple(
+        sum(a.entries[i * a.cols + k] * b.entries[k * b.cols + j] for k in range(a.cols))
+        for i in range(a.rows) for j in range(b.cols)))
+
+
+def _dense_apply(m, vec):
+    """The dense ``apply`` formula, as the oracle."""
+    return tuple(sum(m.entries[i * m.cols + j] * vec[j] for j in range(m.cols)) for i in range(m.rows))
+
+
+# mostly zero, with unit and 71-bit entries of both signs
+_PRODUCT_ENTRIES = st.sampled_from((0, 0, 0, 1, -1, 2**70, -2**70))
+
+
+@st.composite
+def _product_operands(draw):
+    """a (r x k), b (k x c) and a vector of length k, every side 0..7;
+    a square operand is the identity a quarter of the time."""
+    r, k, c = (draw(st.integers(0, 7)) for _ in range(3))
+
+    def matrix(rows, cols):
+        if rows == cols and draw(st.integers(0, 3)) == 0:
+            return IntMatrix.identity(rows)
+        n = rows * cols
+        return IntMatrix(rows, cols, tuple(draw(st.lists(_PRODUCT_ENTRIES, min_size=n, max_size=n))))
+
+    a, b = matrix(r, k), matrix(k, c)
+    return a, b, tuple(draw(st.lists(_PRODUCT_ENTRIES, min_size=k, max_size=k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product_operands())
+def test_sparse_products_match_the_dense_formulas(operands):
+    a, b, v = operands
+    want = _dense_matmul(a, b)
+    assert a @ b == want and a @ b == want  # the second product reads the kept columns
+    assert a.apply(v) == _dense_apply(a, v) and b.transpose().apply(v) == _dense_apply(b.transpose(), v)
+    assert all(type(x) is int for x in (a @ b).entries + a.apply(v))
+
+
+def test_products_keep_their_shape_errors():
+    a, b = IntMatrix.zeros(2, 3), IntMatrix.zeros(2, 3)
+    with pytest.raises(ValueError, match=r"^shape mismatch \(2, 3\) @ \(2, 3\)$"):
+        a @ b
+    with pytest.raises(ValueError, match="^vector length mismatch$"):
+        a.apply((1, 2))
+
+
+def test_products_build_each_matrix_columns_once(monkeypatch):
+    # the nonzero columns are kept on the matrix: 50 applies and two
+    # products read them, but build each operand's columns once
+    from cwhom import intmat
+    built = []
+    real = intmat._sparse_columns
+    monkeypatch.setattr(intmat, "_sparse_columns", lambda m: built.append(m) or real(m))
+    m = IntMatrix.from_rows([[0, 3, 0], [-1, 0, 0], [0, 0, 2**70]])
+    other = IntMatrix.from_rows([[1, 0], [0, 0], [5, -2]])
+    for k in range(50):
+        assert m.apply((k, 1, -k)) == (3, -k, -k * 2**70)
+    assert m @ other == m @ other == _dense_matmul(m, other)
+    assert len(built) == 2 and built[0] is m and built[1] is other
+    # the kept columns are not part of equality or the hash
+    assert m == IntMatrix.from_rows(m.to_rows()) and hash(m) == hash((3, 3, m.entries))
