@@ -14,14 +14,15 @@ proven inverses and the induced maps of validated chain maps.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd, prod
 
 from .intmat import (
     IntMatrix,
+    _put,
     _relations,
     _snf_ext,
     _unit_columns,
+    _Value,
     _vstack,
     preimage_lattice,
     quotient_group,
@@ -60,21 +61,23 @@ class NotAnIsomorphism(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
-    rank: int
-    torsion: tuple = ()
+class FgAbGroup(_Value):
+    __slots__ = __match_args__ = ("rank", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int, torsion: tuple = ()):
+        self._init(rank, torsion)
+        if rank < 0:
             raise ValueError("negative rank")
         prev = None
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError(f"torsion order {d} < 2")
             if prev is not None and d % prev:
                 raise ValueError("torsion orders do not form a divisibility chain")
             prev = d
+
+    def _key(self) -> tuple:
+        return (self.rank, self.torsion)
 
     @staticmethod
     def trivial() -> "FgAbGroup":
@@ -290,8 +293,7 @@ def _relation_matrix(g: FgAbGroup) -> IntMatrix:
     return _relations(g.generator_orders())
 
 
-@dataclass(frozen=True)
-class AbHom:
+class AbHom(_Value):
     """Homomorphism between canonically presented groups.
 
     The matrix has one column per source generator and one row per
@@ -301,16 +303,18 @@ class AbHom:
     target's relation lattice (but not in ``_derived``).
     """
 
-    source: FgAbGroup
-    target: FgAbGroup
-    matrix: IntMatrix
+    __slots__ = __match_args__ = ("source", "target", "matrix")
 
-    def __post_init__(self):
+    def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix):
+        self._init(source, target, matrix)
         self._normalize()
         t_orders = self.target.generator_orders()
         for j, d in enumerate(self.source.generator_orders()):
             if d and any(d * v % o if o else v for v, o in zip(self.matrix.col(j), t_orders)):
                 raise ValueError(f"not well-defined: generator {j} of order {d} maps outside relations")
+
+    def _key(self) -> tuple:
+        return (self.source, self.target, self.matrix)
 
     def _normalize(self):
         m = self.matrix
@@ -325,14 +329,14 @@ class AbHom:
             for i, o in enumerate(t_orders):
                 if o:
                     rows[i] = [v % o for v in rows[i]]
-            object.__setattr__(self, "matrix", IntMatrix.from_rows(rows, cols=m.cols))
+            _put(self, "matrix", IntMatrix.from_rows(rows, cols=m.cols))
 
     @classmethod
     def _derived(cls, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix) -> "AbHom":
         """``AbHom(source, target, matrix)`` for a matrix derived from
         checked homs: normalized, but not checked again."""
         h = object.__new__(cls)
-        h.__dict__.update(source=source, target=target, matrix=matrix)
+        h._init(source, target, matrix)
         h._normalize()
         return h
 

@@ -29,13 +29,12 @@ carries the alternating sign that makes it an honest chain map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .abgroups import AbHom, FgAbGroup, compose_hom
 from .complexes import CwComplex, _born_valid, suspension, zoo
 from .homology import _induced, chain_group, integral_homology
-from .intmat import IntMatrix, _ones, _sparse_columns, _sparse_product, _unit_columns, _vstack
+from .intmat import IntMatrix, _ones, _sparse_columns, _sparse_product, _unit_columns, _Value, _vstack
 
 __all__ = [
     "ChainMap",
@@ -61,12 +60,15 @@ class NotASphereModel(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ChainMap:
-    source: CwComplex
-    target: CwComplex
-    maps: tuple           # F_0 .. F_K, K = max(dims); F_n is c'_n x c_n
-    name: str = field(default="", compare=False)
+class ChainMap(_Value):
+    __match_args__ = ("source", "target", "maps", "name")
+
+    def __init__(self, source: CwComplex, target: CwComplex, maps: tuple, name: str = ""):
+        # maps: F_0 .. F_K, K = max(dims); F_n is c'_n x c_n
+        self._init(source, target, maps, name)
+
+    def _key(self) -> tuple:
+        return (self.source, self.target, self.maps)  # not the name
 
     @property
     def top(self) -> int:
@@ -240,15 +242,15 @@ def degree(f: ChainMap) -> int:
     return pres.coords(image)[0]
 
 
-@dataclass(frozen=True)
-class MappingCone:
+class MappingCone(_Value):
     """Cofiber data: the cone complex, the inclusion of the target, and
     the (sign-corrected) projection onto the suspended source."""
 
-    map: ChainMap
-    cone: CwComplex
-    inclusion: ChainMap    # target -> cone
-    projection: ChainMap   # cone -> suspension(source)
+    __slots__ = __match_args__ = ("map", "cone", "inclusion", "projection")
+
+    def __init__(self, map: ChainMap, cone: CwComplex, inclusion: ChainMap, projection: ChainMap):
+        # inclusion: target -> cone; projection: cone -> suspension(source)
+        self._init(map, cone, inclusion, projection)
 
 
 def _relative_columns(m: IntMatrix, bp: int) -> IntMatrix:

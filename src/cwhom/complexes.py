@@ -22,10 +22,9 @@ valid complex; ``with_name`` takes over the report of its original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .intmat import IntMatrix, _sparse_columns, _sparse_product, _vstack
+from .intmat import IntMatrix, _put, _sparse_columns, _sparse_product, _Value, _vstack
 
 __all__ = [
     "CwComplex",
@@ -56,12 +55,16 @@ class InvalidComplex(ValueError):
         self.violations = list(violations)
 
 
-@dataclass(frozen=True)
-class CwComplex:
-    cells: tuple          # cell counts per dimension, c0 >= 1
-    boundaries: tuple     # IntMatrix B_1 .. B_N; B_n is c_{n-1} x c_n
-    basepoint: int = 0
-    name: str = field(default="", compare=False)
+class CwComplex(_Value):
+    __match_args__ = ("cells", "boundaries", "basepoint", "name")
+
+    def __init__(self, cells: tuple, boundaries: tuple, basepoint: int = 0, name: str = ""):
+        # cells: the cell counts per dimension, c0 >= 1; boundaries: the
+        # IntMatrix B_1 .. B_N, B_n is c_{n-1} x c_n
+        self._init(cells, boundaries, basepoint, name)
+
+    def _key(self) -> tuple:
+        return (self.cells, self.boundaries, self.basepoint)  # not the name
 
     @property
     def dim(self) -> int:
@@ -79,7 +82,7 @@ class CwComplex:
     @cached_property
     def _hash(self) -> int:
         # frozen, and the key of every homology cache: hashed at most once
-        return hash((self.cells, self.boundaries, self.basepoint))
+        return hash(self._key())
 
     def __hash__(self) -> int:
         return self._hash
@@ -97,18 +100,19 @@ class CwComplex:
         return f"{label}{list(self.cells)}"
 
 
-@dataclass(frozen=True)
-class EdgePresentation:
-    vertices: int
-    edges: tuple          # (source, target) pairs, 0-based vertices
-    faces: tuple = ()     # attaching words: nonzero signed 1-based edge indices
-    basepoint: int = 0
+class EdgePresentation(_Value):
+    __slots__ = __match_args__ = ("vertices", "edges", "faces", "basepoint")
+
+    def __init__(self, vertices: int, edges: tuple, faces: tuple = (), basepoint: int = 0):
+        # edges: (source, target) pairs, 0-based vertices; faces: attaching
+        # words, nonzero signed 1-based edge indices
+        self._init(vertices, edges, faces, basepoint)
 
 
 def _born_valid(obj, report: tuple = ()):
     """obj (a complex or a chain map) with ``report`` as its cached
     violation report: empty, or that of the object obj copies."""
-    object.__setattr__(obj, "_violations", report)
+    _put(obj, "_violations", report)
     return obj
 
 

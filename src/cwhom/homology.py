@@ -54,7 +54,6 @@ used as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .abgroups import AbHom, FgAbGroup, normalize_diagonal
@@ -73,6 +72,7 @@ from .intmat import (
     _sparse_apply,
     _sparse_columns,
     _unit_columns,
+    _Value,
 )
 from .reduction import Reduction, reduce_complex
 
@@ -87,8 +87,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoeffPresentation:
+class CoeffPresentation(_Value):
     """A (co)homology group with coefficients in G, with presentations.
 
     ``factors`` holds one presentation per cyclic factor of G, all living
@@ -97,11 +96,12 @@ class CoeffPresentation:
     whole group; its lifts/coords translate between the two.
     """
 
-    group: FgAbGroup
-    coeff: FgAbGroup
-    ambient_dim: int
-    factors: tuple        # ((modulus, GroupWithPresentation), ...)
-    glue: GroupWithPresentation
+    __slots__ = __match_args__ = ("group", "coeff", "ambient_dim", "factors", "glue")
+
+    def __init__(self, group: FgAbGroup, coeff: FgAbGroup, ambient_dim: int, factors: tuple,
+                 glue: GroupWithPresentation):
+        # factors: ((modulus, GroupWithPresentation), ...)
+        self._init(group, coeff, ambient_dim, factors, glue)
 
     @property
     def num_generators(self) -> int:

@@ -18,7 +18,6 @@ must accept them.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, partial
 from math import gcd
 from typing import NamedTuple, Sequence
@@ -50,28 +49,79 @@ class ChainConditionViolation(ValueError):
     """Two maps that should compose to zero (mod d) do not."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+_put = object.__setattr__
+
+
+class _Value:
+    """The one convention for the package's immutable values, shared by
+    the ten value types (``IntMatrix`` to ``CheckReport``, which alone
+    stays mutable), whose ``__match_args__`` list the constructor's fields
+    in order.  Each field
+    is set once, through ``_put``; assigning or deleting any attribute
+    raises dataclasses' ``FrozenInstanceError``.  ``==`` and ``hash`` read
+    ``_key()``, the compared fields (all but ``name``), and repr, pickle
+    and copy go through the constructor.  These are plain classes rather
+    than dataclasses: generating dataclass methods, and importing
+    dataclasses with the inspect and ast it pulls in, took about 20 ms and
+    1 MB at every CLI start."""
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__match_args__, values):
+            _put(self, name, value)
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # imported on this error path only
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class IntMatrix(_Value):
     """Dense integer matrix, row-major, immutable; ``@`` and ``apply``
     read its nonzero columns, kept from the first product on."""
 
-    rows: int
-    cols: int
-    entries: tuple  # length rows * cols
+    __match_args__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple):  # entries: length rows * cols
+        # the fields are put one by one, not through ``_init``: this is the
+        # constructor the package calls most (23 000 times in a battery)
+        _put(self, "rows", rows)
+        _put(self, "cols", cols)
+        _put(self, "entries", entries)
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"entry count {len(entries)} != {rows}x{cols}")
+
+    def _key(self) -> tuple:
+        return (self.rows, self.cols, self.entries)
 
     @cached_property
     def _hash(self) -> int:
-        # the matrix is frozen, so its entries are hashed at most once; the
-        # value is the one dataclass would compute on every call
-        return hash((self.rows, self.cols, self.entries))
+        # the matrix is frozen, so its entries are hashed at most once
+        return hash(self._key())
 
     def __hash__(self) -> int:
         return self._hash
@@ -243,6 +293,27 @@ class _Log:
         self.ops = [] if ops is None else ops
         self._transposed = transposed
 
+    def _steps(self, inverse: bool):
+        """The row operations (i, j, k) that build T, or T^-1 when ``inverse``."""
+        it = reversed(self.ops) if inverse else iter(self.ops)
+        ops = zip(it, it, it)  # (k, j, i) when reversed
+        if self._transposed:
+            return ((j, i, k) for k, j, i in ops) if inverse else ((j, i, -k) for i, j, k in ops)
+        return ((i, j, -k) for k, j, i in ops) if inverse else ops
+
+    def replay(self, v: Sequence[int], inverse: bool = False) -> list:
+        """T v, or T^-1 v when ``inverse``, for one vector v of length n:
+        ``times`` on a single column, with no per-row list."""
+        v = list(v)
+        for i, j, k in self._steps(inverse):
+            if k:
+                v[i] += k * v[j]
+            elif i != j:
+                v[i], v[j] = v[j], v[i]
+            else:
+                v[i] = -v[i]
+        return v
+
     def times(self, m: IntMatrix, inverse: bool = False) -> IntMatrix:
         """T @ m, or T^-1 @ m when ``inverse``."""
         if m.rows != self.n:
@@ -250,13 +321,7 @@ class _Log:
         if not self.ops:  # T = I
             return m
         rows = m.to_rows()
-        it = reversed(self.ops) if inverse else iter(self.ops)
-        ops = zip(it, it, it)  # (k, j, i) when reversed
-        if self._transposed:
-            triples = ((j, i, k) for k, j, i in ops) if inverse else ((j, i, -k) for i, j, k in ops)
-        else:
-            triples = ((i, j, -k) for k, j, i in ops) if inverse else ops
-        for i, j, k in triples:
+        for i, j, k in self._steps(inverse):
             if k:
                 rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
             elif i != j:
@@ -368,6 +433,8 @@ class _SnfWork:
                         break
                 if swapped:
                     continue
+                if p == 1:  # 1 divides every entry: the scan below finds nothing
+                    break
                 # divisibility repair: fold a non-divisible entry into the
                 # pivot row so the next pass shrinks the pivot
                 bad = None
@@ -385,18 +452,16 @@ class _SnfWork:
             t += 1
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(_Value):
     """Decomposition A = U @ S @ V with unimodular U, V and diagonal S;
     Uinv and Vinv are the inverses of U and V.  ``snf`` builds all five
     from one ``_snf_ext``: S from its diagonal, each transform replayed
     from its log onto the identity."""
 
-    U: IntMatrix
-    Uinv: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
-    Vinv: IntMatrix
+    __slots__ = __match_args__ = ("U", "Uinv", "S", "V", "Vinv")
+
+    def __init__(self, U: IntMatrix, Uinv: IntMatrix, S: IntMatrix, V: IntMatrix, Vinv: IntMatrix):
+        self._init(U, Uinv, S, V, Vinv)
 
     def diagonal(self) -> tuple:
         k = min(self.S.rows, self.S.cols)
@@ -524,9 +589,6 @@ def preimage_lattice(m: IntMatrix, relations: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=ker.cols)
 
 
-_put = object.__setattr__
-
-
 class GroupWithPresentation:
     """A canonical-form group plus an explicit presentation in an ambient Z^m.
 
@@ -540,16 +602,12 @@ class GroupWithPresentation:
     """
 
     __slots__ = ("group", "ambient_dim")
+    # frozen like the value types, but compared by identity
+    __setattr__, __delattr__ = _Value.__setattr__, _Value.__delattr__
 
     def __init__(self, group: "FgAbGroup", ambient_dim: int):  # FgAbGroup: cwhom.abgroups
         _put(self, "group", group)
         _put(self, "ambient_dim", ambient_dim)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def lifts(self) -> tuple:
@@ -606,8 +664,7 @@ class _Presented(GroupWithPresentation):
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
         rel, gens = self._generators()
-        y = _coordinates_from_ext(self._t.times(IntMatrix.column(v)).entries, self._e, self._live)
-        w = rel.times(IntMatrix.column(y)).entries
+        w = rel.replay(_coordinates_from_ext(self._t.replay(v), self._e, self._live))
         return tuple(w[j] % o if o else w[j] for j, o in zip(gens, self.group.generator_orders()))
 
 

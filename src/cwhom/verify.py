@@ -34,7 +34,6 @@ witness, every time it is met.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
 from .abgroups import (
@@ -75,7 +74,7 @@ from .complexes import (
     zoo,
 )
 from .homology import _glue, _induced, cells_presentation, chain_group, cohomology
-from .intmat import IntMatrix, _ones, _unit_columns
+from .intmat import IntMatrix, _ones, _unit_columns, _Value
 
 __all__ = [
     "CheckReport",
@@ -96,13 +95,13 @@ class IsoTransportFailure(ValueError):
     """An identification that the axioms promise to be invertible was not."""
 
 
-@dataclass
-class CheckReport:
-    check: str
-    subject: str
-    coeff: FgAbGroup
-    dims: range
-    witnesses: list = field(default_factory=list)
+class CheckReport(_Value):
+    __slots__ = __match_args__ = ("check", "subject", "coeff", "dims", "witnesses")
+    # filled in as the check runs: mutable, so not hashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, check: str, subject: str, coeff: FgAbGroup, dims: range, witnesses: list | None = None):
+        self._init(check, subject, coeff, dims, [] if witnesses is None else witnesses)
 
     @property
     def passed(self) -> bool:

@@ -583,3 +583,76 @@ def test_products_build_each_matrix_columns_once(monkeypatch):
     assert len(built) == 2 and built[0] is m and built[1] is other
     # the kept columns are not part of equality or the hash
     assert m == IntMatrix.from_rows(m.to_rows()) and hash(m) == hash((3, 3, m.entries))
+
+
+def _run_scanning_always(w):
+    """``_SnfWork.run`` with the divisibility scan after every pivot, 1
+    included: the oracle for skipping that scan when the pivot is 1."""
+    t = 0
+    while t < min(w.r, w.c):
+        piv = w._find_pivot(t)
+        if piv is None:
+            break
+        pi, pj = piv
+        if pi != t:
+            w.row_swap(t, pi)
+        if pj != t:
+            w.col_swap(t, pj)
+        if w.s[t][t] < 0:
+            w.row_neg(t)
+        while True:
+            p = w.s[t][t]
+            for i in range(t + 1, w.r):
+                q = w.s[i][t] // p
+                if q:
+                    w.row_add(i, t, -q)
+            i = next((i for i in range(t + 1, w.r) if w.s[i][t]), None)
+            if i is not None:
+                w.row_swap(t, i)
+                continue
+            for j in range(t + 1, w.c):
+                q = w.s[t][j] // p
+                if q:
+                    w.col_add(j, t, -q)
+            j = next((j for j in range(t + 1, w.c) if w.s[t][j]), None)
+            if j is not None:
+                w.col_swap(t, j)
+                continue
+            bad = next((i for i in range(t + 1, w.r) if any(v % p for v in w.s[i][t + 1:])), None)
+            if bad is None:
+                break
+            w.row_add(t, bad, 1)
+        t += 1
+
+
+def test_unit_pivots_skip_a_scan_that_finds_nothing():
+    # a pivot of 1 divides every entry, so skipping the divisibility scan
+    # leaves S and both logs equal, operation for operation, to the run
+    # that scans after every pivot
+    from cwhom.intmat import _SnfWork
+    rng = random.Random(20)
+    palettes = [range(-9, 10), (0, 0, 2, -2, 3, 4, 6), (0, 0, 0, 1, -1, 2), (0, 2, 4, -4, 8, 3)]
+    shapes = [(r, c) for r in range(4) for c in range(4) if not r * c]
+    shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(400)]
+    mats = [IntMatrix.from_rows([[2, 0], [0, 3]])]
+    for r, c in shapes:
+        palette = rng.choice(palettes)
+        mats.append(IntMatrix(r, c, tuple(rng.choice(palette) for _ in range(r * c))))
+    for m in mats:
+        fast, slow = _SnfWork(m), _SnfWork(m)
+        fast.run()
+        _run_scanning_always(slow)
+        assert fast.s == slow.s, m
+        assert (fast.row_log.ops, fast.col_log.ops) == (slow.row_log.ops, slow.col_log.ops), m
+
+
+def test_vector_replay_equals_times_on_one_column():
+    from cwhom.intmat import _Log
+    rng = random.Random(21)
+    for _ in range(150):
+        m = random_matrix(rng, max_side=7, lo=-5, hi=5)
+        _, rows, cols = _snf_ext(m)
+        for log in (rows, cols, rows.transposed(), cols.transposed(), _Log(m.rows)):
+            v = [rng.randint(-6, 6) for _ in range(log.n)]
+            for inverse in (False, True):
+                assert log.replay(v, inverse) == list(log.times(IntMatrix.column(v), inverse).entries)
