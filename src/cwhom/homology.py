@@ -54,7 +54,7 @@ used as it is.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .abgroups import AbHom, FgAbGroup, normalize_diagonal
 from .complexes import CwComplex, require_valid
@@ -176,7 +176,9 @@ def _cycle_quotients(out: IntMatrix, inc: IntMatrix, variant: str) -> _CycleQuot
     proved (or of its residual), so the chain condition is not checked."""
     if variant == "homology":
         s, _, t = _elimination(out)
-        return _CycleQuotients.of_complex(s, t, _elimination(inc).s, lambda: inc)
+        # a builder of an equal copy of inc: it pickles, where a lambda would not
+        build_inc = partial(IntMatrix, inc.rows, inc.cols, inc.entries)
+        return _CycleQuotients.of_complex(s, t, _elimination(inc).s, build_inc)
     if variant == "cohomology":
         # inc^T = V^T S^T U^T: its V is U^T, inc's row log read transposed
         s, rows, _ = _elimination(inc)

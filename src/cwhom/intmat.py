@@ -609,6 +609,11 @@ class GroupWithPresentation:
         _put(self, "group", group)
         _put(self, "ambient_dim", ambient_dim)
 
+    def __setstate__(self, state):
+        # pickle and copy hand back (None, the slots' values): put each
+        for name, value in state[1].items():
+            _put(self, name, value)
+
     @property
     def lifts(self) -> tuple:
         raise NotImplementedError
@@ -732,25 +737,18 @@ class _CycleQuotients:
     its coordinates now.  V and V^-1 are replayed only onto the vectors
     a read of some factor's lifts or coords asks for.
 
-    Each factor of a pair of any two maps checks the in-map against its
-    cycles as it is built.  A pair of a complex proved valid where it came
-    in (``of_complex``) is not checked again: V @ in, and the in-map, are
-    built for the first factor mod d >= 2 or the first read of the
-    integral factor's lifts or coords, never for its group alone.
+    The pair is one of a complex proved valid where it came in, so it is
+    not checked again: V @ in, and the in-map, are built for the first
+    factor mod d >= 2 or the first read of the integral factor's lifts or
+    coords, never for its group alone.
     """
-
-    def __init__(self, out_map: IntMatrix, in_map: IntMatrix):
-        if in_map.rows != out_map.cols:
-            raise ValueError("shapes not composable")
-        self.s, _, self.t = _snf_ext(out_map)
-        self.in_s, self._in_map, self._checked = _snf_ext(in_map).s, lambda: in_map, True
 
     @classmethod
     def of_complex(cls, s: tuple, t: _Log, in_s: tuple, in_map) -> "_CycleQuotients":
         """Those of a pair with out @ in = 0 over Z: out's nonzero diagonal
         s and its V's log t, in's nonzero diagonal in_s, and in's builder."""
         q = cls.__new__(cls)
-        q.s, q.t, q.in_s, q._in_map, q._checked = s, t, in_s, in_map, False
+        q.s, q.t, q.in_s, q._in_map = s, t, in_s, in_map
         return q
 
     @cached_property
@@ -766,15 +764,15 @@ class _CycleQuotients:
 
     def quotient(self, d: int) -> GroupWithPresentation:
         """The factor for modulus d; ContainmentViolation when some column
-        of the in-map is checked and is not a (co)cycle mod d."""
+        of the in-map is not a (co)cycle mod d (checked at once for d >=
+        2, on the first read of lifts or coords for d = 0)."""
         m = self.t.n
         # g_i = d / e_i is the order of coordinate i in the quotient (0: free)
         g = [gcd(d, si) for si in self.s] + [d] * (m - len(self.s))
         e = tuple(d // gi if gi else 1 for gi in g)
         live = tuple(i for i in range(m) if e[i] and g[i] != 1)
         if not d:
-            rel = partial(self._coordinates, e, live)
-            return _present(m, rel() if self._checked else rel, self.t, e, live,
+            return _present(m, partial(self._coordinates, e, live), self.t, e, live,
                             group=_cokernel(len(live), self.in_s))
         rel = self._coordinates(e, live)
         orders = [g[i] for i in live]

@@ -29,7 +29,13 @@ bounded memo keyed by value (``_inverse``, ``_exact``, ``_subquotient``;
 distinct value is still proved in full, once: an isomorphism is
 inverted and its inverse verified both ways, and a failure is not
 cached, so a hom that is not invertible is tried again, with the same
-witness, every time it is met.
+witness, every time it is met.  The skeletal check's per-k work is
+memoized the same way one layer up: each filtration quotient's part (b)
+and cell-basis isomorphism, keyed by (Q_k, k, G), and each level's
+connecting composite and part (c) comparison, keyed by (level, k, G,
+B_{k+1}), are proved once per distinct value, and a failed proof is not
+kept.  Spheres, Moore spaces, RP^n and lens spaces share wedges of
+spheres as quotients.
 """
 
 from __future__ import annotations
@@ -409,6 +415,56 @@ def _cell_basis_iso(q: CwComplex, k: int, coeff: FgAbGroup) -> AbHom:
     return _induced(src, tgt, t)
 
 
+# The per-k proofs of the skeletal check, keyed by value like the memos
+# above: the corpus shares filtration quotients (wedges of spheres) and
+# levels across complexes.  Sized with headroom over the distinct keys of
+# one battery (55 and 105).
+
+
+@lru_cache(maxsize=128)
+def _quotient_proof(q: CwComplex, k: int, coeff: FgAbGroup) -> tuple:
+    """Part (b) for Q_k: the witnesses of every h^n(Q_k), n != k, that is
+    not trivial, then the cell-basis isomorphism and its proven inverse."""
+    witnesses = []
+    for n in range(q.dim + 1):
+        if n == k:
+            continue
+        g = cohomology(q, n, coeff, reduced=True).group
+        if not g.is_trivial:
+            witnesses.append(f"h^{n}(Q_{k}) = {g}, expected 0")
+    try:
+        iso = _cell_basis_iso(q, k, coeff)
+        return tuple(witnesses), iso, _inverse(iso)
+    except NotAnIsomorphism as e:
+        raise IsoTransportFailure(f"h^{k}(Q_{k}) is not free on cells: {e}")
+
+
+@lru_cache(maxsize=256)
+def _level_proof(level: tuple, k: int, coeff: FgAbGroup, boundary: IntMatrix) -> tuple:
+    """Level k = (j, cone(j), collapse) of the tower, for a complex whose
+    B_{k+1} is ``boundary``: the connecting composite delta_k : h^k(Q_k)
+    -> h^{k+1}(Q_{k+1}), and part (c)'s (k, delta_k in cell coordinates,
+    B_{k+1}^T, row orders)."""
+    j, cone, collapse = level
+    q_star = induced_map(collapse, k + 1, coeff, "cohomology", reduced=True)
+    try:
+        q_inv = _inverse(q_star)
+    except NotAnIsomorphism as e:
+        raise IsoTransportFailure(
+            f"collapse comparison at level {k} is not invertible: {e}"
+        )
+    delta = compose_hom(q_inv, connecting_map(j, k, coeff, cone))
+    iso_next = _quotient_proof(collapse.target, k + 1, coeff)[1]
+    inv_here = _quotient_proof(j.source, k, coeff)[2]
+    cellwise = compose_hom(iso_next, compose_hom(delta, inv_here))
+    expected = _induced(
+        cells_presentation(boundary.rows, coeff),
+        cells_presentation(boundary.cols, coeff),
+        boundary.transpose(),
+    )
+    return delta, (k, cellwise.matrix, expected.matrix, cellwise.target.generator_orders())
+
+
 def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
     require_valid(x)
     rep = CheckReport("skeletal", _subject(x), coeff, range(0, x.dim + 1))
@@ -416,34 +472,17 @@ def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
 
     quotients, levels = _skeletal_tower(x)
 
-    # (b) h^n(Q_k) is G^{c_k} at n = k and trivial elsewhere; keep the
-    # cell-basis isomorphisms for later.
-    cell_isos = []
+    # (b) h^n(Q_k) is G^{c_k} at n = k and trivial elsewhere
     for k, q in enumerate(quotients):
-        for n in range(q.dim + 1):
-            if n == k:
-                continue
-            g = cohomology(q, n, coeff, reduced=True).group
-            if not g.is_trivial:
-                rep.witnesses.append(f"h^{n}(Q_{k}) = {g}, expected 0")
-        try:
-            iso = _cell_basis_iso(q, k, coeff)
-            inv = _inverse(iso)
-        except NotAnIsomorphism as e:
-            raise IsoTransportFailure(f"h^{k}(Q_{k}) is not free on cells: {e}")
-        cell_isos.append((iso, inv))
+        rep.witnesses.extend(_quotient_proof(q, k, coeff)[0])
 
-    # the connecting composites h^k(Q_k) -> h^{k+1}(Q_{k+1})
-    deltas = []
-    for k, (j, cone, collapse) in enumerate(levels):
-        q_star = induced_map(collapse, k + 1, coeff, "cohomology", reduced=True)
-        try:
-            q_inv = _inverse(q_star)
-        except NotAnIsomorphism as e:
-            raise IsoTransportFailure(
-                f"collapse comparison at level {k} is not invertible: {e}"
-            )
-        deltas.append(compose_hom(q_inv, connecting_map(j, k, coeff, cone)))
+    # the connecting composites h^k(Q_k) -> h^{k+1}(Q_{k+1}), with (c)'s
+    # comparison at each level
+    deltas, comparisons = [], []
+    for k, level in enumerate(levels):
+        delta, comparison = _level_proof(level, k, coeff, x.boundary(k + 1))
+        deltas.append(delta)
+        comparisons.append(comparison)
 
     top_group = chain_group(quotients[dim], dim, coeff, "cohomology", True).group
     deltas.append(zero_hom(top_group, FgAbGroup.trivial()))
@@ -475,18 +514,6 @@ def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
 
     # (c) in cell coordinates every composite is the transposed boundary
     # matrix, up to one global sign per generator
-    comparisons = []
-    for k in range(dim):
-        iso_next = cell_isos[k + 1][0]
-        inv_here = cell_isos[k][1]
-        cellwise = compose_hom(iso_next, compose_hom(deltas[k], inv_here))
-        expected = _induced(
-            cells_presentation(x.cells_at(k), coeff),
-            cells_presentation(x.cells_at(k + 1), coeff),
-            x.boundary(k + 1).transpose(),
-        )
-        orders = cellwise.target.generator_orders()
-        comparisons.append((k, cellwise.matrix, expected.matrix, orders))
     witness = equal_up_to_generator_signs(comparisons)
     if witness is not None:
         rep.witnesses.append("composite != transposed boundary: " + witness)

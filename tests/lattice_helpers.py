@@ -1,6 +1,7 @@
 """Lattice operations that only the tests read, built from the package's
-kept primitives (``snf``, ``solve_columns``, ``_CycleQuotients``), and a
-recorder of the transform work a block of code does."""
+kept primitives (``snf``, ``solve_columns``, ``_CycleQuotients``), the
+eager two-map cycle quotients the tests compare the package's lazy ones
+with, and a recorder of the transform work a block of code does."""
 
 from contextlib import ExitStack, contextmanager
 from types import SimpleNamespace
@@ -54,9 +55,31 @@ def in_lattice(basis: IntMatrix, v) -> bool:
         return False
 
 
+class EagerCycleQuotients(_CycleQuotients):
+    """Cycle quotients of any two maps, which the tests compare
+    ``_CycleQuotients.of_complex`` with: both SNFs run as it is built, and
+    every factor, the integral one too, checks the in-map against the
+    cycles as it is built (ContainmentViolation), where the integral
+    factor of ``of_complex``, for a complex proved valid, waits for its
+    first read."""
+
+    def __init__(self, out_map: IntMatrix, in_map: IntMatrix):
+        if in_map.rows != out_map.cols:
+            raise ValueError("shapes not composable")
+        self.s, _, self.t = intmat._snf_ext(out_map)
+        self.in_s, self._in_map = intmat._snf_ext(in_map).s, lambda: in_map
+
+    def quotient(self, d: int):
+        if not d:
+            # over Z, e_i = 0 on out's rank (coordinate 0 there) and 1 past it
+            m, r = self.t.n, len(self.s)
+            self._coordinates((0,) * r + (1,) * (m - r), range(r, m))
+        return super().quotient(d)
+
+
 def factor_presentation(out_map: IntMatrix, in_map: IntMatrix, modulus: int):
     """ker(out mod d) / im(in mod d) for one modulus, 0 (Z) or d >= 2."""
-    return _CycleQuotients(out_map, in_map).quotient(modulus)
+    return EagerCycleQuotients(out_map, in_map).quotient(modulus)
 
 
 def mod_d_quotient(out_map: IntMatrix, in_map: IntMatrix, d: int):

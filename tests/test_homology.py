@@ -17,9 +17,9 @@ from cwhom.chainmaps import identity_map, inclusion_map, induced_map, shift_iso
 from cwhom.homology import _glue, all_groups, chain_group, cohomology, integral_homology
 from cwhom.complexes import skeleton, zoo
 from cwhom.documents import complex_from_doc
-from cwhom.intmat import ContainmentViolation, IntMatrix, NotInLattice, _CycleQuotients
+from cwhom.intmat import ContainmentViolation, IntMatrix, NotInLattice
 from cwhom.verify import standard_coefficients, standard_corpus
-from lattice_helpers import transform_work
+from lattice_helpers import EagerCycleQuotients, transform_work
 from test_documents import grid_torus_doc
 from test_intmat import cycle_pairs
 from test_reduction import conjugates
@@ -193,6 +193,41 @@ def test_reading_presentations_builds_no_identity(monkeypatch):
                                 assert pres.coords(lift) == tuple(int(i == j) for j in range(len(pres.lifts)))
                                 read += 1
     assert read and calls == []
+    _clear_presentation_caches()
+
+
+def _presented_values(cp):
+    """What a reader sees of a chain_group result: the group, then the
+    lifts of every factor and of the glue, each with its coordinates."""
+    seen = [cp.group]
+    for pres in [p for _, p in cp.factors] + [cp.glue]:
+        seen.append([(lift, pres.coords(lift)) for lift in pres.lifts])
+    return seen
+
+
+def test_presentations_survive_deepcopy_and_pickle():
+    # the presentations are frozen slotted objects, and the integral
+    # factor's in-map waits behind a builder: both must copy and pickle,
+    # before their lifts are first read and after
+    import copy
+    import pickle
+
+    def clones(cp):
+        return [copy.deepcopy(cp), pickle.loads(pickle.dumps(cp))]
+
+    _clear_presentation_caches()
+    homology._elimination.cache_clear()
+    results = [chain_group(x, n, coeff, variant, reduced)
+               for x in standard_corpus() for coeff in standard_coefficients()
+               for variant in ("homology", "cohomology") for reduced in (False, True)
+               for n in range(x.dim + 1)]
+    fresh = [clones(cp) for cp in results]
+    for cp, before in zip(results, fresh):
+        want = _presented_values(cp)
+        for clone in before + clones(cp):
+            assert clone is not cp
+            assert _presented_values(clone) == want
+    assert len(results) == 20 * sum(x.dim + 1 for x in standard_corpus())
     _clear_presentation_caches()
 
 
@@ -520,7 +555,7 @@ def _assert_lazy_integral_factors(out, inc):
     # the cocycles may differ, so the eager form is read off the same V.
     for variant, pair in (("homology", (out, inc)), ("cohomology", (inc.transpose(), out.transpose()))):
         lazy = homology._cycle_quotients.__wrapped__(out, inc, variant)
-        eager = _CycleQuotients(*pair)
+        eager = EagerCycleQuotients(*pair)
         assert (eager.s, eager.in_s) == (lazy.s, lazy.in_s)
         eager.t = lazy.t
         _assert_lazy_matches_eager(lazy.quotient(0), eager.quotient(0))

@@ -1,3 +1,7 @@
+from pathlib import Path
+
+import pytest
+
 from cwhom.abgroups import FgAbGroup, parse_group
 from cwhom.chainmaps import identity_map, inclusion_map, sphere_self_map
 from cwhom.complexes import skeleton, zoo
@@ -314,6 +318,83 @@ def test_failed_inversion_is_reproved_with_the_same_witness(monkeypatch):
     assert len(inverted) - tried == len(first.witnesses)
 
 
+def _skeletal_keys(complexes, coefficients):
+    """The distinct (Q_k, k, G) and (level, k, G, B_{k+1}) the skeletal
+    check proves over these complexes and groups."""
+    from cwhom.verify import _skeletal_tower
+    quotients, levels = set(), set()
+    for x in complexes:
+        qs, ls = _skeletal_tower(x)
+        for coeff in coefficients:
+            quotients.update((q, k, coeff) for k, q in enumerate(qs))
+            levels.update((level, k, coeff, x.boundary(k + 1)) for k, level in enumerate(ls))
+    return quotients, levels
+
+
+def test_battery_proves_each_quotient_and_level_once():
+    import cwhom.verify as verify
+    memos = (verify._quotient_proof, verify._level_proof)
+    for cache in _package_caches()[1]:
+        cache.cache_clear()
+    first = [r.render() for r in run_battery()]
+    quotients, levels = _skeletal_keys(standard_corpus(), standard_coefficients())
+    assert [m.cache_info().misses for m in memos] == [len(quotients), len(levels)] == [55, 105]
+    assert [m.cache_info().currsize for m in memos] == [55, 105]
+    # a second battery in the same process proves nothing again
+    assert [r.render() for r in run_battery()] == first
+    assert [m.cache_info().misses for m in memos] == [55, 105]
+    want = (Path(__file__).parent / "data" / "check_battery.txt").read_text(encoding="utf-8")
+    assert "".join(f"{r}\n" for r in first) == want
+
+
+def test_equal_complexes_share_skeletal_proofs():
+    import cwhom.verify as verify
+    memos = (verify._quotient_proof, verify._level_proof)
+    for memo in memos:
+        memo.cache_clear()
+    t = zoo("torus")
+    first = check_skeletal_reformulation(t, Z)
+    misses = [m.cache_info().misses for m in memos]
+    assert misses == [3, 2]
+    second = check_skeletal_reformulation(t.with_name("other"), Z)
+    assert [m.cache_info().misses for m in memos] == misses
+    assert first.render() == "PASS skeletal torus G=Z dims=0..2"
+    assert second.render() == "PASS skeletal other G=Z dims=0..2"
+    # another coefficient group is another proof
+    check_skeletal_reformulation(t, FgAbGroup.cyclic(2))
+    assert [m.cache_info().misses for m in memos] == [6, 4]
+
+
+def test_failed_level_proof_is_not_kept(monkeypatch):
+    # a collapse comparison that is not invertible raises, is not cached,
+    # and raises again with the same message when the level is met again
+    import cwhom.verify as verify
+    from cwhom.abgroups import NotAnIsomorphism
+    x = zoo("rp", 2)
+    check_skeletal_reformulation(x, Z)  # every quotient proof is kept
+    verify._level_proof.cache_clear()
+    collapse = verify._skeletal_tower(x)[1][0][2]
+    q_star = verify.induced_map(collapse, 1, Z, "cohomology", reduced=True)
+    real = verify._inverse
+
+    def refusing(h):
+        if h == q_star:
+            raise NotAnIsomorphism("refused")
+        return real(h)
+
+    monkeypatch.setattr(verify, "_inverse", refusing)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(verify.IsoTransportFailure) as caught:
+            check_skeletal_reformulation(x, Z)
+        messages.append(str(caught.value))
+    assert messages == ["collapse comparison at level 0 is not invertible: refused"] * 2
+    info = verify._level_proof.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
+    monkeypatch.undo()
+    assert check_skeletal_reformulation(x, Z).passed
+
+
 def test_check_memos_are_bounded():
     from cwhom.verify import _exact, _inverse, _subquotient
     for memo in (_inverse, _exact, _subquotient):
@@ -343,7 +424,8 @@ def test_factor_caches_are_package_caches():
 def test_every_cache_is_bounded_and_holds_a_battery():
     names, caches = _package_caches()
     assert {"homology.chain_group", "homology._reduction", "homology.cells_presentation",
-            "verify._inverse", "verify._exact", "verify._subquotient"} <= names
+            "verify._inverse", "verify._exact", "verify._subquotient",
+            "verify._quotient_proof", "verify._level_proof"} <= names
     for cache in caches:
         cache.cache_clear()
     run_battery()
@@ -382,7 +464,8 @@ def test_derived_homs_equal_the_checked_constructor(monkeypatch):
     for cache in _package_caches()[1]:
         cache.cache_clear()
     assert all(r.passed for r in run_battery())
-    assert len(derived) > 4000
+    # the skeletal proofs are memos, so the floor counts distinct homs
+    assert len(set(derived)) >= 153
     for h in set(derived):
         assert AbHom(h.source, h.target, h.matrix) == h
 
