@@ -2,9 +2,12 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 semantic failure (invalid input object, failed check, undefined
-degree), 2 malformed document, 3 usage error.  When the reader of stdout
-goes away first (``cwhom check | head -1``), every command stops quietly
-with exit code 1: no traceback and no message.
+degree), 2 malformed, unreadable or non-UTF-8 document, 3 usage error
+(an unwritable -o/--output path too).  When the reader of stdout goes
+away first (``cwhom check | head -1``), every command stops quietly with
+exit code 1: no traceback and no message.  ``main`` may be called
+repeatedly in one process: it builds its parser once, and binds the
+handlers then.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 from .abgroups import FgAbGroup, GroupSyntaxError, parse_group
 from .chainmaps import ChainMap, degree, mapping_cone, require_valid_map, validate_map
@@ -50,14 +54,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         print(f"cannot read {path}: {e.strerror}", file=sys.stderr)
-        raise SystemExit(2)
+    except UnicodeDecodeError as e:
+        print(f"cannot read {path}: not UTF-8 text (byte {e.start})", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _load_map(path: str):
@@ -80,13 +86,16 @@ def _coeff(text: str) -> FgAbGroup:
         raise argparse.ArgumentTypeError(str(e))
 
 
-def _emit(doc: dict, out: str | None = None):
+def _emit(doc: dict, args):
     text = dumps(doc)
-    if out is None or out == "-":
+    if args.output in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            args.usage_error(f"argument -o/--output: cannot write {args.output}: {e.strerror}")
 
 
 def _parse_range(text: str) -> range:
@@ -134,29 +143,29 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_susp(args) -> int:
-    _emit(complex_to_doc(suspension(loads_complex(_read(args.file)))), args.output)
+    _emit(complex_to_doc(suspension(loads_complex(_read(args.file)))), args)
     return 0
 
 
 def _cmd_wedge(args) -> int:
     xs = [loads_complex(_read(p)) for p in args.files]
-    _emit(complex_to_doc(wedge(xs)), args.output)
+    _emit(complex_to_doc(wedge(xs)), args)
     return 0
 
 
 def _cmd_quotient(args) -> int:
     x = loads_complex(_read(args.file))
-    _emit(complex_to_doc(quotient_by_skeleton(x, args.below)), args.output)
+    _emit(complex_to_doc(quotient_by_skeleton(x, args.below)), args)
     return 0
 
 
 def _cmd_cone(args) -> int:
-    _emit(complex_to_doc(mapping_cone(_load_map(args.file)).cone), args.output)
+    _emit(complex_to_doc(mapping_cone(_load_map(args.file)).cone), args)
     return 0
 
 
 def _cmd_zoo(args) -> int:
-    _emit(complex_to_doc(zoo(args.name, *args.params)), args.output)
+    _emit(complex_to_doc(zoo(args.name, *args.params)), args)
     return 0
 
 
@@ -208,6 +217,10 @@ def _cmd_check(args) -> int:
     return 0
 
 
+# built once per process and reused by every main call, so its handlers
+# (func=_cmd_*), types and usage_error are bound here; parse_args makes a
+# fresh namespace on each call, and no default is mutable
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     p = _Parser(prog="cwhom", description="finite CW complexes, exact (co)homology, axiom checks")
     sub = p.add_subparsers(dest="command", required=True)
@@ -234,6 +247,7 @@ def build_parser() -> _Parser:
 
     def outarg(sp):
         sp.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+        sp.set_defaults(usage_error=sp.error)
 
     sp = sub.add_parser("susp", help="reduced suspension")
     filearg(sp)

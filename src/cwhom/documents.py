@@ -57,12 +57,12 @@ def _matrix(value, rows: int, cols: int, path: str) -> IntMatrix:
     _expect(len(value) == rows, path, f"expected {rows} rows, found {len(value)}")
     flat = []
     for i, row in enumerate(value):
-        _expect(isinstance(row, list), f"{path}[{i}]", "expected a list")
-        _expect(len(row) == cols, f"{path}[{i}]", f"expected {cols} entries, found {len(row)}")
-        # JSON yields no int subclass but bool, so a parsed row passes the
-        # one bulk test; the entry walk only runs to accept an int subclass
-        # from a Python caller or to name the first bad entry
-        if not all(type(v) is int for v in row):
+        # JSON yields no int subclass but bool, so a parsed row passes this
+        # one test at C speed; the checks below only run to accept an int
+        # subclass from a Python caller or to name what is wrong
+        if not (isinstance(row, list) and len(row) == cols and {*map(type, row)} <= {int}):
+            _expect(isinstance(row, list), f"{path}[{i}]", "expected a list")
+            _expect(len(row) == cols, f"{path}[{i}]", f"expected {cols} entries, found {len(row)}")
             for j, v in enumerate(row):
                 _expect(
                     isinstance(v, int) and not isinstance(v, bool),

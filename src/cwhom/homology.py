@@ -65,6 +65,7 @@ from .intmat import (
     _CycleQuotients,
     _Elimination,
     _Log,
+    _nonzeros,
     _ones,
     _present,
     _put,
@@ -205,7 +206,7 @@ def _out_columns(x: CwComplex, n: int, variant: str, reduced: bool) -> list:
     for cochains."""
     if variant == "cohomology":
         b = x.boundary(n + 1)
-        return [[(j, v) for j, v in enumerate(b.row(i)) if v] for i in range(b.rows)]
+        return [_nonzeros(b.row(i)) for i in range(b.rows)]
     if n == 0:
         return [[(0, 1)] if reduced else [] for _ in range(x.cells[0])]
     return _sparse_columns(x.boundary(n))
@@ -243,7 +244,7 @@ class _Transported(GroupWithPresentation):
             raise ValueError("vector length mismatch")
         if self._out_cols is None:
             _put(self, "_out_cols", _out_columns(self._x, self._n, self._variant, self._reduced))
-        image = _sparse_apply(self._out_cols, ((j, a) for j, a in enumerate(v) if a))
+        image = _sparse_apply(self._out_cols, _nonzeros(v))
         m = self._modulus
         if any(s % m if m else s for s in image.values()):
             raise NotInLattice("vector outside the numerator lattice")

@@ -10,6 +10,8 @@ the vectors it reads (a product, a lift, one coordinate vector), and
 ``snf`` alone replays it onto the identity.  A query that needs only the
 group pays for no transform.  Storage is dense; ``@`` and ``apply`` are
 one product, ``_sparse_apply``, over the nonzero columns a matrix keeps.
+Every dense vector becomes sparse through one read, ``_nonzeros``, which
+skips zeros at C speed.
 
 Matrices with zero rows and/or zero columns are first-class values; they
 show up constantly (complexes with empty dimensions) and every operation
@@ -19,6 +21,7 @@ must accept them.
 from __future__ import annotations
 
 from functools import cached_property, partial
+from itertools import compress
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -238,7 +241,7 @@ class IntMatrix(_Value):
     def apply(self, vec: Sequence[int]) -> tuple:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        image = _sparse_apply(self._columns, ((j, a) for j, a in enumerate(vec) if a))
+        image = _sparse_apply(self._columns, _nonzeros(vec))
         return tuple(image.get(i, 0) for i in range(self.rows))
 
     def delete_row(self, i: int) -> "IntMatrix":
@@ -251,10 +254,16 @@ class IntMatrix(_Value):
         return IntMatrix.from_rows(rows, cols=self.cols - 1)
 
 
+def _nonzeros(v) -> list:
+    """The (index, value) pairs of v's nonzero entries, ascending; compress
+    skips the zeros, so the Python work is per nonzero."""
+    return [(i, v[i]) for i in compress(range(len(v)), v)]
+
+
 def _sparse_columns(m: IntMatrix) -> list:
     """The nonzero (row, value) pairs of each column of m, rows ascending."""
     c = m.cols
-    return [[(i, v) for i, v in enumerate(m.entries[j::c]) if v] for j in range(c)]
+    return [_nonzeros(m.entries[j::c]) for j in range(c)]
 
 
 def _sparse_apply(columns, pairs) -> dict:

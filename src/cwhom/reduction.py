@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 
 from .complexes import CwComplex
-from .intmat import IntMatrix, _sparse_columns
+from .intmat import IntMatrix, _nonzeros, _sparse_columns
 
 __all__ = ["Reduction", "reduce_complex"]
 
@@ -63,7 +63,7 @@ class Reduction:
     def push(self, n: int, v, dual: bool = False) -> tuple:
         """f_n(v) on chains, or g_n^T(v) on cochains when ``dual``:
         an ambient vector in residual coordinates."""
-        w = {j: a for j, a in enumerate(v) if a}
+        w = dict(_nonzeros(v))
         for cell, p, vec, upper in self.steps[n]:
             t = w.pop(cell, 0)
             if t and upper == dual:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import cwhom
 from cwhom.chainmaps import identity_map, sphere_self_map
-from cwhom.cli import main
+from cwhom.cli import build_parser, main
 from cwhom.complexes import zoo
 from cwhom.documents import complex_to_doc, dumps, map_to_doc
 from test_documents import sample_complex_documents, sample_map_documents, spoiled_documents
@@ -579,3 +580,71 @@ def test_any_coefficient_text_ends_in_a_documented_exit_code(text):
     for argv in (["homology", "-", "--coeff", text], ["homology", "-", "--cohomology", f"--coeff={text}"],
                  ["check", "-", "--suite", "suspension", f"--coeff={text}"]):
         assert _exit_code(argv, doc) in (0, 1, 2, 3)
+
+
+def _call(argv):
+    """stdout, stderr and exit code of one in-process cli.main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def test_parser_is_built_once_per_process(torus_file):
+    build_parser.cache_clear()
+    for argv in (["homology", torus_file], ["euler", torus_file], ["homology", torus_file, "--dim", "x"]):
+        _call(argv)
+    assert build_parser.cache_info().misses == 1
+
+
+def test_repeated_calls_match_calls_on_a_fresh_parser(torus_file, tmp_path):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"cells": [1], ')
+    calls = (["homology", torus_file], ["homology", torus_file, "--coeff", "Z/"], ["check", "--coeff", "Z/7"],
+             ["homology", str(malformed)], ["homology", "-h"],
+             ["check", torus_file, "--suite", "suspension", "--suite", "reformulation"],
+             ["check", torus_file, "--suite", "suspension", "--suite", "reformulation"],
+             ["homology", torus_file])
+    kept = [_call(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_call(argv))
+    assert kept == fresh
+    assert [code for _, _, code in kept] == [0, 3, 3, 2, 0, 0, 0, 0]
+    assert kept[5][0].count("PASS ") == 2
+
+
+_READING_COMMANDS = (["homology"], ["validate"], ["check"], ["euler"], ["susp"], ["wedge"],
+                     ["quotient", "--below", "1"], ["cone"], ["degree"])
+
+
+@pytest.mark.parametrize("command", _READING_COMMANDS)
+def test_document_that_is_not_utf8_exits_2(monkeypatch, tmp_path, command):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b'\xff\xfe{"cells":[1]}')
+    assert _call([command[0], str(p), *command[1:]]) == ("", f"cannot read {p}: not UTF-8 text (byte 0)\n", 2)
+    # stdin decoded strictly, as under a UTF-8 locale
+    text = b'{"cells": [1], "name": "\xe9"}'
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text), encoding="utf-8"))
+    want = f"cannot read -: not UTF-8 text (byte {text.index(0xe9)})\n"
+    assert _call([command[0], "-", *command[1:]]) == ("", want, 2)
+
+
+@pytest.mark.parametrize("missing", [False, True])
+@pytest.mark.parametrize("command", ["zoo", "susp", "wedge", "quotient", "cone"])
+def test_unwritable_output_is_a_usage_error(tmp_path, command, missing):
+    t, m = tmp_path / "t.json", tmp_path / "m.json"
+    t.write_text(dumps(complex_to_doc(zoo("torus"))))
+    m.write_text(dumps(map_to_doc(identity_map(zoo("torus")))))
+    args = {"zoo": ["torus"], "susp": [str(t)], "wedge": [str(t), str(t)],
+            "quotient": [str(t), "--below", "1"], "cone": [str(m)]}[command]
+    target = tmp_path / "missing" / "x.json" if missing else tmp_path
+    out, err, code = _call([command, *args, "-o", str(target)])
+    reason = os.strerror(errno.ENOENT if missing else errno.EISDIR)
+    assert (out, code) == ("", 3)
+    assert err.startswith(f"usage: cwhom {command} ")
+    assert err.endswith(f"\ncwhom {command}: error: argument -o/--output: cannot write {target}: {reason}\n")

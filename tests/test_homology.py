@@ -16,7 +16,7 @@ from cwhom.abgroups import FgAbGroup, normalize_diagonal, parse_group
 from cwhom.chainmaps import identity_map, inclusion_map, induced_map, shift_iso
 from cwhom.homology import _glue, all_groups, chain_group, cohomology, integral_homology
 from cwhom.complexes import skeleton, zoo
-from cwhom.documents import complex_from_doc
+from cwhom.documents import complex_from_doc, dumps, loads_complex
 from cwhom.intmat import ContainmentViolation, IntMatrix, NotInLattice
 from cwhom.verify import standard_coefficients, standard_corpus
 from lattice_helpers import EagerCycleQuotients, transform_work
@@ -586,3 +586,18 @@ def test_lazy_integral_factor_matches_the_eager_one_on_conjugates(data):
 def test_lazy_integral_factor_matches_the_eager_one_on_cycle_pairs(pair):
     out, inn, _ = pair
     _assert_lazy_integral_factors(out, inn)
+
+
+def test_chain_groups_keep_no_columns_on_the_loaded_boundaries():
+    # reduction and the out-maps build their sparse columns on each call:
+    # keeping them on a loaded complex's boundaries costs memory on every
+    # complex a process holds, for a read made once
+    x = loads_complex(dumps(grid_torus_doc(4)))
+    for variant in ("homology", "cohomology"):
+        for coeff in (Z, parse_group("Z + Z/2")):
+            for n in range(x.dim + 1):
+                for _, pres in chain_group(x, n, coeff, variant, False).factors:
+                    # each lift has unit coordinates, read through the out-map and the push
+                    units = IntMatrix.identity(len(pres.lifts)).to_rows()
+                    assert [list(pres.coords(lift)) for lift in pres.lifts] == units
+    assert not any("_columns" in b.__dict__ for b in x.boundaries)

@@ -9,7 +9,9 @@ from cwhom.intmat import (
     ContainmentViolation,
     IntMatrix,
     NotInLattice,
+    _nonzeros,
     _snf_ext,
+    _sparse_columns,
     kernel_basis,
     preimage_lattice,
     quotient_group,
@@ -662,3 +664,20 @@ def test_vector_replay_equals_times_on_one_column():
             v = [rng.randint(-6, 6) for _ in range(log.n)]
             for inverse in (False, True):
                 assert log.replay(v, inverse) == list(log.times(IntMatrix.column(v), inverse).entries)
+
+
+@st.composite
+def _sparse_reads(draw):
+    """An r x c matrix, r and c in 0..7, of entries in {0, +-1, +-2^70}."""
+    r, c = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    return IntMatrix(r, c, tuple(draw(st.lists(_PRODUCT_ENTRIES, min_size=r * c, max_size=r * c))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_reads())
+def test_nonzero_reads_match_the_enumerate_filters(m):
+    # the enumerate filters that _nonzeros replaced, kept here as the oracle
+    for v in (m.entries, list(m.entries), *(m.row(i) for i in range(m.rows))):
+        assert _nonzeros(v) == [(i, a) for i, a in enumerate(v) if a]
+    want = [[(i, a) for i, a in enumerate(m.entries[j::m.cols]) if a] for j in range(m.cols)]
+    assert _sparse_columns(m) == want
