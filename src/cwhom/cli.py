@@ -318,6 +318,10 @@ def _run(args) -> int:
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return 1
+    except MemoryError:
+        # a dense block of two counts within the document bound can still be too large
+        print("out of memory: the input's dense matrices do not fit", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

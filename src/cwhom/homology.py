@@ -7,23 +7,24 @@ universal coefficients).  Each cyclic factor Z/d (Z for d = 0) is the
 quotient of the (co)cycles mod d, {v : out v = 0 mod d}, by im(in) + d Z^m,
 both built from the (co)chain complex itself.  One SNF of the outgoing
 map, out = U S V, serves every factor: the cycle lattice mod d is read
-off S and V, and the denominator is written against it with the single
-product V @ in (``intmat._CycleQuotients``).  Each chain matrix B is
+off S and V, and the denominator is written against it with the product
+V @ in (``intmat._cycle_quotient``).  Each chain matrix B is
 eliminated once, with no transform, as the out-map of chains (V) and of
 cochains (B^T = V^T S^T U^T: U^T, B's row log read transposed in place),
 and as the in-map of both, whose diagonal gives the integral factor's
 group: only a factor Z/d, d >= 2, runs an SNF of its own.  The complex
 was proved valid where it came in, so V @ in (and a cochain in-map B^T)
 is built only for such a factor or on the first read of the integral
-factor's lifts or coords, never for its group alone.  These eliminations,
-the cycle quotient of an (out, in) pair and each factor presentation of
-(out, in, d) are built once per distinct key in a process, in bounded
-caches keyed by the value of the chain maps: every coefficient group
-that contains Z/d, and every complex with equal (residual) boundaries
-there, shares one immutable presentation.  The whole group, across
-factors, is the invariant-factor form of the factors' generator orders,
-with no SNF at all; a coefficient group with one cyclic factor is glued
-by the identity when that is what the general glue gives (see ``_glue``).
+factor's lifts or coords, never for its group alone.  These eliminations
+and each factor presentation of (out, in, d) are built once per distinct
+key in a process, in bounded caches keyed by the value of the chain
+maps: every coefficient group that contains Z/d, and every complex with
+equal (residual) boundaries there, shares one immutable presentation.
+G^c itself (``cells_presentation``) is presented on its own generators,
+with no elimination.  The whole group, across factors, is the
+invariant-factor form of the factors' generator orders, with no SNF at
+all; a coefficient group with one cyclic factor is glued by the identity
+when that is what the general glue gives (see ``_glue``).
 
 The reduced variants use the augmented complex: at dimension 0 the
 all-ones augmentation row (for chains) or column (for cochains) is fed to
@@ -62,8 +63,8 @@ from .intmat import (
     GroupWithPresentation,
     IntMatrix,
     NotInLattice,
-    _CycleQuotients,
     _Elimination,
+    _cycle_quotient,
     _Log,
     _nonzeros,
     _ones,
@@ -84,7 +85,6 @@ __all__ = [
     "cohomology",
     "all_groups",
     "cells_presentation",
-    "induced_hom",
 ]
 
 
@@ -158,10 +158,9 @@ def _chain_maps(x: CwComplex, n: int, reduced: bool):
     return out, x.boundary(n + 1)
 
 
-# one elimination per distinct chain matrix, one cycle quotient per
-# distinct (chain maps, variant) and one presentation per distinct (chain
-# maps, variant, d), bounded with headroom over one check battery (23
-# matrices, 48 pairs, 192 factors).  The keys are the chain maps the
+# one elimination per distinct chain matrix and one presentation per
+# distinct (chain maps, variant, d), bounded with headroom over one check
+# battery (23 matrices, 176 factors).  The keys are the chain maps the
 # complex already holds, not the cochain maps: transposes would be built
 # and hashed on every miss and kept alive by the keys.  A factor whose
 # in-map is not a (co)cycle mod d raises, and is not kept.
@@ -171,32 +170,21 @@ def _elimination(a: IntMatrix) -> _Elimination:
     return _snf_ext(a)
 
 
-@lru_cache(maxsize=64)
-def _cycle_quotients(out: IntMatrix, inc: IntMatrix, variant: str) -> _CycleQuotients:
-    """The cycle quotients of chain maps of a complex ``require_valid``
-    proved (or of its residual), so the chain condition is not checked."""
+@lru_cache(maxsize=256)
+def _factor(out: IntMatrix, inc: IntMatrix, variant: str, modulus: int) -> GroupWithPresentation:
+    """The factor for ``modulus`` of the chain maps of a complex
+    ``require_valid`` proved (or of its residual), so the chain condition
+    is not checked."""
     if variant == "homology":
         s, _, t = _elimination(out)
         # a builder of an equal copy of inc: it pickles, where a lambda would not
         build_inc = partial(IntMatrix, inc.rows, inc.cols, inc.entries)
-        return _CycleQuotients.of_complex(s, t, _elimination(inc).s, build_inc)
+        return _cycle_quotient(s, t, _elimination(inc).s, build_inc, modulus)
     if variant == "cohomology":
         # inc^T = V^T S^T U^T: its V is U^T, inc's row log read transposed
         s, rows, _ = _elimination(inc)
-        return _CycleQuotients.of_complex(s, rows.transposed(), _elimination(out).s, out.transpose)
+        return _cycle_quotient(s, rows.transposed(), _elimination(out).s, out.transpose, modulus)
     raise ValueError(f"unknown variant {variant!r}")
-
-
-@lru_cache(maxsize=256)
-def _factor(out: IntMatrix, inc: IntMatrix, variant: str, modulus: int) -> GroupWithPresentation:
-    return _cycle_quotients(out, inc, variant).quotient(modulus)
-
-
-def _factor_presentations(out: IntMatrix, inc: IntMatrix, variant: str, coeff: FgAbGroup) -> list:
-    """(modulus, presentation) for each cyclic factor of coeff, from the
-    chain maps at one dimension; all are read off one elimination of
-    each chain map."""
-    return [(m, _factor(out, inc, variant, m)) for m in coeff.generator_orders()]
 
 
 def _out_columns(x: CwComplex, n: int, variant: str, reduced: bool) -> list:
@@ -269,18 +257,20 @@ def chain_group(x: CwComplex, n: int, coeff: FgAbGroup, variant: str, reduced: b
     if n < 0 or n > x.dim:
         return cells_presentation(0, coeff)
     red = _reduction(x)
-    if red is None:
-        pres = _factor_presentations(*_chain_maps(x, n, reduced), variant, coeff)
-    else:
-        pres = [(m, _Transported(p, red, x, n, variant, reduced, m))
-                for m, p in _factor_presentations(*_chain_maps(red.residual, n, reduced), variant, coeff)]
+    out, inc = _chain_maps(x if red is None else red.residual, n, reduced)
+    pres = [(m, _factor(out, inc, variant, m)) for m in coeff.generator_orders()]
+    if red is not None:
+        pres = [(m, _Transported(p, red, x, n, variant, reduced, m)) for m, p in pres]
     return _assemble(coeff, x.cells[n], pres)
 
 
 @lru_cache(maxsize=256)
 def cells_presentation(c: int, coeff: FgAbGroup) -> CoeffPresentation:
-    """G^c presented on the standard basis of a rank-c cell space."""
-    pres = _factor_presentations(IntMatrix.zeros(0, c), IntMatrix.zeros(c, 0), "homology", coeff)
+    """G^c presented on the standard basis of a rank-c cell space: each
+    factor Z/d is (Z/d)^c on its own generators (Z^c for d = 0), which is
+    what the cycle quotient of the zero maps gives, with no SNF."""
+    pres = [(d, _Canonical(FgAbGroup(c) if d == 0 else FgAbGroup(0, (d,) * c), c))
+            for d in coeff.generator_orders()]
     return _assemble(coeff, c, pres)
 
 
@@ -302,22 +292,10 @@ def all_groups(x: CwComplex, coeff: FgAbGroup, variant: str = "homology", reduce
     }
 
 
-def induced_hom(src: CoeffPresentation, tgt: CoeffPresentation, chain_matrix: IntMatrix) -> AbHom:
-    """The homomorphism src.group -> tgt.group induced by an ambient
-    integer matrix acting factor-by-factor on representatives.
-
-    ``chain_matrix`` must send the source's representative lattice into
-    the target's in every factor (a NotInLattice escape here means the
-    matrix is not a chain-level map for these presentations).  The
-    matrix is arbitrary, so the result is checked to be well defined.
-    """
-    h = _induced(src, tgt, chain_matrix)
-    return AbHom(h.source, h.target, h.matrix)
-
-
 def _induced(src: CoeffPresentation, tgt: CoeffPresentation, chain_matrix: IntMatrix) -> AbHom:
-    """``induced_hom`` for a validated chain map, or a chain-level matrix
-    the package builds: well defined, so not checked again."""
+    """The hom src.group -> tgt.group that a validated chain map, or a
+    chain-level matrix the package builds, induces factor by factor on
+    representatives: well defined, so not checked again."""
     if src.coeff != tgt.coeff:
         raise ValueError("coefficient groups differ")
     if chain_matrix.shape != (tgt.ambient_dim, src.ambient_dim):

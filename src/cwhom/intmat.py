@@ -11,7 +11,8 @@ the vectors it reads (a product, a lift, one coordinate vector), and
 group pays for no transform.  Storage is dense; ``@`` and ``apply`` are
 one product, ``_sparse_apply``, over the nonzero columns a matrix keeps.
 Every dense vector becomes sparse through one read, ``_nonzeros``, which
-skips zeros at C speed.
+skips zeros at C speed.  Each cyclic factor of a (co)homology group is
+one ``_cycle_quotient``, read off the eliminations of its two chain maps.
 
 Matrices with zero rows and/or zero columns are first-class values; they
 show up constantly (complexes with empty dimensions) and every operation
@@ -248,10 +249,6 @@ class IntMatrix(_Value):
         rows = self.to_rows()
         del rows[i]
         return IntMatrix.from_rows(rows, cols=self.cols)
-
-    def delete_col(self, j: int) -> "IntMatrix":
-        rows = [r[:j] + r[j + 1:] for r in self.to_rows()]
-        return IntMatrix.from_rows(rows, cols=self.cols - 1)
 
 
 def _nonzeros(v) -> list:
@@ -727,64 +724,53 @@ def quotient_group(ambient_dim: int, numerator: IntMatrix, denominator: IntMatri
     return _present(ambient_dim, rel, rows, e, range(len(s)))
 
 
-class _CycleQuotients:
-    """ker(out mod d) / im(in mod d) for every modulus d (d = 0: over Z),
-    all read off one SNF out = U S V and one of in, with no transform.
+def _cycle_coordinates(t: _Log, in_map, e, live) -> IntMatrix:
+    """The columns of the in-map that ``in_map()`` builds, in coordinates
+    against the cycle basis t, e, live: the product V @ in, replayed from
+    t onto it; ContainmentViolation when a column is not a cycle."""
+    try:
+        return _coordinate_columns(t.times(in_map()), e, live)
+    except NotInLattice as exc:
+        raise ContainmentViolation(f"in-map column outside the cycle lattice: {exc}") from None
+
+
+def _cycle_quotient(s: tuple, t: _Log, in_s: tuple, in_map, d: int) -> GroupWithPresentation:
+    """ker(out mod d) / im(in mod d) for the modulus d (d = 0: over Z),
+    read off an SNF out = U S V and one of in, with no transform: out's
+    nonzero diagonal s and the log t of its V, in's nonzero diagonal in_s,
+    and ``in_map``, a callable that builds in.
 
     With y = V v and s the diagonal (s_i = 0 past the rank), out v = 0
     mod d exactly when d divides every s_i y_i, that is when e_i divides
     y_i, e_i = d / gcd(d, s_i) (so e_i = 0, y_i = 0, when d = 0 and s_i
     != 0).  The columns e_i V^-1_i are therefore a basis of the numerator
     and y_i / e_i are the coordinates against it (T = V).  The
-    denominator im(in) + d Z^m has coordinates (V in)_i / e_i, from one
-    product V @ in replayed onto in and shared by every modulus, and,
+    denominator im(in) + d Z^m has coordinates (V in)_i / e_i, from the
+    product V @ in replayed onto in (``_cycle_coordinates``), and,
     because V Z^m = Z^m, the diagonal block d / e_i, which lets row i of
     the in-part be reduced mod d / e_i.  Coordinates where d / e_i = 1
     are killed outright and dropped.  Over Z, ker(out) is saturated and
     contains im(in): the group is Z^(m - rank out - rank in) plus the
     invariant factors of in, and only a factor mod d >= 2 runs the SNF of
     its coordinates now.  V and V^-1 are replayed only onto the vectors
-    a read of some factor's lifts or coords asks for.
+    a read of the factor's lifts or coords asks for.
 
     The pair is one of a complex proved valid where it came in, so it is
-    not checked again: V @ in, and the in-map, are built for the first
-    factor mod d >= 2 or the first read of the integral factor's lifts or
-    coords, never for its group alone.
+    not checked again: V @ in, and the in-map, are built at once for d >=
+    2 (ContainmentViolation when some column of the in-map is not a
+    (co)cycle mod d), and for d = 0 on the first read of lifts or coords,
+    never for the group alone.
     """
-
-    @classmethod
-    def of_complex(cls, s: tuple, t: _Log, in_s: tuple, in_map) -> "_CycleQuotients":
-        """Those of a pair with out @ in = 0 over Z: out's nonzero diagonal
-        s and its V's log t, in's nonzero diagonal in_s, and in's builder."""
-        q = cls.__new__(cls)
-        q.s, q.t, q.in_s, q._in_map = s, t, in_s, in_map
-        return q
-
-    @cached_property
-    def _v_in(self) -> IntMatrix:
-        return self.t.times(self._in_map())
-
-    def _coordinates(self, e, live) -> IntMatrix:
-        """in's coordinates against the basis e, live, or ContainmentViolation."""
-        try:
-            return _coordinate_columns(self._v_in, e, live)
-        except NotInLattice as exc:
-            raise ContainmentViolation(f"in-map column outside the cycle lattice: {exc}") from None
-
-    def quotient(self, d: int) -> GroupWithPresentation:
-        """The factor for modulus d; ContainmentViolation when some column
-        of the in-map is not a (co)cycle mod d (checked at once for d >=
-        2, on the first read of lifts or coords for d = 0)."""
-        m = self.t.n
-        # g_i = d / e_i is the order of coordinate i in the quotient (0: free)
-        g = [gcd(d, si) for si in self.s] + [d] * (m - len(self.s))
-        e = tuple(d // gi if gi else 1 for gi in g)
-        live = tuple(i for i in range(m) if e[i] and g[i] != 1)
-        if not d:
-            return _present(m, partial(self._coordinates, e, live), self.t, e, live,
-                            group=_cokernel(len(live), self.in_s))
-        rel = self._coordinates(e, live)
-        orders = [g[i] for i in live]
-        reduced = [[w % o for w in rel.row(k)] for k, o in enumerate(orders)]
-        rel = IntMatrix.hstack(IntMatrix.from_rows(reduced, cols=rel.cols), _relations(orders))
-        return _present(m, rel, self.t, e, live)
+    m = t.n
+    # g_i = d / e_i is the order of coordinate i in the quotient (0: free)
+    g = [gcd(d, si) for si in s] + [d] * (m - len(s))
+    e = tuple(d // gi if gi else 1 for gi in g)
+    live = tuple(i for i in range(m) if e[i] and g[i] != 1)
+    if not d:
+        return _present(m, partial(_cycle_coordinates, t, in_map, e, live), t, e, live,
+                        group=_cokernel(len(live), in_s))
+    rel = _cycle_coordinates(t, in_map, e, live)
+    orders = [g[i] for i in live]
+    reduced = [[w % o for w in rel.row(k)] for k, o in enumerate(orders)]
+    rel = IntMatrix.hstack(IntMatrix.from_rows(reduced, cols=rel.cols), _relations(orders))
+    return _present(m, rel, t, e, live)

@@ -1,5 +1,5 @@
 """Lattice operations that only the tests read, built from the package's
-kept primitives (``snf``, ``solve_columns``, ``_CycleQuotients``), the
+kept primitives (``snf``, ``solve_columns``, ``_cycle_quotient``), the
 eager two-map cycle quotients the tests compare the package's lazy ones
 with, and a recorder of the transform work a block of code does."""
 
@@ -15,7 +15,6 @@ from cwhom.intmat import (
     ContainmentViolation,
     IntMatrix,
     NotInLattice,
-    _CycleQuotients,
     snf,
     solve_columns,
 )
@@ -55,12 +54,12 @@ def in_lattice(basis: IntMatrix, v) -> bool:
         return False
 
 
-class EagerCycleQuotients(_CycleQuotients):
-    """Cycle quotients of any two maps, which the tests compare
-    ``_CycleQuotients.of_complex`` with: both SNFs run as it is built, and
-    every factor, the integral one too, checks the in-map against the
-    cycles as it is built (ContainmentViolation), where the integral
-    factor of ``of_complex``, for a complex proved valid, waits for its
+class EagerCycleQuotients:
+    """Cycle quotients of any two maps, which the tests compare the
+    package's factors (``homology._factor``) with: both SNFs run as it is
+    built, and every factor, the integral one too, checks the in-map
+    against the cycles as it is built (ContainmentViolation), where the
+    package's integral factor, for a complex proved valid, waits for its
     first read."""
 
     def __init__(self, out_map: IntMatrix, in_map: IntMatrix):
@@ -73,8 +72,8 @@ class EagerCycleQuotients(_CycleQuotients):
         if not d:
             # over Z, e_i = 0 on out's rank (coordinate 0 there) and 1 past it
             m, r = self.t.n, len(self.s)
-            self._coordinates((0,) * r + (1,) * (m - r), range(r, m))
-        return super().quotient(d)
+            intmat._cycle_coordinates(self.t, self._in_map, (0,) * r + (1,) * (m - r), range(r, m))
+        return intmat._cycle_quotient(self.s, self.t, self.in_s, self._in_map, d)
 
 
 def factor_presentation(out_map: IntMatrix, in_map: IntMatrix, modulus: int):

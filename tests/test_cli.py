@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -327,6 +327,28 @@ def test_oversized_cell_count_exits_2(capsys, tmp_path, command, doc):
     assert (code, out) == (2, "")
     assert "at most" in err and "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+_LARGEST_COUNT = isqrt(sys.maxsize)
+
+
+_HUGE_COMPLEX = {"cells": [_LARGEST_COUNT, _LARGEST_COUNT]}
+_HUGE_MAP = {"source": {"cells": [_LARGEST_COUNT]}, "target": {"cells": [_LARGEST_COUNT]}, "maps": {}}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("homology", _HUGE_COMPLEX), ("validate", _HUGE_COMPLEX), ("check", _HUGE_COMPLEX),
+    ("validate", _HUGE_MAP), ("check", _HUGE_MAP),
+])
+def test_counts_at_the_bound_run_out_of_memory_quietly(capsys, tmp_path, command, doc):
+    # the counts pass the document bound, but the omitted block of their
+    # product is far larger than any memory: the interpreter refuses it
+    # before allocating, and that is a semantic failure
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(p))
+    assert (code, out) == (1, "")
+    assert err.startswith("out of memory") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv, want", [

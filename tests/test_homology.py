@@ -167,8 +167,7 @@ class TestPresentations:
 
 
 def _clear_presentation_caches():
-    for cache in (homology.chain_group, homology.cells_presentation, homology._factor,
-                  homology._cycle_quotients):
+    for cache in (homology.chain_group, homology.cells_presentation, homology._factor):
         cache.cache_clear()
 
 
@@ -249,6 +248,37 @@ def test_coefficient_groups_share_a_factor():
     assert seen.snfs == 1
 
 
+CELL_COEFFICIENTS = standard_coefficients() + [parse_group("Z + Z/4")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6), st.sampled_from(CELL_COEFFICIENTS), st.data())
+def test_cells_presentation_is_the_cycle_quotient_of_zero_maps(c, coeff, data):
+    # G^c on its own generators is what the engine gives for the pair of
+    # zero maps (0 x c, c x 0), which stays the oracle
+    cp = homology.cells_presentation(c, coeff)
+    assert [d for d, _ in cp.factors] == list(coeff.generator_orders())
+    vectors = [tuple(int(i == j) for i in range(c)) for j in range(c)]
+    vectors += data.draw(st.lists(st.lists(st.integers(-50, 50), min_size=c, max_size=c), max_size=4))
+    for d, pres in cp.factors:
+        engine = homology._factor.__wrapped__(IntMatrix.zeros(0, c), IntMatrix.zeros(c, 0), "homology", d)
+        assert pres.group == engine.group and pres.lifts == engine.lifts
+        for v in vectors:
+            assert pres.coords(v) == engine.coords(v)
+
+
+def test_cold_cells_presentation_runs_no_snf():
+    homology.cells_presentation.cache_clear()
+    homology._elimination.cache_clear()
+    with transform_work() as seen:
+        for coeff in CELL_COEFFICIENTS:
+            for c in range(7):
+                for _, pres in homology.cells_presentation(c, coeff).factors:
+                    for lift in pres.lifts:
+                        pres.coords(lift)
+    assert (seen.snfs, seen.transforms, seen.matmuls) == (0, [], [])
+
+
 def test_failed_factor_is_not_kept():
     # out @ in = 1 is not 0 mod 2: the in-map is no cocycle mod 2
     one = IntMatrix.from_rows([[1]])
@@ -264,10 +294,8 @@ def test_factor_caches_stay_bounded():
     x = zoo("moore", 2, 2)
     for d in range(2, 1002):
         cohomology(x, 1, FgAbGroup.cyclic(d))
-    for cache in (homology._factor, homology._cycle_quotients):
-        info = cache.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize
-    assert homology._factor.cache_info().currsize == homology._factor.cache_info().maxsize
+    info = homology._factor.cache_info()
+    assert info.maxsize is not None and info.currsize == info.maxsize
     _clear_presentation_caches()
 
 
@@ -341,14 +369,15 @@ def test_glue_builds_its_relations_on_first_read(monkeypatch):
 
 def test_public_constructors_still_check_well_definedness():
     from cwhom.abgroups import AbHom
-    from cwhom.homology import induced_hom
+    from cwhom.homology import _induced
     with pytest.raises(ValueError, match="not well-defined"):
         AbHom(FgAbGroup.cyclic(2), Z, IntMatrix.from_rows([[1]]))
     # the generator of h^2(RP2) = Z/2 sent to the generator of h^2(S2) = Z
     src = chain_group(zoo("rp", 2), 2, Z, "cohomology", True)
     tgt = chain_group(zoo("sphere", 2), 2, Z, "cohomology", True)
+    h = _induced(src, tgt, IntMatrix.identity(1))
     with pytest.raises(ValueError, match="not well-defined"):
-        induced_hom(src, tgt, IntMatrix.identity(1))
+        AbHom(h.source, h.target, h.matrix)
 
 
 UCT_MODULI = (0, 2, 3, 4, 6)
@@ -413,11 +442,10 @@ def test_one_snf_per_chain_matrix():
         ["0", "0", "Z + Z/2 + Z/4", "Z/2 + Z/2", "Z/3", "0"],
     ]
     pairs = {_chain_maps(x, n, reduced) for n in range(x.dim + 1) for reduced in (False, True)}
-    # out-of-range dimensions read the pair of empty maps (cells_presentation)
-    empty = IntMatrix.zeros(0, 0)
-    matrices = {m for pair in pairs for m in pair} | {empty}
-    assert len(matrices) == 7 and len(pairs) == 5
-    assert seen.snfs == len(matrices) + len(pairs) + 1
+    # out-of-range dimensions read G^0 (cells_presentation), which runs no SNF
+    matrices = {m for pair in pairs for m in pair}
+    assert len(matrices) == 6 and len(pairs) == 5
+    assert seen.snfs == len(matrices) + len(pairs) == 11
     assert (seen.transforms, seen.matmuls) == ([], [])
 
 
@@ -463,13 +491,13 @@ def _record_replays(monkeypatch):
     the modulus of the factor being built then (None: outside one)."""
     import cwhom.intmat as intmat
     seen, building = [], []
-    real_quotient, real_times, real_columns = (intmat._CycleQuotients.quotient, intmat._Log.times,
+    real_quotient, real_times, real_columns = (homology._cycle_quotient, intmat._Log.times,
                                                intmat._coordinate_columns)
 
-    def quotient(q, d):
-        building.append(d)
+    def quotient(*args):
+        building.append(args[-1])
         try:
-            return real_quotient(q, d)
+            return real_quotient(*args)
         finally:
             building.pop()
 
@@ -481,7 +509,7 @@ def _record_replays(monkeypatch):
         seen.append(("columns", building[-1] if building else None))
         return real_columns(*args)
 
-    monkeypatch.setattr(intmat._CycleQuotients, "quotient", quotient)
+    monkeypatch.setattr(homology, "_cycle_quotient", quotient)
     monkeypatch.setattr(intmat._Log, "times", times)
     monkeypatch.setattr(intmat, "_coordinate_columns", columns)
     return seen
@@ -548,17 +576,19 @@ def _assert_lazy_matches_eager(lazy, eager):
 
 
 def _assert_lazy_integral_factors(out, inc):
-    # the chain and cochain cycle quotients of the chain maps (out, inc)
+    # the chain and cochain integral factors of the chain maps (out, inc)
     # as chain_group builds them, against the eager two-map form on the
     # graded pair.  The cochain side's V is inc's row log transposed,
     # where the eager form runs an SNF of inc^T of its own: that basis of
     # the cocycles may differ, so the eager form is read off the same V.
-    for variant, pair in (("homology", (out, inc)), ("cohomology", (inc.transpose(), out.transpose()))):
-        lazy = homology._cycle_quotients.__wrapped__(out, inc, variant)
+    o, i = homology._elimination(out), homology._elimination(inc)
+    for variant, pair, (s, t, in_s) in (("homology", (out, inc), (o.s, o.cols, i.s)),
+                                        ("cohomology", (inc.transpose(), out.transpose()),
+                                         (i.s, i.rows.transposed(), o.s))):
         eager = EagerCycleQuotients(*pair)
-        assert (eager.s, eager.in_s) == (lazy.s, lazy.in_s)
-        eager.t = lazy.t
-        _assert_lazy_matches_eager(lazy.quotient(0), eager.quotient(0))
+        assert (eager.s, eager.in_s) == (s, in_s)
+        eager.t = t
+        _assert_lazy_matches_eager(homology._factor.__wrapped__(out, inc, variant, 0), eager.quotient(0))
 
 
 def _assert_lazy_integral_factors_of(x):

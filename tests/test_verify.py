@@ -418,7 +418,7 @@ def _package_caches():
 
 def test_factor_caches_are_package_caches():
     names, _ = _package_caches()
-    assert {"homology._cycle_quotients", "homology._factor"} <= names
+    assert {"homology._elimination", "homology._factor"} <= names
 
 
 def test_every_cache_is_bounded_and_holds_a_battery():
