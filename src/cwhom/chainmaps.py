@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 from .abgroups import AbHom, FgAbGroup, compose_hom
 from .complexes import CwComplex, _born_valid, suspension, zoo
 from .homology import _induced, chain_group, integral_homology
-from .intmat import IntMatrix, _ones, _sparse_columns, _sparse_product, _unit_columns, _Value, _vstack
+from .intmat import IntMatrix, _ones, _put, _sparse_columns, _sparse_product, _unit_columns, _Value, _vstack
 
 __all__ = [
     "ChainMap",
@@ -69,6 +69,14 @@ class ChainMap(_Value):
 
     def _key(self) -> tuple:
         return (self.source, self.target, self.maps)  # not the name
+
+    @cached_property
+    def _hash(self) -> int:
+        # frozen, and a key of the check memos: hashed at most once
+        return hash(self._key())
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def top(self) -> int:
@@ -246,11 +254,21 @@ class MappingCone(_Value):
     """Cofiber data: the cone complex, the inclusion of the target, and
     the (sign-corrected) projection onto the suspended source."""
 
-    __slots__ = __match_args__ = ("map", "cone", "inclusion", "projection")
+    __match_args__ = ("map", "cone", "inclusion", "projection")
+    __slots__ = (*__match_args__, "_hash")
 
     def __init__(self, map: ChainMap, cone: CwComplex, inclusion: ChainMap, projection: ChainMap):
         # inclusion: target -> cone; projection: cone -> suspension(source)
         self._init(map, cone, inclusion, projection)
+
+    def __hash__(self) -> int:
+        # frozen, so hashed at most once, into the slot ``cached_property``
+        # would need a __dict__ for
+        try:
+            return self._hash
+        except AttributeError:
+            _put(self, "_hash", hash(self._key()))
+            return self._hash
 
 
 def _relative_columns(m: IntMatrix, bp: int) -> IntMatrix:

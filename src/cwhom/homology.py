@@ -51,11 +51,16 @@ is over Z and every cyclic factor of G is still computed directly on C'.  The ca
 augmentation e g_0 is again the all-ones row, so the reduced variants go
 through ``_chain_maps`` on C' unchanged.  A complex with no unit entry is
 used as it is.
+
+A complex's ``chain_group`` results and reduction sit in one memo per
+complex value, shared by equal complexes and released with the last of
+them; the complex last queried is kept (``_last``).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import _CacheInfo, lru_cache, partial, update_wrapper
+from weakref import WeakValueDictionary
 
 from .abgroups import AbHom, FgAbGroup, normalize_diagonal
 from .complexes import CwComplex, require_valid
@@ -187,35 +192,41 @@ def _factor(out: IntMatrix, inc: IntMatrix, variant: str, modulus: int) -> Group
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _out_columns(x: CwComplex, n: int, variant: str, reduced: bool) -> list:
-    """The sparse columns of the out-map at dimension n, read off x's
-    row-major boundaries without building it: the columns of B_n (the
-    all-ones row, or no row, at n = 0) for chains, the rows of B_{n+1}
-    for cochains."""
+def _out_boundary(x: CwComplex, n: int, variant: str) -> IntMatrix:
+    """The boundary the out-map at dimension n is read off: B_{n+1} for
+    cochains, B_n for chains (at n = 0 the 0 x c_0 zero matrix)."""
+    return x.boundary(n + 1) if variant == "cohomology" else x.boundary(n)
+
+
+def _out_columns(b: IntMatrix, n: int, variant: str, reduced: bool) -> list:
+    """The sparse columns of the out-map at dimension n, read off the
+    row-major ``_out_boundary`` b without building it: the columns of B_n
+    (the all-ones row, or no row, at n = 0) for chains, the rows of
+    B_{n+1} for cochains."""
     if variant == "cohomology":
-        b = x.boundary(n + 1)
         return [_nonzeros(b.row(i)) for i in range(b.rows)]
     if n == 0:
-        return [[(0, 1)] if reduced else [] for _ in range(x.cells[0])]
-    return _sparse_columns(x.boundary(n))
+        return [[(0, 1)] if reduced else [] for _ in range(b.cols)]
+    return _sparse_columns(b)
 
 
 class _Transported(GroupWithPresentation):
     """A residual factor presentation carried back to the cells of the
-    original complex x: lifts through g (f^T on cochains), coordinates
+    original complex: lifts through g (f^T on cochains), coordinates
     through f (g^T).  f is not injective, so a vector is first checked
     against the original out-map, mod the factor's modulus, and rejected
     exactly where the unreduced presentation would reject it.  Nothing is
     carried before it is read: the lifts are pulled on their first read,
-    and the out-map's sparse columns are read off x's boundaries on the
+    and the out-map's sparse columns are read off the boundary ``b`` it
+    keeps (``_out_boundary``; not the complex, which it outlives) on the
     first coords call, because most groups are never queried."""
 
-    __slots__ = ("_pres", "_red", "_x", "_n", "_variant", "_reduced", "_modulus", "_out_cols", "_lifts")
+    __slots__ = ("_pres", "_red", "_b", "_n", "_variant", "_reduced", "_modulus", "_out_cols", "_lifts")
 
-    def __init__(self, pres: GroupWithPresentation, red: Reduction, x: CwComplex, n: int,
+    def __init__(self, pres: GroupWithPresentation, red: Reduction, b: IntMatrix, n: int,
                  variant: str, reduced: bool, modulus: int):
         super().__init__(pres.group, red.cells[n])
-        for name, value in (("_pres", pres), ("_red", red), ("_x", x), ("_n", n), ("_variant", variant),
+        for name, value in (("_pres", pres), ("_red", red), ("_b", b), ("_n", n), ("_variant", variant),
                             ("_reduced", reduced), ("_modulus", modulus), ("_out_cols", None),
                             ("_lifts", None)):
             _put(self, name, value)
@@ -231,7 +242,7 @@ class _Transported(GroupWithPresentation):
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
         if self._out_cols is None:
-            _put(self, "_out_cols", _out_columns(self._x, self._n, self._variant, self._reduced))
+            _put(self, "_out_cols", _out_columns(self._b, self._n, self._variant, self._reduced))
         image = _sparse_apply(self._out_cols, _nonzeros(v))
         m = self._modulus
         if any(s % m if m else s for s in image.values()):
@@ -239,14 +250,72 @@ class _Transported(GroupWithPresentation):
         return self._pres.coords(self._red.push(self._n, v, self._variant == "cohomology"))
 
 
-# one reduction per complex, shared by every query on it.  This cache,
-# chain_group's and cells_presentation's are bounded with headroom over
-# what one check battery holds (62, 1 370 and 20 entries), so a
-# long-lived process does not grow without bound.
-_reduction = lru_cache(maxsize=256)(reduce_complex)
+# chain_group's results and the reduction are kept per complex value, not
+# in a count-bounded cache: equal complexes share one memo, found once per
+# object through a weak table keyed by (cells, boundaries, basepoint) and
+# then read off the object, so a hit with an equal copy compares its
+# boundaries at most once.  The memo lives as long as some complex equal to
+# it does, and the complex last queried is kept alive, so that CLI calls on
+# one document in one process (homology, then cohomology) share its
+# reduction and groups; keeping 2, 4 or 8 recent complexes computed nothing
+# less on any benchmark workload and held more.  A stream of distinct
+# complexes thus holds a fixed amount of memory, released by reference
+# counting alone: nothing in a memo refers back to its complex
+# (``_Transported`` keeps the boundary it reads, not x), so no memo and
+# complex form a cycle that only the cyclic collector would free.
+_memos = WeakValueDictionary()
+_last = None
 
 
-@lru_cache(maxsize=4096)
+class _Memo(dict):
+    # a plain dict takes no weak reference
+    __slots__ = ("__weakref__",)
+
+
+def _per_complex(fn):
+    """``fn(x, *args)`` kept in the memo of x's value, with ``lru_cache``'s
+    statistics and ``cache_clear``; ``maxsize`` is None."""
+    counts = [0, 0]  # hits, misses
+
+    def memoized(x, *args):
+        global _last
+        memo = x.__dict__.get("_memo")
+        if memo is None:
+            value_key = x._key()
+            memo = _memos.get(value_key)
+            if memo is None:
+                memo = _memos[value_key] = _Memo()
+            _put(x, "_memo", memo)
+        _last = x
+        key = (fn, args)
+        try:
+            value = memo[key]
+        except KeyError:
+            counts[1] += 1
+            value = memo[key] = fn(x, *args)
+            return value
+        counts[0] += 1
+        return value
+
+    def entries():
+        return [(memo, key) for memo in _memos.values() for key in memo if key[0] is fn]
+
+    def cache_clear():
+        for memo, key in entries():
+            del memo[key]
+        counts[:] = 0, 0
+
+    memoized.cache_info = lambda: _CacheInfo(*counts, None, len(entries()))
+    memoized.cache_clear = cache_clear
+    memoized.cache_parameters = lambda: {"maxsize": None, "typed": False}
+    return update_wrapper(memoized, fn)
+
+
+# one reduction per complex value, shared by every query on it
+_reduction = _per_complex(reduce_complex)
+
+
+@_per_complex
 def chain_group(x: CwComplex, n: int, coeff: FgAbGroup, variant: str, reduced: bool) -> CoeffPresentation:
     """The n-th (co)homology of x with coefficients in ``coeff``.
 
@@ -260,10 +329,12 @@ def chain_group(x: CwComplex, n: int, coeff: FgAbGroup, variant: str, reduced: b
     out, inc = _chain_maps(x if red is None else red.residual, n, reduced)
     pres = [(m, _factor(out, inc, variant, m)) for m in coeff.generator_orders()]
     if red is not None:
-        pres = [(m, _Transported(p, red, x, n, variant, reduced, m)) for m, p in pres]
+        b = _out_boundary(x, n, variant)
+        pres = [(m, _Transported(p, red, b, n, variant, reduced, m)) for m, p in pres]
     return _assemble(coeff, x.cells[n], pres)
 
 
+# bounded with headroom over the 20 entries one check battery holds
 @lru_cache(maxsize=256)
 def cells_presentation(c: int, coeff: FgAbGroup) -> CoeffPresentation:
     """G^c presented on the standard basis of a rank-c cell space: each

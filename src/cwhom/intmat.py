@@ -426,12 +426,16 @@ class _SnfWork:
                         break
                 if swapped:
                     continue
+                # column t is p e_t now, so col_j -= q col_t changes row t
+                # alone: one entry, and the operation ``col_add`` logs
+                row, ops = self.s[t], self.col_log.ops
                 for j in range(t + 1, self.c):
-                    v = self.s[t][j]
+                    v = row[j]
                     if v:
                         q = v // p
                         if q:
-                            self.col_add(j, t, -q)
+                            row[j] = v - q * p
+                            ops += (t, j, q)
                 for j in range(t + 1, self.c):
                     if self.s[t][j]:
                         self.col_swap(t, j)

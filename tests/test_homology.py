@@ -5,6 +5,7 @@ matrices (Smith forms of 1x1 and 1x2 integer matrices and their mod-d
 reductions), not read off from the implementation.
 """
 
+import random
 from dataclasses import FrozenInstanceError
 from math import gcd
 
@@ -631,3 +632,95 @@ def test_chain_groups_keep_no_columns_on_the_loaded_boundaries():
                     units = IntMatrix.identity(len(pres.lifts)).to_rows()
                     assert [list(pres.coords(lift)) for lift in pres.lifts] == units
     assert not any("_columns" in b.__dict__ for b in x.boundaries)
+
+
+def _relabelled_torus_text(k, seed):
+    """The k x k grid torus as document text, with the cells of every
+    dimension permuted and a random choice of its edges and faces
+    reversed: each seed gives another complex with the same groups."""
+    doc = grid_torus_doc(k)
+    rng = random.Random(seed)
+    cells = doc["cells"]
+    perm = [rng.sample(range(c), c) for c in cells]
+    sign = [[1] * cells[0]] + [[rng.choice((1, -1)) for _ in range(c)] for c in cells[1:]]
+    bnds = {}
+    for n in (1, 2):
+        out = [[0] * cells[n] for _ in range(cells[n - 1])]
+        for i, row in enumerate(doc["boundaries"][str(n)]):
+            for j, v in enumerate(row):
+                out[perm[n - 1][i]][perm[n][j]] = sign[n - 1][i] * v * sign[n][j]
+        bnds[str(n)] = out
+    return dumps({"cells": cells, "boundaries": bnds})
+
+
+def test_an_equal_copy_compares_its_boundaries_once(monkeypatch):
+    # two loads of one text are equal, distinct complexes: the second finds
+    # the first's memo by comparing its boundaries once, and then reads it
+    # off the object, so every query hands back the first's presentations
+    text = _relabelled_torus_text(8, 1)
+    first, second = loads_complex(text), loads_complex(text)
+    coeff = parse_group("Z + Z/2")
+    keys = [(n, coeff, variant, reduced) for n in range(first.dim + 1)
+            for variant in ("homology", "cohomology") for reduced in (False, True)]
+    want = [chain_group(first, *key) for key in keys]
+    compared = []
+    real = IntMatrix.__eq__
+    monkeypatch.setattr(IntMatrix, "__eq__", lambda a, b: compared.append(a) or real(a, b))
+    for _ in range(2):
+        assert all(chain_group(second, *key) is cp for key, cp in zip(keys, want))
+    assert 0 < len(compared) <= len(second.boundaries)
+
+
+def test_presentations_outlive_their_complex():
+    # a presentation keeps the boundary it reads, not its complex: once the
+    # complex is gone, it gives the lifts and coords it gave before, and
+    # still copies and pickles; a copy made before any read reads only now
+    import copy
+    import pickle
+    import weakref
+    x = loads_complex(_relabelled_torus_text(4, 2))
+    coeff = parse_group("Z + Z/2")
+    cps = [chain_group(x, n, coeff, variant, reduced) for n in range(x.dim + 1)
+           for variant in ("homology", "cohomology") for reduced in (False, True)]
+    assert any(type(p).__name__ == "_Transported" for cp in cps for _, p in cp.factors)
+    unread = [copy.deepcopy(cp) for cp in cps]
+    want = [_presented_values(cp) for cp in cps]
+    gone = weakref.ref(x)
+    del x
+    chain_group(loads_complex(_relabelled_torus_text(4, 3)), 1, Z, "homology", False)
+    assert gone() is None
+    for cp, clone, values in zip(cps, unread, want):
+        assert _presented_values(clone) == values
+        assert _presented_values(cp) == values
+        assert _presented_values(copy.deepcopy(cp)) == values
+        assert _presented_values(pickle.loads(pickle.dumps(cp))) == values
+
+
+def test_held_memory_stays_flat_over_distinct_complexes():
+    # each complex's memo goes with it once another complex is queried, by
+    # reference counting alone (the cyclic collector is off): the memory
+    # held after 24 distinct complexes is that held after 9
+    import gc
+    import tracemalloc
+    import weakref
+    coeff = parse_group("Z + Z/2")
+    texts = [_relabelled_torus_text(6, seed) for seed in range(100, 124)]
+    held, refs = {}, []
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for i, text in enumerate(texts, 1):
+            x = loads_complex(text)
+            for variant in ("homology", "cohomology"):
+                for n in range(x.dim + 1):
+                    chain_group(x, n, coeff, variant, False)
+            refs.append(weakref.ref(x))
+            del x
+            assert refs[-1]() is not None and all(ref() is None for ref in refs[:-1])
+            held[i] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert abs(held[24] - held[9]) <= 0.1 * held[9], held

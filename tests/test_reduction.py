@@ -278,12 +278,12 @@ def test_sphere2_degree(a, c, e):
 @pytest.mark.parametrize("x", [grid_torus(3), zoo("rp", 3), zoo("moore", 4, 2), zoo("point")],
                          ids=["T3", "rp3", "moore", "point"])
 def test_out_columns_are_the_out_map(x):
-    from cwhom.homology import _out_columns
+    from cwhom.homology import _out_boundary, _out_columns
     from cwhom.intmat import _sparse_columns
     for variant, reduced in VARIANTS:
         for n in range(x.dim + 1):
             want = _sparse_columns(_graded_maps(x, n, variant, reduced)[0])
-            assert _out_columns(x, n, variant, reduced) == want
+            assert _out_columns(_out_boundary(x, n, variant), n, variant, reduced) == want
 
 
 def test_reduced_path_builds_no_original_out_map(monkeypatch):
@@ -355,6 +355,11 @@ def test_reduced_path_reads_no_chain_maps_of_the_original(monkeypatch):
             for n in range(3):
                 chain_group(x, n, coeff, variant, reduced)
     assert on_x == [] and homology.chain_group.cache_info().currsize == 3 * len(COEFFS) * len(VARIANTS)
+    # x's memo holds one entry per (n, coeff, variant, reduced), and x's reduction
+    want = {(n, coeff, variant, reduced) for coeff in COEFFS for variant, reduced in VARIANTS for n in range(3)}
+    got = [key[1] for key in x._memo if key[0] is homology.chain_group.__wrapped__]
+    assert len(got) == len(want) and set(got) == want
+    assert x._memo[homology._reduction.__wrapped__, ()] is homology._reduction(x) is not None
 
 
 def _read_everything(cps):

@@ -156,6 +156,29 @@ def test_copy_and_pickle_give_an_equal_value(value, key, other, text):
             assert clone.name == value.name != ""
 
 
+def test_chain_maps_and_cones_hash_once(monkeypatch):
+    # the hash is kept on the frozen value: a second hash() reads no
+    # field's hash, equal values still hash equal, and copy and pickle
+    # carry the fields alone
+    f = identity_map(zoo("torus"))
+    cone = mapping_cone(f)
+    cases = [(ChainMap(f.source, f.target, f.maps, "id"), (CwComplex, IntMatrix)),
+             (MappingCone(cone.map, cone.cone, cone.inclusion, cone.projection), (ChainMap, CwComplex))]
+    for value, field_types in cases:
+        pickled = pickle.dumps(value)
+        twin = type(value)(*(getattr(value, name) for name in type(value).__match_args__))
+        first = hash(value)
+        read = []
+        with monkeypatch.context() as m:
+            for t in field_types:
+                m.setattr(t, "__hash__", lambda self, real=t.__hash__: read.append(self) or real(self))
+            assert hash(value) == first and read == []
+            assert hash(twin) == first and read
+        assert pickle.dumps(value) == pickled
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickled)):
+            assert type(clone) is type(value) and clone == value and hash(clone) == first
+
+
 def test_cli_import_loads_no_introspection_modules():
     # about 20 ms and 1 MB at every CLI start went to generating dataclass
     # methods and to the modules dataclasses pulls in

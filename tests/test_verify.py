@@ -422,17 +422,34 @@ def test_factor_caches_are_package_caches():
 
 
 def test_every_cache_is_bounded_and_holds_a_battery():
+    import weakref
+
+    import cwhom.homology as homology
     names, caches = _package_caches()
     assert {"homology.chain_group", "homology._reduction", "homology.cells_presentation",
             "verify._inverse", "verify._exact", "verify._subquotient",
-            "verify._quotient_proof", "verify._level_proof"} <= names
+            "verify._quotient_proof", "verify._level_proof", "verify._wedged"} <= names
+    # these two keep their entries in the memo of each complex value: no
+    # entry count bounds them, the lifetime of the complexes does
+    per_complex = [homology.chain_group, homology._reduction]
     for cache in caches:
         cache.cache_clear()
     run_battery()
     for cache in caches:
         info = cache.cache_info()
-        assert info.maxsize is not None, cache
+        assert (info.maxsize is None) == any(cache is m for m in per_complex), cache
+        # nothing was released or evicted during the battery
         assert info.currsize == info.misses, (cache, info)
+    # a dropped complex goes at once when another is queried, and its
+    # entries with it
+    held = [m.cache_info().currsize for m in per_complex]
+    x = zoo("sphere", 41)
+    homology.chain_group(x, 41, Z, "homology", False)
+    gone = weakref.ref(x)
+    del x
+    homology.chain_group(zoo("sphere", 42), 42, Z, "homology", False)
+    assert gone() is None
+    assert [m.cache_info().currsize for m in per_complex] == [h + 1 for h in held]
 
 
 def test_born_valid_maps_pass_a_fresh_check():
