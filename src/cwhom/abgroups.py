@@ -18,6 +18,7 @@ from math import gcd, prod
 
 from .intmat import (
     IntMatrix,
+    _kept_hash,
     _put,
     _relations,
     _snf_ext,
@@ -62,7 +63,10 @@ class NotAnIsomorphism(ValueError):
 
 
 class FgAbGroup(_Value):
-    __slots__ = __match_args__ = ("rank", "torsion")
+    __match_args__ = ("rank", "torsion")
+    # the hash is kept: a group is part of every chain_group key
+    __slots__ = (*__match_args__, "_hash")
+    __hash__ = _kept_hash
 
     def __init__(self, rank: int, torsion: tuple = ()):
         self._init(rank, torsion)
@@ -384,6 +388,8 @@ def is_exact_pair(g: AbHom, h: AbHom) -> bool:
     """
     if g.target != h.source:
         raise ValueError("exactness: g.target != h.source")
+    if not g.target.num_generators:
+        return True  # im g = ker h = 0
     if not compose_hom(h, g).matrix.is_zero():
         return False
     im = IntMatrix.hstack(g.matrix, _relation_matrix(g.target))

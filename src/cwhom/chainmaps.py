@@ -29,12 +29,12 @@ carries the alternating sign that makes it an honest chain map.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .abgroups import AbHom, FgAbGroup, compose_hom
+from .abgroups import AbHom, FgAbGroup, compose_hom, zero_hom
 from .complexes import CwComplex, _born_valid, suspension, zoo
-from .homology import _induced, chain_group, integral_homology
-from .intmat import IntMatrix, _ones, _put, _sparse_columns, _sparse_product, _unit_columns, _Value, _vstack
+from .homology import _induced, _per_value, chain_group, integral_homology
+from .intmat import IntMatrix, _kept_hash, _ones, _sparse_columns, _sparse_product, _unit_columns, _Value, _vstack
 
 __all__ = [
     "ChainMap",
@@ -70,13 +70,7 @@ class ChainMap(_Value):
     def _key(self) -> tuple:
         return (self.source, self.target, self.maps)  # not the name
 
-    @cached_property
-    def _hash(self) -> int:
-        # frozen, and a key of the check memos: hashed at most once
-        return hash(self._key())
-
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = _kept_hash
 
     @property
     def top(self) -> int:
@@ -261,14 +255,7 @@ class MappingCone(_Value):
         # inclusion: target -> cone; projection: cone -> suspension(source)
         self._init(map, cone, inclusion, projection)
 
-    def __hash__(self) -> int:
-        # frozen, so hashed at most once, into the slot ``cached_property``
-        # would need a __dict__ for
-        try:
-            return self._hash
-        except AttributeError:
-            _put(self, "_hash", hash(self._key()))
-            return self._hash
+    __hash__ = _kept_hash
 
 
 def _relative_columns(m: IntMatrix, bp: int) -> IntMatrix:
@@ -322,6 +309,8 @@ def induced_map(f: ChainMap, n: int, coeff: FgAbGroup, variant: str = "cohomolog
     if variant == "cohomology":
         src = chain_group(f.target, n, coeff, "cohomology", reduced)
         tgt = chain_group(f.source, n, coeff, "cohomology", reduced)
+        if not (src.num_generators and tgt.num_generators):
+            return zero_hom(src.group, tgt.group)
         return _induced(src, tgt, f.level(n).transpose())
     if variant == "homology":
         src = chain_group(f.source, n, coeff, "homology", reduced)
@@ -341,28 +330,28 @@ def shift_iso(x: CwComplex, n: int, coeff: FgAbGroup) -> AbHom:
     sx = _suspended(x)
     src = chain_group(x, n, coeff, "cohomology", True)
     tgt = chain_group(sx, n + 1, coeff, "cohomology", True)
-    if n < 0 or n > x.dim:
-        return _induced(src, tgt, IntMatrix.zeros(tgt.ambient_dim, src.ambient_dim))
+    if not (src.num_generators and tgt.num_generators):  # so for every n < 0 or n > x.dim
+        return zero_hom(src.group, tgt.group)
     t = IntMatrix.identity(x.cells[n]) if n >= 1 else _basepoint_differences(x)
     return _induced(src, tgt, t)
 
 
-@lru_cache(maxsize=64)
+@_per_value
 def _suspended(x: CwComplex) -> CwComplex:
     """suspension(x), built once per complex for shift_iso and
-    mapping_cone; bounded, with headroom over the 25 complexes one
-    battery suspends.  Equal complexes with different names share an
-    entry, so the cached copy carries no name."""
+    mapping_cone, and kept in x's memo, so as long as x or an equal
+    complex lives.  Equal complexes with different names share it, so the
+    kept copy carries no name."""
     return suspension(x).with_name("")
 
 
-@lru_cache(maxsize=16)
+@_per_value
 def _cone(f: ChainMap) -> MappingCone:
     """mapping_cone(f), built once per chain map for the checks that visit
-    it with every coefficient group; bounded like ``_suspended``.  Built
-    from nameless copies of f and its complexes, which take over their
-    violation reports: equal maps with different names share an entry,
-    and no cached name can reach a report."""
+    it with every coefficient group, and kept in f's memo like
+    ``_suspended``.  Built from nameless copies of f and its complexes,
+    which take over their violation reports: equal maps with different
+    names share it, and no kept name can reach a report."""
     copy = ChainMap(f.source.with_name(""), f.target.with_name(""), f.maps)
     return mapping_cone(_born_valid(copy, f._violations))
 

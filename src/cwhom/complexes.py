@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .intmat import IntMatrix, _put, _sparse_columns, _sparse_product, _Value, _vstack
+from .intmat import IntMatrix, _kept_hash, _put, _sparse_columns, _sparse_product, _Value, _vstack
 
 __all__ = [
     "CwComplex",
@@ -79,13 +79,7 @@ class CwComplex(_Value):
             return self.boundaries[n - 1]
         return IntMatrix.zeros(self.cells_at(n - 1), self.cells_at(n))
 
-    @cached_property
-    def _hash(self) -> int:
-        # frozen, and the key of every homology cache: hashed at most once
-        return hash(self._key())
-
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = _kept_hash
 
     @cached_property
     def _violations(self) -> tuple:

@@ -16,10 +16,10 @@ group: only a factor Z/d, d >= 2, runs an SNF of its own.  The complex
 was proved valid where it came in, so V @ in (and a cochain in-map B^T)
 is built only for such a factor or on the first read of the integral
 factor's lifts or coords, never for its group alone.  These eliminations
-and each factor presentation of (out, in, d) are built once per distinct
-key in a process, in bounded caches keyed by the value of the chain
-maps: every coefficient group that contains Z/d, and every complex with
-equal (residual) boundaries there, shares one immutable presentation.
+are kept in the memo of each chain matrix, and each factor presentation
+of (out, in, d) in the memo of the pair (out, in): every coefficient
+group that contains Z/d, and every live complex with equal (residual)
+boundaries there, shares one immutable presentation.
 G^c itself (``cells_presentation``) is presented on its own generators,
 with no elimination.  The whole group, across factors, is the
 invariant-factor form of the factors' generator orders, with no SNF at
@@ -52,9 +52,11 @@ augmentation e g_0 is again the all-ones row, so the reduced variants go
 through ``_chain_maps`` on C' unchanged.  A complex with no unit entry is
 used as it is.
 
-A complex's ``chain_group`` results and reduction sit in one memo per
-complex value, shared by equal complexes and released with the last of
-them; the complex last queried is kept (``_last``).
+What is keyed by a complex, a chain map, a pair of chain maps or a matrix
+lives in the memo of that value (``_per_value``), released with the last
+equal value.  Only five caches, keyed by groups, homs or nothing, are
+bounded by count: ``cells_presentation``, ``verify``'s ``_inverse``,
+``_exact`` and ``_subquotient``, and ``cli.build_parser``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from __future__ import annotations
 from functools import _CacheInfo, lru_cache, partial, update_wrapper
 from weakref import WeakValueDictionary
 
-from .abgroups import AbHom, FgAbGroup, normalize_diagonal
+from .abgroups import AbHom, FgAbGroup, normalize_diagonal, zero_hom
 from .complexes import CwComplex, require_valid
 from .intmat import (
     GroupWithPresentation,
@@ -153,33 +155,94 @@ def _assemble(coeff: FgAbGroup, ambient_dim: int, factor_pres) -> CoeffPresentat
     return CoeffPresentation(glue.group, coeff, ambient_dim, tuple(factor_pres), glue)
 
 
-def _chain_maps(x: CwComplex, n: int, reduced: bool):
+# Equal values share one memo, found once per object through a weak table
+# keyed by their fields (an equal copy compares them at most once).  No
+# memo refers back to its value (``_Transported`` keeps the boundary it
+# reads, not x), so it goes, by reference counting alone, with the last
+# equal value queried: a stream of complexes holds a fixed amount.
+_memos = WeakValueDictionary()
+
+
+class _Memo(dict):
+    # a plain dict takes no weak reference
+    __slots__ = ("__weakref__",)
+
+
+def _per_value(fn):
+    """``fn(v, *args)`` kept in the memo of v's value, with ``lru_cache``'s
+    statistics, ``cache_clear`` and ``cache_parameters`` (``maxsize`` None)."""
+    counts = [0, 0]  # hits, misses
+
+    def memoized(v, *args):
+        try:
+            memo = v._memo
+        except AttributeError:
+            memo = _memos.setdefault(v._key(), _Memo())
+            _put(v, "_memo", memo)
+        key = (fn, args)
+        try:
+            value = memo[key]
+            counts[0] += 1
+        except KeyError:
+            counts[1] += 1
+            value = memo[key] = fn(v, *args)
+        return value
+
+    def entries():
+        return [(memo, key) for memo in _memos.values() for key in memo if key[0] is fn]
+
+    def cache_clear():
+        for memo, key in entries():
+            del memo[key]
+        counts[:] = 0, 0
+
+    memoized.cache_info = lambda: _CacheInfo(*counts, None, len(entries()))
+    memoized.cache_clear = cache_clear
+    memoized.cache_parameters = lambda: {"maxsize": None, "typed": False}
+    return update_wrapper(memoized, fn)
+
+
+class _ChainMaps(_Value):
+    """(outgoing, incoming) chain maps, a value whose memo keeps their factors
+    until the last equal pair goes (one matrix's would keep every partner)."""
+
+    __match_args__ = ("out", "inc")
+    __slots__ = (*__match_args__, "_memo")
+    __init__ = _Value._init
+
+    def __iter__(self):
+        return iter((self.out, self.inc))
+
+
+@_per_value
+def _chain_maps(x: CwComplex, n: int, reduced: bool) -> _ChainMaps:
     """(outgoing, incoming) chain maps at dimension n: B_n (at n = 0 the
-    all-ones augmentation row when reduced, no row otherwise) and B_{n+1}."""
+    all-ones augmentation row when reduced, no row otherwise) and B_{n+1},
+    kept on x with the matrices built here and their eliminations."""
     if n == 0:
         out = _ones(x.cells[0]) if reduced else IntMatrix.zeros(0, x.cells[0])
     else:
         out = x.boundary(n)
-    return out, x.boundary(n + 1)
+    return _ChainMaps(out, x.boundary(n + 1))
 
 
 # one elimination per distinct chain matrix and one presentation per
-# distinct (chain maps, variant, d), bounded with headroom over one check
-# battery (23 matrices, 176 factors).  The keys are the chain maps the
+# distinct (chain maps, variant, d).  The keys are the chain maps the
 # complex already holds, not the cochain maps: transposes would be built
-# and hashed on every miss and kept alive by the keys.  A factor whose
-# in-map is not a (co)cycle mod d raises, and is not kept.
-@lru_cache(maxsize=96)
+# on every miss and kept alive by the memos.  A factor whose in-map is not
+# a (co)cycle mod d raises, and is not kept.
+@_per_value
 def _elimination(a: IntMatrix) -> _Elimination:
     # _snf_ext is looked up when a miss runs, so a replaced kernel sees it
     return _snf_ext(a)
 
 
-@lru_cache(maxsize=256)
-def _factor(out: IntMatrix, inc: IntMatrix, variant: str, modulus: int) -> GroupWithPresentation:
+@_per_value
+def _factor(maps: _ChainMaps, variant: str, modulus: int) -> GroupWithPresentation:
     """The factor for ``modulus`` of the chain maps of a complex
     ``require_valid`` proved (or of its residual), so the chain condition
     is not checked."""
+    out, inc = maps
     if variant == "homology":
         s, _, t = _elimination(out)
         # a builder of an equal copy of inc: it pickles, where a lambda would not
@@ -250,87 +313,35 @@ class _Transported(GroupWithPresentation):
         return self._pres.coords(self._red.push(self._n, v, self._variant == "cohomology"))
 
 
-# chain_group's results and the reduction are kept per complex value, not
-# in a count-bounded cache: equal complexes share one memo, found once per
-# object through a weak table keyed by (cells, boundaries, basepoint) and
-# then read off the object, so a hit with an equal copy compares its
-# boundaries at most once.  The memo lives as long as some complex equal to
-# it does, and the complex last queried is kept alive, so that CLI calls on
-# one document in one process (homology, then cohomology) share its
-# reduction and groups; keeping 2, 4 or 8 recent complexes computed nothing
-# less on any benchmark workload and held more.  A stream of distinct
-# complexes thus holds a fixed amount of memory, released by reference
-# counting alone: nothing in a memo refers back to its complex
-# (``_Transported`` keeps the boundary it reads, not x), so no memo and
-# complex form a cycle that only the cyclic collector would free.
-_memos = WeakValueDictionary()
+# one reduction per complex value, shared by every query on it
+_reduction = _per_value(reduce_complex)
+
+
+# the complex of the last group computed in range is kept: CLI calls on one
+# document (homology, then cohomology) share its memo, and the next complex
+# shares those of equal residual boundaries (T4, T6 and T8 reduce to one
+# torus); keeping two saved only eliminations of empty matrices
 _last = None
 
 
-class _Memo(dict):
-    # a plain dict takes no weak reference
-    __slots__ = ("__weakref__",)
-
-
-def _per_complex(fn):
-    """``fn(x, *args)`` kept in the memo of x's value, with ``lru_cache``'s
-    statistics and ``cache_clear``; ``maxsize`` is None."""
-    counts = [0, 0]  # hits, misses
-
-    def memoized(x, *args):
-        global _last
-        memo = x.__dict__.get("_memo")
-        if memo is None:
-            value_key = x._key()
-            memo = _memos.get(value_key)
-            if memo is None:
-                memo = _memos[value_key] = _Memo()
-            _put(x, "_memo", memo)
-        _last = x
-        key = (fn, args)
-        try:
-            value = memo[key]
-        except KeyError:
-            counts[1] += 1
-            value = memo[key] = fn(x, *args)
-            return value
-        counts[0] += 1
-        return value
-
-    def entries():
-        return [(memo, key) for memo in _memos.values() for key in memo if key[0] is fn]
-
-    def cache_clear():
-        for memo, key in entries():
-            del memo[key]
-        counts[:] = 0, 0
-
-    memoized.cache_info = lambda: _CacheInfo(*counts, None, len(entries()))
-    memoized.cache_clear = cache_clear
-    memoized.cache_parameters = lambda: {"maxsize": None, "typed": False}
-    return update_wrapper(memoized, fn)
-
-
-# one reduction per complex value, shared by every query on it
-_reduction = _per_complex(reduce_complex)
-
-
-@_per_complex
+@_per_value
 def chain_group(x: CwComplex, n: int, coeff: FgAbGroup, variant: str, reduced: bool) -> CoeffPresentation:
     """The n-th (co)homology of x with coefficients in ``coeff``.
 
     Out-of-range dimensions yield the trivial group (the long-exact-
     sequence machinery indexes beyond the complex dimension).
     """
+    global _last
     require_valid(x)
     if n < 0 or n > x.dim:
         return cells_presentation(0, coeff)
     red = _reduction(x)
-    out, inc = _chain_maps(x if red is None else red.residual, n, reduced)
-    pres = [(m, _factor(out, inc, variant, m)) for m in coeff.generator_orders()]
+    maps = _chain_maps(x if red is None else red.residual, n, reduced)
+    pres = [(m, _factor(maps, variant, m)) for m in coeff.generator_orders()]
     if red is not None:
         b = _out_boundary(x, n, variant)
         pres = [(m, _Transported(p, red, b, n, variant, reduced, m)) for m, p in pres]
+    _last = x
     return _assemble(coeff, x.cells[n], pres)
 
 
@@ -366,7 +377,8 @@ def all_groups(x: CwComplex, coeff: FgAbGroup, variant: str = "homology", reduce
 def _induced(src: CoeffPresentation, tgt: CoeffPresentation, chain_matrix: IntMatrix) -> AbHom:
     """The hom src.group -> tgt.group that a validated chain map, or a
     chain-level matrix the package builds, induces factor by factor on
-    representatives: well defined, so not checked again."""
+    representatives: well defined, so not checked again.  Between groups
+    one of which has no generators it is zero, and no lift is read."""
     if src.coeff != tgt.coeff:
         raise ValueError("coefficient groups differ")
     if chain_matrix.shape != (tgt.ambient_dim, src.ambient_dim):
@@ -374,6 +386,8 @@ def _induced(src: CoeffPresentation, tgt: CoeffPresentation, chain_matrix: IntMa
             f"chain matrix shape {chain_matrix.shape} != "
             f"({tgt.ambient_dim}, {src.ambient_dim})"
         )
+    if not (src.num_generators and tgt.num_generators):
+        return zero_hom(src.group, tgt.group)
     # block-diagonal action on concatenated factor generators
     concat_cols = []
     tgt_sizes = [p.group.num_generators for _, p in tgt.factors]

@@ -58,7 +58,7 @@ _put = object.__setattr__
 
 class _Value:
     """The one convention for the package's immutable values, shared by
-    the ten value types (``IntMatrix`` to ``CheckReport``, which alone
+    the eleven value types (``IntMatrix`` to ``CheckReport``, which alone
     stays mutable), whose ``__match_args__`` list the constructor's fields
     in order.  Each field
     is set once, through ``_put``; assigning or deleting any attribute
@@ -102,6 +102,16 @@ class _Value:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
+def _kept_hash(self) -> int:
+    """``__hash__`` of a frozen value: its key is hashed at most once, into
+    ``_hash`` (a slot, or an entry of the instance dict)."""
+    try:
+        return self._hash
+    except AttributeError:
+        _put(self, "_hash", hash(self._key()))
+        return self._hash
+
+
 class IntMatrix(_Value):
     """Dense integer matrix, row-major, immutable; ``@`` and ``apply``
     read its nonzero columns, kept from the first product on."""
@@ -122,18 +132,12 @@ class IntMatrix(_Value):
     def _key(self) -> tuple:
         return (self.rows, self.cols, self.entries)
 
-    @cached_property
-    def _hash(self) -> int:
-        # the matrix is frozen, so its entries are hashed at most once
-        return hash(self._key())
-
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = _kept_hash
 
     @cached_property
     def _columns(self) -> list:
         # what @ and apply read: the nonzeros of each column, built once on
-        # the frozen matrix like ``_hash`` and outside eq and hash
+        # the frozen matrix, like its hash, and outside eq and hash
         return _sparse_columns(self)
 
     # -- constructors -------------------------------------------------

@@ -23,19 +23,21 @@ shift isomorphism (``chainmaps._suspended``).
 
 The checks meet the same homs again and again: across the coefficient
 groups, in equal complexes under other names, and between checks.  Every
-inversion, exactness test and subquotient therefore reads through a
-bounded memo keyed by value (``_inverse``, ``_exact``, ``_subquotient``;
-``AbHom`` is frozen and hashed by its source, target and matrix).  Each
-distinct value is still proved in full, once: an isomorphism is
-inverted and its inverse verified both ways, and a failure is not
-cached, so a hom that is not invertible is tried again, with the same
-witness, every time it is met.  The skeletal check's per-k work is
-memoized the same way one layer up: each filtration quotient's part (b)
-and cell-basis isomorphism, keyed by (Q_k, k, G), and each level's
-connecting composite and part (c) comparison, keyed by (level, k, G,
-B_{k+1}), are proved once per distinct value, and a failed proof is not
-kept.  Spheres, Moore spaces, RP^n and lens spaces share wedges of
-spheres as quotients.
+inversion, exactness test and subquotient therefore reads through a memo
+keyed by value (``_inverse``, ``_exact``, ``_subquotient``; ``AbHom`` is
+frozen and hashed by its source, target and matrix), one of the five
+caches bounded by count, with ``homology.cells_presentation`` and
+``cli.build_parser``.  Each distinct value is still proved in full,
+once: an isomorphism is inverted and its inverse verified both ways, and
+a failure is not cached, so a hom that is not invertible is tried again,
+with the same witness, every time it is met.  What is keyed by a complex,
+a chain map or a matrix lives in the memo of that value instead
+(``homology._per_value``): the tower in x's, part (b) and the cell-basis
+isomorphism of each filtration quotient in Q_k's, each level's connecting
+composite and part (c) comparison in its inclusion j's.  A failed proof
+is not kept.  Spheres, Moore spaces, RP^n and lens spaces share wedges of
+spheres as quotients.  The top quotient of a sphere is the sphere: its
+tower and the memo holding it form a cycle, freed by the cyclic collector.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from .complexes import (
     wedge,
     zoo,
 )
-from .homology import _glue, _induced, cells_presentation, chain_group, cohomology
+from .homology import _glue, _induced, _per_value, cells_presentation, chain_group, cohomology
 from .intmat import IntMatrix, _ones, _unit_columns, _Value
 
 __all__ = [
@@ -198,19 +200,9 @@ def _wedge_inclusions(xs) -> list[ChainMap]:
     wedge: level n of X_k is the unit columns at the wedge indices that
     ``complexes._wedge_cells`` gives X_k's n-cells, the layout ``wedge``
     itself is built from."""
-    return list(_wedged(tuple(xs), tuple(x.name for x in xs)))
-
-
-@lru_cache(maxsize=16)
-def _wedged(xs: tuple, names: tuple) -> tuple:
-    # built once per summands and names (which name the wedge) for the
-    # wedge check, which visits it with every coefficient group; kept, the
-    # wedge keeps its chain_group memo for the equal complexes met later
-    # (the cone of a degree-0 sphere map is S^1 v S^2); without it one
-    # battery computes 20 more chain groups and 9 more reductions
     w = wedge(xs)
-    return tuple(_born_valid(ChainMap(x, w, tuple(_unit_columns(c, idx) for c, idx in zip(w.cells, at))))
-                 for x, at in zip(xs, _wedge_cells(xs)[1]))
+    return [_born_valid(ChainMap(x, w, tuple(_unit_columns(c, idx) for c, idx in zip(w.cells, at))))
+            for x, at in zip(xs, _wedge_cells(xs)[1])]
 
 
 def _stack_homs(homs) -> AbHom:
@@ -228,11 +220,12 @@ def _stack_homs(homs) -> AbHom:
     return AbHom._derived(src, glue.group, mat)
 
 
-def check_wedge(xs, coeff: FgAbGroup) -> CheckReport:
+def check_wedge(xs, coeff: FgAbGroup, incs: list | None = None) -> CheckReport:
     """Restriction along the inclusions identifies reduced h^n of a wedge
-    with the direct sum over the factors."""
+    with the direct sum over the factors; ``incs``, if given, are xs'
+    ``_wedge_inclusions``, built once for several groups."""
     xs = list(xs)
-    incs = _wedge_inclusions(xs)
+    incs = _wedge_inclusions(xs) if incs is None else incs
     w = incs[0].target
     rep = CheckReport("wedge", _subject(w), coeff, range(0, w.dim + 2))
     for n in rep.dims:
@@ -398,15 +391,13 @@ def _collapse_comparison(cone: MappingCone, q_next: CwComplex) -> ChainMap:
     return _born_valid(ChainMap(c, q_next, tuple(maps)))
 
 
-@lru_cache(maxsize=64)
+@_per_value
 def _skeletal_tower(x: CwComplex) -> tuple:
     """The coefficient-free part of the skeletal check, built once per
-    complex: (Q_0, ..., Q_dim) and, for each k < dim, (j, cone(j),
-    collapse) with j: Q_k -> W_k the inclusion and collapse: cone(j) ->
-    Q_{k+1}.  Bounded, with headroom over the 19 distinct complexes of
-    one battery.  Built from a nameless copy of x: equal complexes with
-    different names share an entry, and no cached name can reach a
-    report."""
+    complex and kept in x's memo: (Q_0, ..., Q_dim) and, for each k < dim,
+    (j, cone(j), collapse) with j: Q_k -> W_k the inclusion and collapse:
+    cone(j) -> Q_{k+1}.  Built from a nameless copy of x: equal complexes
+    with different names share it, and no kept name can reach a report."""
     x = x.with_name("")
     quotients = tuple(_filtration_quotient(x, k) for k in range(x.dim + 1))
     levels = []
@@ -425,13 +416,7 @@ def _cell_basis_iso(q: CwComplex, k: int, coeff: FgAbGroup) -> AbHom:
     return _induced(src, tgt, t)
 
 
-# The per-k proofs of the skeletal check, keyed by value like the memos
-# above: the corpus shares filtration quotients (wedges of spheres) and
-# levels across complexes.  Sized with headroom over the distinct keys of
-# one battery (55 and 105).
-
-
-@lru_cache(maxsize=128)
+@_per_value
 def _quotient_proof(q: CwComplex, k: int, coeff: FgAbGroup) -> tuple:
     """Part (b) for Q_k: the witnesses of every h^n(Q_k), n != k, that is
     not trivial, then the cell-basis isomorphism and its proven inverse."""
@@ -449,13 +434,12 @@ def _quotient_proof(q: CwComplex, k: int, coeff: FgAbGroup) -> tuple:
         raise IsoTransportFailure(f"h^{k}(Q_{k}) is not free on cells: {e}")
 
 
-@lru_cache(maxsize=256)
-def _level_proof(level: tuple, k: int, coeff: FgAbGroup, boundary: IntMatrix) -> tuple:
+@_per_value
+def _level_proof(j, cone, collapse, k: int, coeff: FgAbGroup, boundary: IntMatrix) -> tuple:
     """Level k = (j, cone(j), collapse) of the tower, for a complex whose
     B_{k+1} is ``boundary``: the connecting composite delta_k : h^k(Q_k)
     -> h^{k+1}(Q_{k+1}), and part (c)'s (k, delta_k in cell coordinates,
     B_{k+1}^T, row orders)."""
-    j, cone, collapse = level
     q_star = induced_map(collapse, k + 1, coeff, "cohomology", reduced=True)
     try:
         q_inv = _inverse(q_star)
@@ -490,7 +474,7 @@ def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
     # comparison at each level
     deltas, comparisons = [], []
     for k, level in enumerate(levels):
-        delta, comparison = _level_proof(level, k, coeff, x.boundary(k + 1))
+        delta, comparison = _level_proof(*level, k, coeff, x.boundary(k + 1))
         deltas.append(delta)
         comparisons.append(comparison)
 
@@ -558,6 +542,10 @@ def standard_coefficients() -> list[FgAbGroup]:
 SUITES = ("dimension", "suspension", "wedge", "les", "reformulation")
 
 
+# the inputs of the last battery, held so that the next one finds their memos
+_last_battery = None
+
+
 def run_battery(complexes=None, coefficients=None, suites=None) -> list[CheckReport]:
     """The default verification sweep; every report should pass."""
     complexes = standard_corpus() if complexes is None else list(complexes)
@@ -576,15 +564,18 @@ def run_battery(complexes=None, coefficients=None, suites=None) -> list[CheckRep
                 reports.append(check_suspension(x, g))
             if "reformulation" in suites:
                 reports.append(check_skeletal_reformulation(x, g))
+    wedges = maps = ()
     if "wedge" in suites:
         pairs = [
             (zoo("sphere", 1), zoo("sphere", 2)),
             (zoo("torus"), zoo("rp", 2)),
             (zoo("moore", 2, 1), zoo("sphere", 1)),
         ]
-        for a, b in pairs:
+        # each wedge is built once; held, its memo serves the cone of the degree-0 circle map
+        wedges = [_wedge_inclusions(pair) for pair in pairs]
+        for pair, incs in zip(pairs, wedges):
             for g in coefficients:
-                reports.append(check_wedge([a, b], g))
+                reports.append(check_wedge(pair, g, incs))
     if "les" in suites:
         maps = [sphere_self_map(1, d) for d in (0, 1, 2, 6)]
         maps.append(sphere_self_map(2, 3))
@@ -596,4 +587,6 @@ def run_battery(complexes=None, coefficients=None, suites=None) -> list[CheckRep
         for f in maps:
             for g in coefficients:
                 reports.append(check_les_exactness(f, g))
+    global _last_battery
+    _last_battery = complexes, wedges, maps
     return reports

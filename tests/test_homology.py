@@ -262,7 +262,7 @@ def test_cells_presentation_is_the_cycle_quotient_of_zero_maps(c, coeff, data):
     vectors = [tuple(int(i == j) for i in range(c)) for j in range(c)]
     vectors += data.draw(st.lists(st.lists(st.integers(-50, 50), min_size=c, max_size=c), max_size=4))
     for d, pres in cp.factors:
-        engine = homology._factor.__wrapped__(IntMatrix.zeros(0, c), IntMatrix.zeros(c, 0), "homology", d)
+        engine = homology._factor.__wrapped__((IntMatrix.zeros(0, c), IntMatrix.zeros(c, 0)), "homology", d)
         assert pres.group == engine.group and pres.lifts == engine.lifts
         for v in vectors:
             assert pres.coords(v) == engine.coords(v)
@@ -286,17 +286,26 @@ def test_failed_factor_is_not_kept():
     before = homology._factor.cache_info()
     for _ in range(2):
         with pytest.raises(ContainmentViolation):
-            homology._factor(one, one, "homology", 2)
+            homology._factor(homology._ChainMaps(one, one), "homology", 2)
     after = homology._factor.cache_info()
     assert (after.misses - before.misses, after.currsize) == (2, before.currsize)
 
 
 def test_factor_caches_stay_bounded():
-    x = zoo("moore", 2, 2)
+    # the factors are bounded by the lifetime of their chain maps, not by a
+    # count: a thousand of one pair are all kept while its complex lives,
+    # and go with it once another complex is queried
+    import weakref
+    x = zoo("moore", 7, 2)
     for d in range(2, 1002):
-        cohomology(x, 1, FgAbGroup.cyclic(d))
-    info = homology._factor.cache_info()
-    assert info.maxsize is not None and info.currsize == info.maxsize
+        cohomology(x, 2, FgAbGroup.cyclic(d))
+    pair = homology._chain_maps(x, 2, False)
+    assert homology._factor.cache_info().maxsize is None
+    assert sum(key[0] is homology._factor.__wrapped__ for key in pair._memo) == 1000
+    memo = weakref.ref(pair._memo)
+    del x, pair
+    cohomology(zoo("moore", 11, 2), 2, Z)
+    assert memo() is None
     _clear_presentation_caches()
 
 
@@ -589,7 +598,7 @@ def _assert_lazy_integral_factors(out, inc):
         eager = EagerCycleQuotients(*pair)
         assert (eager.s, eager.in_s) == (s, in_s)
         eager.t = t
-        _assert_lazy_matches_eager(homology._factor.__wrapped__(out, inc, variant, 0), eager.quotient(0))
+        _assert_lazy_matches_eager(homology._factor.__wrapped__((out, inc), variant, 0), eager.quotient(0))
 
 
 def _assert_lazy_integral_factors_of(x):
@@ -724,3 +733,36 @@ def test_held_memory_stays_flat_over_distinct_complexes():
         if enabled:
             gc.enable()
     assert abs(held[24] - held[9]) <= 0.1 * held[9], held
+
+
+def test_a_stream_of_unreducible_complexes_keeps_nothing_it_dropped(monkeypatch):
+    # the 64 seed-1 conjugates of the benchmark's conjugates workload,
+    # queried as it queries them: once the next complex is queried, the
+    # previous one, its residual (which has no unit entry left) and the
+    # residual's boundaries are gone, by reference counting alone (the
+    # cyclic collector is off), with every elimination and factor of them
+    import gc
+    import weakref
+    from pathlib import Path
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import gen
+    rng = random.Random(1)
+    coeff = parse_group("Z + Z/4")
+    refs = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(64):
+            x = complex_from_doc(gen.conjugate_complex(8, rng, 3, 2)[0])
+            for n in range(x.dim + 1):
+                chain_group(x, n, Z, "homology", False)
+            for n in range(x.dim + 1):
+                chain_group(x, n, coeff, "cohomology", False)
+            assert all(ref() is None for ref in refs)
+            residual = homology._reduction(x).residual
+            refs = [weakref.ref(v) for v in (x, residual, *residual.boundaries)]
+            del x, residual
+    finally:
+        if enabled:
+            gc.enable()
+    assert all(ref() is not None for ref in refs)

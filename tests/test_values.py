@@ -179,6 +179,24 @@ def test_chain_maps_and_cones_hash_once(monkeypatch):
             assert type(clone) is type(value) and clone == value and hash(clone) == first
 
 
+def test_groups_hash_once(monkeypatch):
+    # a group is part of every chain_group key: its hash is kept in a slot,
+    # so a second hash() builds no key tuple; equal groups still hash
+    # equal, and the slot reaches neither copy, pickle nor repr
+    g = FgAbGroup(1, (2,))
+    pickled = pickle.dumps(g)
+    first = hash(g)
+    built = []
+    with monkeypatch.context() as m:
+        m.setattr(FgAbGroup, "_key", lambda self, real=FgAbGroup._key: built.append(self) or real(self))
+        assert hash(g) == first and built == []
+        twin = FgAbGroup(1, (2,))
+        assert hash(twin) == first and built == [twin]
+    assert pickle.dumps(g) == pickled and repr(g) == "FgAbGroup(rank=1, torsion=(2,))"
+    for clone in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickled)):
+        assert type(clone) is FgAbGroup and clone == g and hash(clone) == first
+
+
 def test_cli_import_loads_no_introspection_modules():
     # about 20 ms and 1 MB at every CLI start went to generating dataclass
     # methods and to the modules dataclasses pulls in

@@ -192,7 +192,7 @@ def test_coefficient_free_inputs_are_shared_and_nameless():
         assert validate_map(j) == [] and validate(cone.cone) == [] and validate_map(collapse) == []
     assert check_skeletal_reformulation(other, Z).render() == "PASS skeletal other G=Z dims=0..2"
     assert check_suspension(other, Z).render() == "PASS suspension other G=Z dims=0..3"
-    assert _skeletal_tower.cache_info().maxsize and _suspended.cache_info().maxsize
+    assert _skeletal_tower.cache_info().maxsize is None and _suspended.cache_info().maxsize is None
 
 
 def test_les_cone_built_once_per_map_and_nameless(monkeypatch):
@@ -218,7 +218,7 @@ def test_les_cone_built_once_per_map_and_nameless(monkeypatch):
     cone = chainmaps._cone(g)
     assert (cone.map.name, cone.cone.name, cone.inclusion.source.name) == ("", "cone", "")
     assert (cone.map.source.name, cone.map.target.name) == ("", "")
-    assert chainmaps._cone.cache_info().maxsize
+    assert chainmaps._cone.cache_info().maxsize is None
 
 
 def _counting(monkeypatch, module, name):
@@ -424,20 +424,30 @@ def test_factor_caches_are_package_caches():
 def test_every_cache_is_bounded_and_holds_a_battery():
     import weakref
 
+    import cwhom.chainmaps as chainmaps
+    import cwhom.cli as cli
     import cwhom.homology as homology
+    import cwhom.verify as verify
     names, caches = _package_caches()
     assert {"homology.chain_group", "homology._reduction", "homology.cells_presentation",
             "verify._inverse", "verify._exact", "verify._subquotient",
-            "verify._quotient_proof", "verify._level_proof", "verify._wedged"} <= names
-    # these two keep their entries in the memo of each complex value: no
-    # entry count bounds them, the lifetime of the complexes does
-    per_complex = [homology.chain_group, homology._reduction]
+            "verify._quotient_proof", "verify._level_proof"} <= names
+    # what is keyed by a complex, a chain map or a matrix is kept in the
+    # memo of that value: no entry count bounds it, the lifetime of the
+    # value does.  The caches keyed by groups, homs or nothing are bounded.
+    per_value = [homology.chain_group, homology._reduction, homology._chain_maps, homology._elimination,
+                 homology._factor, chainmaps._suspended, chainmaps._cone, verify._skeletal_tower,
+                 verify._quotient_proof, verify._level_proof]
+    bounded = [homology.cells_presentation, verify._inverse, verify._exact, verify._subquotient, cli.build_parser]
+    assert len(caches) == len(per_value) + len(bounded)
+    per_complex = per_value[:2]
     for cache in caches:
         cache.cache_clear()
     run_battery()
     for cache in caches:
         info = cache.cache_info()
-        assert (info.maxsize is None) == any(cache is m for m in per_complex), cache
+        assert (info.maxsize is None) == any(cache is m for m in per_value), cache
+        assert (info.maxsize is not None) == any(cache is m for m in bounded), cache
         # nothing was released or evicted during the battery
         assert info.currsize == info.misses, (cache, info)
     # a dropped complex goes at once when another is queried, and its
