@@ -338,20 +338,17 @@ def shift_iso(x: CwComplex, n: int, coeff: FgAbGroup) -> AbHom:
 
 @_per_value
 def _suspended(x: CwComplex) -> CwComplex:
-    """suspension(x), built once per complex for shift_iso and
-    mapping_cone, and kept in x's memo, so as long as x or an equal
-    complex lives.  Equal complexes with different names share it, so the
-    kept copy carries no name."""
+    """suspension(x) for shift_iso and mapping_cone, kept in x's memo as long
+    as x or an equal complex lives; shared by names, so it carries none."""
     return suspension(x).with_name("")
 
 
 @_per_value
 def _cone(f: ChainMap) -> MappingCone:
-    """mapping_cone(f), built once per chain map for the checks that visit
-    it with every coefficient group, and kept in f's memo like
-    ``_suspended``.  Built from nameless copies of f and its complexes,
-    which take over their violation reports: equal maps with different
-    names share it, and no kept name can reach a report."""
+    """mapping_cone(f) for the checks that visit f with every coefficient
+    group, kept in f's memo like ``_suspended``.  Built from nameless copies
+    of f and its complexes, which take over their violation reports: equal
+    maps with different names share it, and no kept name reaches a report."""
     copy = ChainMap(f.source.with_name(""), f.target.with_name(""), f.maps)
     return mapping_cone(_born_valid(copy, f._violations))
 

@@ -54,9 +54,9 @@ used as it is.
 
 What is keyed by a complex, a chain map, a pair of chain maps or a matrix
 lives in the memo of that value (``_per_value``), released with the last
-equal value.  Only five caches, keyed by groups, homs or nothing, are
-bounded by count: ``cells_presentation``, ``verify``'s ``_inverse``,
-``_exact`` and ``_subquotient``, and ``cli.build_parser``.
+equal value.  Five caches, keyed by groups, homs or nothing, are bounded
+by count: ``cells_presentation``, ``verify._inverse``, ``_exact`` and
+``_subquotient``, and ``cli.build_parser``.
 """
 
 from __future__ import annotations
@@ -156,11 +156,12 @@ def _assemble(coeff: FgAbGroup, ambient_dim: int, factor_pres) -> CoeffPresentat
 
 
 # Equal values share one memo, found once per object through a weak table
-# keyed by their fields (an equal copy compares them at most once).  No
-# memo refers back to its value (``_Transported`` keeps the boundary it
-# reads, not x), so it goes, by reference counting alone, with the last
-# equal value queried: a stream of complexes holds a fixed amount.
-_memos = WeakValueDictionary()
+# keyed by their fields (an equal copy compares them at most once).  No memo
+# refers back to its value (``_Transported`` keeps the boundary it reads,
+# not x): it goes, by reference counting alone, with the last equal value.
+# A battery's memos move to ``_kept`` when it ends, so that a later stream
+# of distinct complexes, one memo each, churns a small table (and small resizes).
+_memos, _kept = WeakValueDictionary(), WeakValueDictionary()
 
 
 class _Memo(dict):
@@ -177,19 +178,20 @@ def _per_value(fn):
         try:
             memo = v._memo
         except AttributeError:
-            memo = _memos.setdefault(v._key(), _Memo())
+            key = v._key()
+            memo = (_kept if key in _kept else _memos).setdefault(key, _Memo())
             _put(v, "_memo", memo)
-        key = (fn, args)
         try:
-            value = memo[key]
+            value = memo[fn, args]
             counts[0] += 1
         except KeyError:
             counts[1] += 1
-            value = memo[key] = fn(v, *args)
+            value = memo[fn, args] = fn(v, *args)
         return value
 
     def entries():
-        return [(memo, key) for memo in _memos.values() for key in memo if key[0] is fn]
+        return [(memo, key) for table in (_memos, _kept) for memo in table.values()
+                for key in memo if key[0] is fn]
 
     def cache_clear():
         for memo, key in entries():
@@ -202,6 +204,12 @@ def _per_value(fn):
     return update_wrapper(memoized, fn)
 
 
+def _keep_registered():
+    """Move the memos registered so far to the table of long-lived values."""
+    _kept.update(_memos)
+    _memos.clear()
+
+
 class _ChainMaps(_Value):
     """(outgoing, incoming) chain maps, a value whose memo keeps their factors
     until the last equal pair goes (one matrix's would keep every partner)."""
@@ -210,15 +218,12 @@ class _ChainMaps(_Value):
     __slots__ = (*__match_args__, "_memo")
     __init__ = _Value._init
 
-    def __iter__(self):
-        return iter((self.out, self.inc))
-
 
 @_per_value
 def _chain_maps(x: CwComplex, n: int, reduced: bool) -> _ChainMaps:
-    """(outgoing, incoming) chain maps at dimension n: B_n (at n = 0 the
-    all-ones augmentation row when reduced, no row otherwise) and B_{n+1},
-    kept on x with the matrices built here and their eliminations."""
+    """(outgoing, incoming) chain maps at dimension n, kept on x with what is
+    built here: B_n (at n = 0 the all-ones augmentation row when reduced, no
+    row otherwise) and B_{n+1}."""
     if n == 0:
         out = _ones(x.cells[0]) if reduced else IntMatrix.zeros(0, x.cells[0])
     else:
@@ -242,7 +247,7 @@ def _factor(maps: _ChainMaps, variant: str, modulus: int) -> GroupWithPresentati
     """The factor for ``modulus`` of the chain maps of a complex
     ``require_valid`` proved (or of its residual), so the chain condition
     is not checked."""
-    out, inc = maps
+    out, inc = maps.out, maps.inc
     if variant == "homology":
         s, _, t = _elimination(out)
         # a builder of an equal copy of inc: it pickles, where a lambda would not
@@ -318,9 +323,8 @@ _reduction = _per_value(reduce_complex)
 
 
 # the complex of the last group computed in range is kept: CLI calls on one
-# document (homology, then cohomology) share its memo, and the next complex
-# shares those of equal residual boundaries (T4, T6 and T8 reduce to one
-# torus); keeping two saved only eliminations of empty matrices
+# document share its memo, and the next complex those of equal residual
+# boundaries; keeping two saved only eliminations of empty matrices
 _last = None
 
 

@@ -103,8 +103,7 @@ class _Value:
 
 
 def _kept_hash(self) -> int:
-    """``__hash__`` of a frozen value: its key is hashed at most once, into
-    ``_hash`` (a slot, or an entry of the instance dict)."""
+    """``__hash__`` of a frozen value: its key is hashed once, into ``_hash``."""
     try:
         return self._hash
     except AttributeError:

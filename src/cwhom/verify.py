@@ -25,7 +25,7 @@ The checks meet the same homs again and again: across the coefficient
 groups, in equal complexes under other names, and between checks.  Every
 inversion, exactness test and subquotient therefore reads through a memo
 keyed by value (``_inverse``, ``_exact``, ``_subquotient``; ``AbHom`` is
-frozen and hashed by its source, target and matrix), one of the five
+frozen and hashed by its source, target and matrix), three of the five
 caches bounded by count, with ``homology.cells_presentation`` and
 ``cli.build_parser``.  Each distinct value is still proved in full,
 once: an isomorphism is inverted and its inverse verified both ways, and
@@ -81,7 +81,7 @@ from .complexes import (
     wedge,
     zoo,
 )
-from .homology import _glue, _induced, _per_value, cells_presentation, chain_group, cohomology
+from .homology import _glue, _induced, _keep_registered, _per_value, cells_presentation, chain_group, cohomology
 from .intmat import IntMatrix, _ones, _unit_columns, _Value
 
 __all__ = [
@@ -222,8 +222,7 @@ def _stack_homs(homs) -> AbHom:
 
 def check_wedge(xs, coeff: FgAbGroup, incs: list | None = None) -> CheckReport:
     """Restriction along the inclusions identifies reduced h^n of a wedge
-    with the direct sum over the factors; ``incs``, if given, are xs'
-    ``_wedge_inclusions``, built once for several groups."""
+    with the direct sum over the factors (``incs``: xs' ``_wedge_inclusions``)."""
     xs = list(xs)
     incs = _wedge_inclusions(xs) if incs is None else incs
     w = incs[0].target
@@ -589,4 +588,5 @@ def run_battery(complexes=None, coefficients=None, suites=None) -> list[CheckRep
                 reports.append(check_les_exactness(f, g))
     global _last_battery
     _last_battery = complexes, wedges, maps
+    _keep_registered()
     return reports

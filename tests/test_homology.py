@@ -262,7 +262,8 @@ def test_cells_presentation_is_the_cycle_quotient_of_zero_maps(c, coeff, data):
     vectors = [tuple(int(i == j) for i in range(c)) for j in range(c)]
     vectors += data.draw(st.lists(st.lists(st.integers(-50, 50), min_size=c, max_size=c), max_size=4))
     for d, pres in cp.factors:
-        engine = homology._factor.__wrapped__((IntMatrix.zeros(0, c), IntMatrix.zeros(c, 0)), "homology", d)
+        zero_maps = homology._ChainMaps(IntMatrix.zeros(0, c), IntMatrix.zeros(c, 0))
+        engine = homology._factor.__wrapped__(zero_maps, "homology", d)
         assert pres.group == engine.group and pres.lifts == engine.lifts
         for v in vectors:
             assert pres.coords(v) == engine.coords(v)
@@ -453,7 +454,7 @@ def test_one_snf_per_chain_matrix():
     ]
     pairs = {_chain_maps(x, n, reduced) for n in range(x.dim + 1) for reduced in (False, True)}
     # out-of-range dimensions read G^0 (cells_presentation), which runs no SNF
-    matrices = {m for pair in pairs for m in pair}
+    matrices = {m for pair in pairs for m in (pair.out, pair.inc)}
     assert len(matrices) == 6 and len(pairs) == 5
     assert seen.snfs == len(matrices) + len(pairs) == 11
     assert (seen.transforms, seen.matmuls) == ([], [])
@@ -598,7 +599,8 @@ def _assert_lazy_integral_factors(out, inc):
         eager = EagerCycleQuotients(*pair)
         assert (eager.s, eager.in_s) == (s, in_s)
         eager.t = t
-        _assert_lazy_matches_eager(homology._factor.__wrapped__((out, inc), variant, 0), eager.quotient(0))
+        lazy = homology._factor.__wrapped__(homology._ChainMaps(out, inc), variant, 0)
+        _assert_lazy_matches_eager(lazy, eager.quotient(0))
 
 
 def _assert_lazy_integral_factors_of(x):
@@ -607,7 +609,8 @@ def _assert_lazy_integral_factors_of(x):
     for y in (x,) if red is None else (x, red.residual):
         for n in range(y.dim + 1):
             for reduced in (False, True):
-                _assert_lazy_integral_factors(*_chain_maps(y, n, reduced))
+                maps = _chain_maps(y, n, reduced)
+                _assert_lazy_integral_factors(maps.out, maps.inc)
 
 
 def test_lazy_integral_factor_matches_the_eager_one_on_corpus():

@@ -32,7 +32,8 @@ def coeff_factors(coeff):
 def _graded_maps(x, n, variant, reduced):
     """(outgoing map, incoming map) at dimension n; ambient is c_n: the
     chain maps, or for cochains their transposes swapped."""
-    out, inc = _chain_maps(x, n, reduced)
+    maps = _chain_maps(x, n, reduced)
+    out, inc = maps.out, maps.inc
     if variant == "homology":
         return out, inc
     return inc.transpose(), out.transpose()
