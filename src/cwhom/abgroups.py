@@ -64,7 +64,6 @@ class NotAnIsomorphism(ValueError):
 
 class FgAbGroup(_Value):
     __match_args__ = ("rank", "torsion")
-    # the hash is kept: a group is part of every chain_group key
     __slots__ = (*__match_args__, "_hash")
     __hash__ = _kept_hash
 

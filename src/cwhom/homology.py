@@ -159,14 +159,21 @@ def _assemble(coeff: FgAbGroup, ambient_dim: int, factor_pres) -> CoeffPresentat
 # keyed by their fields (an equal copy compares them at most once).  No memo
 # refers back to its value (``_Transported`` keeps the boundary it reads,
 # not x): it goes, by reference counting alone, with the last equal value.
-# A battery's memos move to ``_kept`` when it ends, so that a later stream
-# of distinct complexes, one memo each, churns a small table (and small resizes).
+# ``_kept``, a stop-gap outside that rule, takes a battery's registrations
+# when it ends, so that the held-memory test's stream churns a small table.
 _memos, _kept = WeakValueDictionary(), WeakValueDictionary()
 
 
 class _Memo(dict):
     # a plain dict takes no weak reference
     __slots__ = ("__weakref__",)
+
+
+def _memo_of(v) -> _Memo:
+    """The memo of v's value, found through the weak table and put on v."""
+    key = v._key()
+    _put(v, "_memo", (_kept if _kept and key in _kept else _memos).setdefault(key, _Memo()))
+    return v._memo
 
 
 def _per_value(fn):
@@ -178,9 +185,7 @@ def _per_value(fn):
         try:
             memo = v._memo
         except AttributeError:
-            key = v._key()
-            memo = (_kept if key in _kept else _memos).setdefault(key, _Memo())
-            _put(v, "_memo", memo)
+            memo = _memo_of(v)
         try:
             value = memo[fn, args]
             counts[0] += 1
@@ -190,8 +195,7 @@ def _per_value(fn):
         return value
 
     def entries():
-        return [(memo, key) for table in (_memos, _kept) for memo in table.values()
-                for key in memo if key[0] is fn]
+        return [(memo, key) for memo in (*_memos.values(), *_kept.values()) for key in memo if key[0] is fn]
 
     def cache_clear():
         for memo, key in entries():
@@ -205,14 +209,13 @@ def _per_value(fn):
 
 
 def _keep_registered():
-    """Move the memos registered so far to the table of long-lived values."""
+    """Move the memos registered so far to ``_kept``."""
     _kept.update(_memos)
     _memos.clear()
 
 
 class _ChainMaps(_Value):
-    """(outgoing, incoming) chain maps, a value whose memo keeps their factors
-    until the last equal pair goes (one matrix's would keep every partner)."""
+    """(outgoing, incoming) chain maps: its memo keeps their factors."""
 
     __match_args__ = ("out", "inc")
     __slots__ = (*__match_args__, "_memo")
@@ -231,15 +234,13 @@ def _chain_maps(x: CwComplex, n: int, reduced: bool) -> _ChainMaps:
     return _ChainMaps(out, x.boundary(n + 1))
 
 
-# one elimination per distinct chain matrix and one presentation per
-# distinct (chain maps, variant, d).  The keys are the chain maps the
-# complex already holds, not the cochain maps: transposes would be built
-# on every miss and kept alive by the memos.  A factor whose in-map is not
-# a (co)cycle mod d raises, and is not kept.
+# keyed by the chain maps the complex holds, not the cochain maps, whose
+# transposes would be built on every miss and kept by the memos.  A factor
+# whose in-map is not a (co)cycle mod d raises, and is not kept.
 @_per_value
 def _elimination(a: IntMatrix) -> _Elimination:
     # _snf_ext is looked up when a miss runs, so a replaced kernel sees it
-    return _snf_ext(a)
+    return _snf_ext(a) if a.rows and a.cols else _Elimination((), _Log(a.rows), _Log(a.cols))
 
 
 @_per_value
@@ -323,8 +324,7 @@ _reduction = _per_value(reduce_complex)
 
 
 # the complex of the last group computed in range is kept: CLI calls on one
-# document share its memo, and the next complex those of equal residual
-# boundaries; keeping two saved only eliminations of empty matrices
+# document share its memo, and the next complex those of equal residuals
 _last = None
 
 

@@ -23,21 +23,19 @@ shift isomorphism (``chainmaps._suspended``).
 
 The checks meet the same homs again and again: across the coefficient
 groups, in equal complexes under other names, and between checks.  Every
-inversion, exactness test and subquotient therefore reads through a memo
-keyed by value (``_inverse``, ``_exact``, ``_subquotient``; ``AbHom`` is
-frozen and hashed by its source, target and matrix), three of the five
-caches bounded by count, with ``homology.cells_presentation`` and
-``cli.build_parser``.  Each distinct value is still proved in full,
-once: an isomorphism is inverted and its inverse verified both ways, and
-a failure is not cached, so a hom that is not invertible is tried again,
-with the same witness, every time it is met.  What is keyed by a complex,
-a chain map or a matrix lives in the memo of that value instead
+inversion, exactness test and subquotient reads through a memo keyed by
+value (``_inverse``, ``_exact``, ``_subquotient``; ``AbHom`` is frozen
+and hashed by its source, target and matrix), bounded by count like
+``homology.cells_presentation`` and ``cli.build_parser``.  Each distinct
+value is proved in full, once: an isomorphism is inverted and its inverse
+verified both ways, and a failure is not cached, so a hom that is not
+invertible is tried again, with the same witness, every time it is met.
+What is keyed by a complex or a chain map lives in that value's memo
 (``homology._per_value``): the tower in x's, part (b) and the cell-basis
-isomorphism of each filtration quotient in Q_k's, each level's connecting
-composite and part (c) comparison in its inclusion j's.  A failed proof
-is not kept.  Spheres, Moore spaces, RP^n and lens spaces share wedges of
-spheres as quotients.  The top quotient of a sphere is the sphere: its
-tower and the memo holding it form a cycle, freed by the cyclic collector.
+isomorphism of Q_k in Q_k's, each level's connecting composite and part
+(c) in its collapse map's.  Spheres, Moore spaces, RP^n and lens spaces
+share wedges of spheres as quotients.  A sphere is its own top quotient:
+its tower and the memo holding it form a cycle, freed by the cyclic collector.
 """
 
 from __future__ import annotations
@@ -81,7 +79,8 @@ from .complexes import (
     wedge,
     zoo,
 )
-from .homology import _glue, _induced, _keep_registered, _per_value, cells_presentation, chain_group, cohomology
+from .homology import (_glue, _induced, _keep_registered, _memo_of, _per_value, cells_presentation,
+                       chain_group, cohomology)
 from .intmat import IntMatrix, _ones, _unit_columns, _Value
 
 __all__ = [
@@ -220,11 +219,11 @@ def _stack_homs(homs) -> AbHom:
     return AbHom._derived(src, glue.group, mat)
 
 
-def check_wedge(xs, coeff: FgAbGroup, incs: list | None = None) -> CheckReport:
+def check_wedge(xs, coeff: FgAbGroup) -> CheckReport:
     """Restriction along the inclusions identifies reduced h^n of a wedge
-    with the direct sum over the factors (``incs``: xs' ``_wedge_inclusions``)."""
+    with the direct sum over the factors."""
     xs = list(xs)
-    incs = _wedge_inclusions(xs) if incs is None else incs
+    incs = _wedge_inclusions(xs)
     w = incs[0].target
     rep = CheckReport("wedge", _subject(w), coeff, range(0, w.dim + 2))
     for n in rep.dims:
@@ -434,11 +433,11 @@ def _quotient_proof(q: CwComplex, k: int, coeff: FgAbGroup) -> tuple:
 
 
 @_per_value
-def _level_proof(j, cone, collapse, k: int, coeff: FgAbGroup, boundary: IntMatrix) -> tuple:
+def _level_proof(collapse, j, cone, k: int, coeff: FgAbGroup, boundary: IntMatrix) -> tuple:
     """Level k = (j, cone(j), collapse) of the tower, for a complex whose
     B_{k+1} is ``boundary``: the connecting composite delta_k : h^k(Q_k)
     -> h^{k+1}(Q_{k+1}), and part (c)'s (k, delta_k in cell coordinates,
-    B_{k+1}^T, row orders)."""
+    B_{k+1}^T, row orders).  Kept in collapse's memo: cone.map is j."""
     q_star = induced_map(collapse, k + 1, coeff, "cohomology", reduced=True)
     try:
         q_inv = _inverse(q_star)
@@ -472,8 +471,8 @@ def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
     # the connecting composites h^k(Q_k) -> h^{k+1}(Q_{k+1}), with (c)'s
     # comparison at each level
     deltas, comparisons = [], []
-    for k, level in enumerate(levels):
-        delta, comparison = _level_proof(*level, k, coeff, x.boundary(k + 1))
+    for k, (j, cone, collapse) in enumerate(levels):
+        delta, comparison = _level_proof(collapse, j, cone, k, coeff, x.boundary(k + 1))
         deltas.append(delta)
         comparisons.append(comparison)
 
@@ -570,11 +569,12 @@ def run_battery(complexes=None, coefficients=None, suites=None) -> list[CheckRep
             (zoo("torus"), zoo("rp", 2)),
             (zoo("moore", 2, 1), zoo("sphere", 1)),
         ]
-        # each wedge is built once; held, its memo serves the cone of the degree-0 circle map
-        wedges = [_wedge_inclusions(pair) for pair in pairs]
-        for pair, incs in zip(pairs, wedges):
+        # the wedges' memos, held, serve every check of a wedge and the cone
+        # of the degree-0 circle map (S^1 v S^2)
+        wedges = [_memo_of(wedge(pair)) for pair in pairs]
+        for a, b in pairs:
             for g in coefficients:
-                reports.append(check_wedge(pair, g, incs))
+                reports.append(check_wedge([a, b], g))
     if "les" in suites:
         maps = [sphere_self_map(1, d) for d in (0, 1, 2, 6)]
         maps.append(sphere_self_map(2, 3))

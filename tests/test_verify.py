@@ -365,6 +365,31 @@ def test_equal_complexes_share_skeletal_proofs():
     assert [m.cache_info().misses for m in memos] == [6, 4]
 
 
+def test_skeletal_levels_go_with_their_complex():
+    # each level's proofs are kept in its collapse map's memo, which neither
+    # j nor the cone reaches: once the complex is dropped and another is
+    # queried, every level goes by reference counting alone (the cyclic
+    # collector is off)
+    import gc
+    import weakref
+
+    from cwhom.homology import chain_group
+    from cwhom.verify import _skeletal_tower
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        x = zoo("surface", 3)
+        assert check_skeletal_reformulation(x, Z).passed
+        refs = [weakref.ref(v) for j, cone, collapse in _skeletal_tower(x)[1]
+                for v in (j, cone.cone, cone.inclusion, cone.projection, collapse)]
+        del x
+        chain_group(zoo("sphere", 43), 43, Z, "homology", False)
+        assert len(refs) == 10 and all(ref() is None for ref in refs)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_failed_level_proof_is_not_kept(monkeypatch):
     # a collapse comparison that is not invertible raises, is not cached,
     # and raises again with the same message when the level is met again
