@@ -369,7 +369,8 @@ def test_skeletal_levels_go_with_their_complex():
     # each level's proofs are kept in its collapse map's memo, which neither
     # j nor the cone reaches: once the complex is dropped and another is
     # queried, every level goes by reference counting alone (the cyclic
-    # collector is off)
+    # collector is off).  The genus-3 surface is not in the standard corpus,
+    # so no battery run earlier in the process holds its tower.
     import gc
     import weakref
 
