@@ -159,9 +159,7 @@ def _assemble(coeff: FgAbGroup, ambient_dim: int, factor_pres) -> CoeffPresentat
 # keyed by their fields (an equal copy compares them at most once).  No memo
 # refers back to its value (``_Transported`` keeps the boundary it reads,
 # not x): it goes, by reference counting alone, with the last equal value.
-# ``_kept``, a stop-gap outside that rule, takes a battery's registrations
-# when it ends, so that the held-memory test's stream churns a small table.
-_memos, _kept = WeakValueDictionary(), WeakValueDictionary()
+_memos = WeakValueDictionary()
 
 
 class _Memo(dict):
@@ -171,8 +169,7 @@ class _Memo(dict):
 
 def _memo_of(v) -> _Memo:
     """The memo of v's value, found through the weak table and put on v."""
-    key = v._key()
-    _put(v, "_memo", (_kept if _kept and key in _kept else _memos).setdefault(key, _Memo()))
+    _put(v, "_memo", _memos.setdefault(v._key(), _Memo()))
     return v._memo
 
 
@@ -195,7 +192,7 @@ def _per_value(fn):
         return value
 
     def entries():
-        return [(memo, key) for memo in (*_memos.values(), *_kept.values()) for key in memo if key[0] is fn]
+        return [(memo, key) for memo in _memos.values() for key in memo if key[0] is fn]
 
     def cache_clear():
         for memo, key in entries():
@@ -206,12 +203,6 @@ def _per_value(fn):
     memoized.cache_clear = cache_clear
     memoized.cache_parameters = lambda: {"maxsize": None, "typed": False}
     return update_wrapper(memoized, fn)
-
-
-def _keep_registered():
-    """Move the memos registered so far to ``_kept``."""
-    _kept.update(_memos)
-    _memos.clear()
 
 
 class _ChainMaps(_Value):

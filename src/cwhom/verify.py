@@ -33,9 +33,10 @@ invertible is tried again, with the same witness, every time it is met.
 What is keyed by a complex or a chain map lives in that value's memo
 (``homology._per_value``): the tower in x's, part (b) and the cell-basis
 isomorphism of Q_k in Q_k's, each level's connecting composite and part
-(c) in its collapse map's.  Spheres, Moore spaces, RP^n and lens spaces
-share wedges of spheres as quotients.  A sphere is its own top quotient:
-its tower and the memo holding it form a cycle, freed by the cyclic collector.
+(c) in its collapse map's, a wedge check's restrictions in the wedge's.
+Spheres, Moore spaces, RP^n and lens spaces share wedges of spheres as
+quotients.  A sphere is its own top quotient: its tower and the memo
+holding it form a cycle, freed by the cyclic collector.
 """
 
 from __future__ import annotations
@@ -79,8 +80,7 @@ from .complexes import (
     wedge,
     zoo,
 )
-from .homology import (_glue, _induced, _keep_registered, _memo_of, _per_value, cells_presentation,
-                       chain_group, cohomology)
+from .homology import _glue, _induced, _memo_of, _per_value, cells_presentation, chain_group, cohomology
 from .intmat import IntMatrix, _ones, _unit_columns, _Value
 
 __all__ = [
@@ -194,12 +194,10 @@ def check_suspension(x: CwComplex, coeff: FgAbGroup, dims: range | None = None) 
 # additivity on wedges
 
 
-def _wedge_inclusions(xs) -> list[ChainMap]:
-    """The evident pointed inclusions X_k -> wedge(xs), all into one
-    wedge: level n of X_k is the unit columns at the wedge indices that
-    ``complexes._wedge_cells`` gives X_k's n-cells, the layout ``wedge``
-    itself is built from."""
-    w = wedge(xs)
+def _wedge_inclusions(w: CwComplex, xs) -> list[ChainMap]:
+    """The evident pointed inclusions X_k -> w = wedge(xs): level n of X_k
+    is the unit columns at the wedge indices that ``complexes._wedge_cells``
+    gives X_k's n-cells, the layout ``wedge`` itself is built from."""
     return [_born_valid(ChainMap(x, w, tuple(_unit_columns(c, idx) for c, idx in zip(w.cells, at))))
             for x, at in zip(xs, _wedge_cells(xs)[1])]
 
@@ -219,17 +217,24 @@ def _stack_homs(homs) -> AbHom:
     return AbHom._derived(src, glue.group, mat)
 
 
+@_per_value
+def _restrictions(w: CwComplex, xs: tuple, coeff: FgAbGroup) -> tuple:
+    """For each n in 0..w.dim + 1, the restriction along the inclusions
+    into w = wedge(xs), from reduced h^n(w) to the canonical direct sum of
+    the h^n(X_k) (``_stack_homs``).  Kept in w's memo, which nothing in xs
+    reaches: a later check of an equal wedge builds no glue and runs no SNF."""
+    incs = _wedge_inclusions(w, xs)
+    return tuple(_stack_homs([induced_map(i, n, coeff, "cohomology", reduced=True) for i in incs])
+                 for n in range(w.dim + 2))
+
+
 def check_wedge(xs, coeff: FgAbGroup) -> CheckReport:
     """Restriction along the inclusions identifies reduced h^n of a wedge
     with the direct sum over the factors."""
-    xs = list(xs)
-    incs = _wedge_inclusions(xs)
-    w = incs[0].target
+    xs = tuple(xs)
+    w = wedge(xs)
     rep = CheckReport("wedge", _subject(w), coeff, range(0, w.dim + 2))
-    for n in rep.dims:
-        restricted = _stack_homs(
-            [induced_map(i, n, coeff, "cohomology", reduced=True) for i in incs]
-        )
+    for n, restricted in zip(rep.dims, _restrictions(w, xs, coeff)):
         expected = FgAbGroup.trivial()
         for x in xs:
             expected = direct_sum(expected, cohomology(x, n, coeff, reduced=True).group)
@@ -569,8 +574,8 @@ def run_battery(complexes=None, coefficients=None, suites=None) -> list[CheckRep
             (zoo("torus"), zoo("rp", 2)),
             (zoo("moore", 2, 1), zoo("sphere", 1)),
         ]
-        # the wedges' memos, held, serve every check of a wedge and the cone
-        # of the degree-0 circle map (S^1 v S^2)
+        # the wedges' memos, held, keep the restrictions of every check of a
+        # wedge and serve the cone of the degree-0 circle map (S^1 v S^2)
         wedges = [_memo_of(wedge(pair)) for pair in pairs]
         for a, b in pairs:
             for g in coefficients:
@@ -588,5 +593,4 @@ def run_battery(complexes=None, coefficients=None, suites=None) -> list[CheckRep
                 reports.append(check_les_exactness(f, g))
     global _last_battery
     _last_battery = complexes, wedges, maps
-    _keep_registered()
     return reports

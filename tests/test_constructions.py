@@ -69,7 +69,7 @@ def constructions_text() -> str:
     for xs in _battery_wedges():
         label = ", ".join(x.name for x in xs)
         complex_(f"wedge {label}", wedge(xs))
-        for k, inc in enumerate(_wedge_inclusions(xs)):
+        for k, inc in enumerate(_wedge_inclusions(wedge(xs), xs)):
             map_(f"wedge {label} inclusion {k}", inc)
     for x in standard_corpus():
         quotients, levels = _skeletal_tower(x)
@@ -170,7 +170,7 @@ def test_wedge_boundary_is_the_sum_of_included_blocks(xs):
             block = _product(_product(inc[n - 1], b, cells[n - 1], x.cells_at(n)), inc_t, cells[n - 1], cells[n])
             want = [[u + v for u, v in zip(r, s)] for r, s in zip(want, block)]
         assert w.boundary(n).to_rows() == want
-    incs = _wedge_inclusions(xs)
+    incs = _wedge_inclusions(w, xs)
     assert [(f.source, f.target) for f in incs] == [(x, w) for x in xs]
     for x, f, inc in zip(xs, incs, iota):
         assert validate_map(f) == []

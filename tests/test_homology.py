@@ -19,7 +19,7 @@ from cwhom.homology import _glue, all_groups, chain_group, cohomology, integral_
 from cwhom.complexes import skeleton, zoo
 from cwhom.documents import complex_from_doc, dumps, loads_complex
 from cwhom.intmat import ContainmentViolation, IntMatrix, NotInLattice
-from cwhom.verify import standard_coefficients, standard_corpus
+from cwhom.verify import run_battery, standard_coefficients, standard_corpus
 from lattice_helpers import EagerCycleQuotients, transform_work
 from test_documents import grid_torus_doc
 from test_intmat import cycle_pairs
@@ -711,16 +711,22 @@ def test_presentations_outlive_their_complex():
 
 def test_held_memory_stays_flat_over_distinct_complexes():
     # each complex's memo goes with it once another complex is queried, by
-    # reference counting alone (the cyclic collector is off): the memory
-    # held after 24 distinct complexes is that held after 9
+    # reference counting alone, also after a battery has registered its
+    # memos in the same weak table: with the cyclic collector off, 96
+    # distinct complexes leave gc.collect() nothing to free, and the memory
+    # held after 96 is that held after 32, up to far less than one
+    # complex's memo (about 100 KB).  gc.collect() also empties the free
+    # lists, which tracemalloc would otherwise count as held.
     import gc
     import tracemalloc
     import weakref
+    run_battery()
     coeff = parse_group("Z + Z/2")
-    texts = [_relabelled_torus_text(6, seed) for seed in range(100, 124)]
-    held, refs = {}, []
+    texts = [_relabelled_torus_text(6, seed) for seed in range(100, 196)]
+    held, last = {}, None
     enabled = gc.isenabled()
     gc.disable()
+    gc.collect()
     tracemalloc.start()
     try:
         for i, text in enumerate(texts, 1):
@@ -728,15 +734,18 @@ def test_held_memory_stays_flat_over_distinct_complexes():
             for variant in ("homology", "cohomology"):
                 for n in range(x.dim + 1):
                     chain_group(x, n, coeff, variant, False)
-            refs.append(weakref.ref(x))
+            assert last is None or last() is None
+            last = weakref.ref(x)
             del x
-            assert refs[-1]() is not None and all(ref() is None for ref in refs[:-1])
-            held[i] = tracemalloc.get_traced_memory()[0]
+            assert last() is not None
+            if i in (32, 96):
+                assert gc.collect() == 0, i
+                held[i] = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
         if enabled:
             gc.enable()
-    assert abs(held[24] - held[9]) <= 0.1 * held[9], held
+    assert held[96] - held[32] <= 16 * 1024, held
 
 
 def test_a_stream_of_unreducible_complexes_keeps_nothing_it_dropped(monkeypatch):
@@ -744,7 +753,8 @@ def test_a_stream_of_unreducible_complexes_keeps_nothing_it_dropped(monkeypatch)
     # queried as it queries them: once the next complex is queried, the
     # previous one, its residual (which has no unit entry left) and the
     # residual's boundaries are gone, by reference counting alone (the
-    # cyclic collector is off), with every elimination and factor of them
+    # cyclic collector is off, and finds nothing to free at the end), with
+    # every elimination and factor of them
     import gc
     import weakref
     from pathlib import Path
@@ -755,6 +765,7 @@ def test_a_stream_of_unreducible_complexes_keeps_nothing_it_dropped(monkeypatch)
     refs = []
     enabled = gc.isenabled()
     gc.disable()
+    gc.collect()
     try:
         for _ in range(64):
             x = complex_from_doc(gen.conjugate_complex(8, rng, 3, 2)[0])
@@ -766,6 +777,7 @@ def test_a_stream_of_unreducible_complexes_keeps_nothing_it_dropped(monkeypatch)
             residual = homology._reduction(x).residual
             refs = [weakref.ref(v) for v in (x, residual, *residual.boundaries)]
             del x, residual
+        assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()

@@ -148,6 +148,7 @@ def test_skeletal_steps_are_valid():
 
 def test_wedge_inclusions_are_valid():
     from cwhom.chainmaps import validate_map
+    from cwhom.complexes import wedge
     from cwhom.verify import _wedge_inclusions
     groups = [
         [zoo("sphere", 1), zoo("sphere", 2)],
@@ -157,7 +158,7 @@ def test_wedge_inclusions_are_valid():
         [zoo("sphere", 0), zoo("sphere", 0), zoo("klein")],
     ]
     for xs in groups:
-        for inc in _wedge_inclusions(xs):
+        for inc in _wedge_inclusions(wedge(xs), xs):
             assert validate_map(inc) == []
 
 
@@ -347,6 +348,20 @@ def test_battery_proves_each_quotient_and_level_once():
     assert "".join(f"{r}\n" for r in first) == want
 
 
+def test_a_second_battery_runs_no_snf(monkeypatch):
+    # the first battery keeps every elimination, presentation and wedge
+    # restriction in the memos the battery holds: the second runs no SNF
+    import cwhom.abgroups as abgroups
+    import cwhom.homology as homology
+    import cwhom.intmat as intmat
+    run_battery()
+    calls, real = [], intmat._snf_ext
+    for module in (intmat, homology, abgroups):
+        monkeypatch.setattr(module, "_snf_ext", lambda a: calls.append(a) or real(a))
+    assert all(r.passed for r in run_battery())
+    assert calls == []
+
+
 def test_equal_complexes_share_skeletal_proofs():
     import cwhom.verify as verify
     memos = (verify._quotient_proof, verify._level_proof)
@@ -462,8 +477,8 @@ def test_every_cache_is_bounded_and_holds_a_battery():
     # memo of that value: no entry count bounds it, the lifetime of the
     # value does.  The caches keyed by groups, homs or nothing are bounded.
     per_value = [homology.chain_group, homology._reduction, homology._chain_maps, homology._elimination,
-                 homology._factor, chainmaps._suspended, chainmaps._cone, verify._skeletal_tower,
-                 verify._quotient_proof, verify._level_proof]
+                 homology._factor, chainmaps._suspended, chainmaps._cone, verify._restrictions,
+                 verify._skeletal_tower, verify._quotient_proof, verify._level_proof]
     bounded = [homology.cells_presentation, verify._inverse, verify._exact, verify._subquotient, cli.build_parser]
     assert len(caches) == len(per_value) + len(bounded)
     per_complex = per_value[:2]
