@@ -7,7 +7,9 @@ degree), 2 malformed, unreadable or non-UTF-8 document, 3 usage error
 away first (``cwhom check | head -1``), every command stops quietly with
 exit code 1: no traceback and no message.  ``main`` may be called
 repeatedly in one process: it builds its parser once, and binds the
-handlers then.
+handlers then.  It also keeps the last valid document a call loaded
+(``_load``), so a later call that reads the same text to load it the same
+way parses, builds and validates nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from functools import lru_cache
 
 from .abgroups import FgAbGroup, GroupSyntaxError, parse_group
-from .chainmaps import ChainMap, degree, mapping_cone, require_valid_map, validate_map
+from .chainmaps import ChainMap, degree, mapping_cone, require_valid_map
 from .complexes import (
     ZOO_NAMES,
     _ZOO_MAX,
@@ -26,7 +28,6 @@ from .complexes import (
     quotient_by_skeleton,
     require_valid,
     suspension,
-    validate,
     wedge,
     zoo,
 )
@@ -66,14 +67,35 @@ def _read(path: str) -> str:
     raise SystemExit(2)
 
 
-def _load_map(path: str):
-    return loads_map(_read(path), validate=False)
+# The last valid document a call loaded, as (text, loader, value): a later
+# call in the same process that reads the same text, to load it the same
+# way, gets that value back and parses, builds and validates nothing.
+# Values are immutable, so sharing one is safe; a document that is
+# malformed or invalid does not replace the slot.
+_kept = (None, None, None)
 
 
-def _load_document(path: str):
+def _load(path: str, loader):
+    """loader(text of path), or the kept value when the text and the loader
+    are those of the last document loaded."""
+    global _kept
+    text = _read(path)
+    kept_text, kept_loader, value = _kept
+    if loader is not kept_loader or text != kept_text:
+        value = loader(text)
+        if not value._violations:
+            _kept = (text, loader, value)
+    return value
+
+
+def _map_text(text: str) -> ChainMap:
+    return loads_map(text, validate=False)
+
+
+def _document_text(text: str):
     """The chain map (a document with "maps") or the complex a document
     holds, unvalidated, from one parse of its text."""
-    raw = _parse(_read(path))
+    raw = _parse(text)
     if isinstance(raw, dict) and "maps" in raw:
         return map_from_doc(raw)
     return complex_from_doc(raw)
@@ -112,21 +134,17 @@ def _parse_range(text: str) -> range:
 
 
 def _cmd_validate(args) -> int:
-    obj = _load_document(args.file)
-    if isinstance(obj, ChainMap):
-        violations, label = validate_map(obj), "chain map"
-    else:
-        violations, label = validate(obj), "complex"
-    if violations:
-        for v in violations:
+    obj = _load(args.file, _document_text)
+    if obj._violations:
+        for v in obj._violations:
             print(v, file=sys.stderr)
         return 1
-    print(f"valid {label}")
+    print("valid chain map" if isinstance(obj, ChainMap) else "valid complex")
     return 0
 
 
 def _cmd_homology(args) -> int:
-    x = loads_complex(_read(args.file))
+    x = _load(args.file, loads_complex)
     variant = "cohomology" if args.cohomology else "homology"
     sym = "H^" if args.cohomology else "H_"
     dims = [args.dim] if args.dim is not None else list(range(x.dim + 1))
@@ -138,29 +156,29 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_euler(args) -> int:
-    print(euler_characteristic(loads_complex(_read(args.file))))
+    print(euler_characteristic(_load(args.file, loads_complex)))
     return 0
 
 
 def _cmd_susp(args) -> int:
-    _emit(complex_to_doc(suspension(loads_complex(_read(args.file)))), args)
+    _emit(complex_to_doc(suspension(_load(args.file, loads_complex))), args)
     return 0
 
 
 def _cmd_wedge(args) -> int:
-    xs = [loads_complex(_read(p)) for p in args.files]
+    xs = [_load(p, loads_complex) for p in args.files]
     _emit(complex_to_doc(wedge(xs)), args)
     return 0
 
 
 def _cmd_quotient(args) -> int:
-    x = loads_complex(_read(args.file))
+    x = _load(args.file, loads_complex)
     _emit(complex_to_doc(quotient_by_skeleton(x, args.below)), args)
     return 0
 
 
 def _cmd_cone(args) -> int:
-    _emit(complex_to_doc(mapping_cone(_load_map(args.file)).cone), args)
+    _emit(complex_to_doc(mapping_cone(_load(args.file, _map_text)).cone), args)
     return 0
 
 
@@ -170,7 +188,7 @@ def _cmd_zoo(args) -> int:
 
 
 def _cmd_degree(args) -> int:
-    print(degree(_load_map(args.file)))
+    print(degree(_load(args.file, _map_text)))
     return 0
 
 
@@ -186,7 +204,7 @@ def _cmd_check(args) -> int:
                 args.usage_error(f"argument --{name}: applies only to a FILE check, not to the corpus battery")
         reports = run_battery(suites=suites)
     else:
-        obj = _load_document(args.file)
+        obj = _load(args.file, _document_text)
         kind = "chain map" if isinstance(obj, ChainMap) else "complex"
         for name in args.suite or ():
             if name != "all" and name not in _DOCUMENT_SUITES[kind]:

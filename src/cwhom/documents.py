@@ -209,8 +209,31 @@ def map_from_doc(doc, path: str = "$") -> ChainMap:
 
 
 def dumps(doc: dict) -> str:
-    """Canonical serialization: sorted keys, no trailing whitespace."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical serialization: sorted keys, no trailing whitespace; the
+    bytes of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``."""
+    try:
+        return _dump(doc, "\n") + "\n"
+    except RecursionError:
+        # a value that holds itself, or nests too deeply: json reports it as
+        # it always has
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _dump(v, nl: str) -> str:
+    """v as ``json.dumps(v, sort_keys=True, indent=2)`` writes it on a line
+    that ``nl`` starts.  json never uses its C encoder under ``indent``, so
+    objects, lists and lists of ints are joined here, at C speed for the
+    ints; anything else (bools, strings, an int subclass) goes to json,
+    whose escaped output holds no raw newline to indent."""
+    inner = nl + "  "
+    if type(v) is list and v:
+        if {*map(type, v)} == {int}:
+            return "[" + inner + ("," + inner).join(map(str, v)) + nl + "]"
+        return "[" + inner + ("," + inner).join([_dump(w, inner) for w in v]) + nl + "]"
+    if type(v) is dict and v and {*map(type, v)} == {str}:
+        items = [f"{json.dumps(k)}: {_dump(v[k], inner)}" for k in sorted(v)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(v, sort_keys=True, indent=2).replace("\n", nl)
 
 
 def _parse(text: str):

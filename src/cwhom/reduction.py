@@ -23,15 +23,27 @@ No pair is ever cancelled against the augmentation, so g_0 is a
 coordinate inclusion and the carried augmentation e' = e g_0 is again the
 all-ones row: the residual is an ordinary complex.
 
-Pairs are cancelled in order of least fill, the Markowitz cost
-(|row tau| - 1)(|column sigma| - 1) in B_n, ties going to the lowest
-(n, sigma, tau), until no unit entry is left.  Matrices stay sparse
-columns with a row index throughout; only the residual is made dense.
+Pairs are cancelled in two phases.  Phase 1 coreduces from the
+basepoint b: it takes columns from a FIFO queue seeded with b's cofaces,
+and cancels a column sigma when it holds exactly one entry tau off row b
+(in B_1; in B_n, n > 1, one entry at all) and that entry is a unit.  In
+B_1 the rank-one update then touches only row b: the edge's other end
+is merged into b.  Above B_1 tau is a free face, and there is no fill.
+Each cancellation queues the columns it shortened, so the cascade climbs
+dimensions, at a cost linear in the entries it touches.  Phase 1 stops
+when its queue runs dry, and leaves every cell it did not cancel to
+phase 2; a complex whose basepoint starts no pair costs it one scan of
+row b.  Phase 2 cancels the units left in order of least fill, the
+Markowitz cost (|row tau| - 1)(|column sigma| - 1) in B_n, ties going to
+the lowest (n, sigma, tau), until no unit entry is left.  Matrices stay
+sparse columns with a row index throughout; only the residual is made
+dense.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 
 from .complexes import CwComplex
 from .intmat import IntMatrix, _nonzeros, _sparse_columns
@@ -99,7 +111,80 @@ def reduce_complex(x: CwComplex) -> Reduction | None:
                 sr[i][j] = v
         cols.append(dict(enumerate(sc)))
         rows.append(dict(enumerate(sr)))
+    steps = [[] for _ in range(top + 1)]
+    _coreduce(cols, rows, steps, x.basepoint)
+    _markowitz(cols, rows, steps)
 
+    keep = [sorted(rows[1])] + [sorted(cols[n]) for n in range(1, top + 1)]
+    bnds = []
+    for n in range(1, top + 1):
+        at = {t: i for i, t in enumerate(keep[n - 1])}
+        width = len(keep[n])
+        ent = [0] * (len(keep[n - 1]) * width)
+        for j, s in enumerate(keep[n]):
+            for t, v in cols[n][s].items():
+                ent[at[t] * width + j] = v
+        bnds.append(IntMatrix(len(keep[n - 1]), width, tuple(ent)))
+    residual = CwComplex(tuple(len(k) for k in keep), tuple(bnds), 0, x.name)
+    return Reduction(residual, x.cells, tuple(tuple(k) for k in keep),
+                     tuple(tuple(s) for s in steps))
+
+
+def _cancel(cols, rows, steps, n, s, t):
+    """Cancel the unit pair (s, t) of B_n and record it.  Returns the row t
+    and column s split off (without the pivot), and the columns of B_{n+1}
+    that lost row s and the rows of B_{n-1} that lost column t."""
+    # split off row t (b) and column s (c), then D <- D - c p b
+    col = cols[n].pop(s)
+    row = rows[n].pop(t)
+    p = col.pop(t)
+    del row[s]
+    for i in col:
+        del rows[n][i][s]
+    for j in row:
+        del cols[n][j][t]
+    for i, ci in col.items():
+        ri = rows[n][i]
+        for j, bj in row.items():
+            v = ri.get(j, 0) - p * ci * bj
+            if v:
+                ri[j] = cols[n][j][i] = v
+            else:
+                del ri[j], cols[n][j][i]
+    steps[n].append((s, p, row, True))
+    steps[n - 1].append((t, p, col, False))
+    above = rows[n + 1].pop(s) if n + 1 < len(cols) else {}
+    for j in above:
+        del cols[n + 1][j][s]
+    below = cols[n - 1].pop(t) if n > 1 else {}
+    for i in below:
+        del rows[n - 1][i][t]
+    return row, col, above, below
+
+
+def _coreduce(cols, rows, steps, b):
+    """Phase 1: coreduction from the basepoint b.  Columns are taken from
+    a FIFO queue seeded with b's cofaces; a column is a pair when it holds
+    exactly one entry off row b of B_1, a unit.  Each cancellation queues
+    the columns it shortened, the cofaces of the pair's lower cell and of
+    its upper one, so the cascade climbs dimensions."""
+    queue = deque((1, s) for s in rows[1].get(b, ()))
+    while queue:
+        n, s = queue.popleft()
+        col = cols[n].get(s)
+        if col is None or len(col) - (n == 1 and b in col) != 1:
+            continue
+        t = next(i for i in col if i != b or n > 1)
+        if col[t] != 1 and col[t] != -1:
+            continue
+        row, _, above, _ = _cancel(cols, rows, steps, n, s, t)
+        queue.extend((n, j) for j in row)
+        queue.extend((n + 1, j) for j in above)
+
+
+def _markowitz(cols, rows, steps):
+    """Phase 2: cancel the unit entries left in order of least fill, ties
+    going to the lowest (n, sigma, tau)."""
     heap = []
 
     def fill(n, s, t):
@@ -115,11 +200,10 @@ def reduce_complex(x: CwComplex) -> Reduction | None:
             if v == 1 or v == -1:
                 heapq.heappush(heap, (fill(n, s, t), n, s, t))
 
-    for n in range(1, top + 1):
+    for n in range(1, len(cols)):
         for s in cols[n]:
             push_col(n, s)
 
-    steps = [[] for _ in range(top + 1)]
     while heap:
         cost, n, s, t = heapq.heappop(heap)
         col = cols[n].get(s)
@@ -127,49 +211,13 @@ def reduce_complex(x: CwComplex) -> Reduction | None:
             continue
         if cost != fill(n, s, t):
             continue  # stale: an entry with the current cost was pushed too
-        # split off row t (b) and column s (c), then D <- D - c p b
-        del cols[n][s]
-        row = rows[n].pop(t)
-        p = col.pop(t)
-        del row[s]
-        for i in col:
-            del rows[n][i][s]
-        for j in row:
-            del cols[n][j][t]
-        for i, ci in col.items():
-            ri = rows[n][i]
-            for j, bj in row.items():
-                v = ri.get(j, 0) - p * ci * bj
-                if v:
-                    ri[j] = cols[n][j][i] = v
-                else:
-                    del ri[j], cols[n][j][i]
-        steps[n].append((s, p, row, True))
-        steps[n - 1].append((t, p, col, False))
+        row, col, above, below = _cancel(cols, rows, steps, n, s, t)
         # every unit whose row or column changed length gets its new cost
         for i in col:
             push_row(n, i)
         for j in row:
             push_col(n, j, skip=col)
-        if n < top:
-            for j in rows[n + 1].pop(s):
-                del cols[n + 1][j][s]
-                push_col(n + 1, j)
-        if n > 1:
-            for i in cols[n - 1].pop(t):
-                del rows[n - 1][i][t]
-                push_row(n - 1, i)
-
-    keep = [sorted(rows[1])] + [sorted(cols[n]) for n in range(1, top + 1)]
-    bnds = []
-    for n in range(1, top + 1):
-        at = {t: i for i, t in enumerate(keep[n - 1])}
-        width = len(keep[n])
-        ent = [0] * (len(keep[n - 1]) * width)
-        for j, s in enumerate(keep[n]):
-            for t, v in cols[n][s].items():
-                ent[at[t] * width + j] = v
-        bnds.append(IntMatrix(len(keep[n - 1]), width, tuple(ent)))
-    residual = CwComplex(tuple(len(k) for k in keep), tuple(bnds), 0, x.name)
-    return Reduction(residual, x.cells, tuple(tuple(k) for k in keep),
-                     tuple(tuple(s) for s in steps))
+        for j in above:
+            push_col(n + 1, j)
+        for i in below:
+            push_row(n - 1, i)

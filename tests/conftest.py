@@ -2,10 +2,13 @@
 
 The acceptance tests register their criterion number and title in
 CRITERIA at import time; this hook prints the verdict line from the
-reporting phase, where pytest's output capture is not active.
+reporting phase, where pytest's output capture is not active.  Every
+test starts with no document kept by the CLI.
 """
 
 import re
+
+import pytest
 
 CRITERIA = {}
 
@@ -19,3 +22,12 @@ def pytest_runtest_logreport(report):
     num, title = CRITERIA[m.group(1)]
     verdict = "PASS" if report.passed else "FAIL"
     print(f"\n{verdict}  [{num}] {title}", flush=True)
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_document(monkeypatch):
+    """Each test starts as a CLI process does, with no document kept by an
+    earlier ``cli.main`` call; calls within one test share the slot."""
+    import cwhom.cli
+
+    monkeypatch.setattr(cwhom.cli, "_kept", (None, None, None))

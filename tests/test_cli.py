@@ -670,3 +670,67 @@ def test_unwritable_output_is_a_usage_error(tmp_path, command, missing):
     assert (out, code) == ("", 3)
     assert err.startswith(f"usage: cwhom {command} ")
     assert err.endswith(f"\ncwhom {command}: error: argument -o/--output: cannot write {target}: {reason}\n")
+
+
+def test_second_call_on_unchanged_text_loads_nothing(monkeypatch, tmp_path):
+    # the CLI keeps its last document: a call that reads the same text, to
+    # load it the same way, under any path, parses, builds and validates
+    # nothing, and prints what a fresh process prints
+    import cwhom.complexes as complexes
+    import cwhom.documents as documents
+    text = dumps(complex_to_doc(_grid_torus(3)))
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_text(text)
+    second.write_text(text)
+    want = ("H^0 = Z + Z/2\nH^1 = Z^2 + Z/2 + Z/2\nH^2 = Z + Z/2\n", "", 0)
+    argv = ["homology", "--cohomology", "--coeff", "Z + Z/2"]
+    assert _call([*argv, str(first)]) == want
+    seen = []
+    for module, name in ((documents, "_parse"), (documents, "complex_from_doc"), (complexes, "validate")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name: seen.append(name) or real(*a))
+    assert _call([*argv, str(first)]) == want
+    assert _call([*argv, str(second)]) == want
+    assert _call(["homology", str(first)]) == ("H_0 = Z\nH_1 = Z^2\nH_2 = Z\n", "", 0)
+    assert seen == []
+
+
+def test_rewritten_file_is_loaded_again(tmp_path):
+    p = tmp_path / "x.json"
+    p.write_text(dumps(complex_to_doc(zoo("torus"))))
+    assert _call(["homology", str(p)]) == ("H_0 = Z\nH_1 = Z^2\nH_2 = Z\n", "", 0)
+    p.write_text(dumps(complex_to_doc(zoo("klein"))))
+    assert _call(["homology", str(p)]) == ("H_0 = Z\nH_1 = Z + Z/2\nH_2 = 0\n", "", 0)
+    assert _call(["euler", str(p)]) == ("0\n", "", 0)
+
+
+def test_a_document_that_fails_to_load_is_not_kept(tmp_path):
+    # a malformed document exits 2 and an invalid one 1, on every call, and
+    # neither replaces the document kept before them
+    import cwhom.cli as cli
+    good, malformed, invalid = tmp_path / "good.json", tmp_path / "malformed.json", tmp_path / "invalid.json"
+    good.write_text(dumps(complex_to_doc(zoo("torus"))))
+    malformed.write_text('{"cells": [1], ')
+    invalid.write_text(dumps({"cells": [2, 1], "boundaries": {"1": [[1], [1]]}}))
+    assert _call(["homology", str(good)])[2] == 0
+    kept = cli._kept
+    for _ in range(2):
+        for command in ("homology", "euler", "validate", "check"):
+            out, err, code = _call([command, str(malformed)])
+            assert (out, code) == ("", 2) and err.startswith("$: not valid JSON")
+        for command in ("homology", "euler", "validate", "check"):
+            out, err, code = _call([command, str(invalid)])
+            assert (out, code) == ("", 1) and "column 0 has entry sum 2" in err
+        assert cli._kept is kept
+    assert _call(["homology", str(good)]) == ("H_0 = Z\nH_1 = Z^2\nH_2 = Z\n", "", 0)
+
+
+def test_a_kept_document_serves_only_its_loader(tmp_path):
+    # validate reads a chain map from the text that homology refuses as a
+    # complex: each call exits as it would in its own process
+    p = tmp_path / "map.json"
+    p.write_text(dumps(map_to_doc(identity_map(zoo("torus")))))
+    assert _call(["validate", str(p)]) == ("valid chain map\n", "", 0)
+    assert _call(["homology", str(p)]) == ("", "$: expected either 'cells' or 'vertices'\n", 2)
+    assert _call(["degree", str(p)])[2] == 1
+    assert _call(["validate", str(p)]) == ("valid chain map\n", "", 0)

@@ -388,3 +388,40 @@ def sample_map_documents():
     t = zoo("torus")
     return [map_to_doc(f) for f in (sphere_self_map(1, 2), sphere_self_map(2, 3), identity_map(t),
                                     inclusion_map(skeleton(t, 1), t))]
+
+
+_JSON_LEAVES = st.one_of(
+    st.integers(), st.integers(-10 ** 300, 10 ** 300), st.booleans(), st.none(), st.floats(), st.text(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(st.lists(st.integers(-(2 ** 70), 2 ** 70), max_size=4), max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+@st.composite
+def named_documents(draw):
+    """A sample complex or chain map document under any name."""
+    doc = dict(draw(st.sampled_from(sample_complex_documents() + sample_map_documents())))
+    doc["name"] = draw(st.text())
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_JSON_VALUES, named_documents()))
+def test_dumps_writes_the_bytes_of_json_dumps(doc):
+    assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_refuses_a_value_that_holds_itself_as_json_does():
+    doc = {"cells": [1]}
+    doc["boundaries"] = {"1": [doc]}
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        dumps(doc)

@@ -1,11 +1,13 @@
 """The unit-pivot reduction under chain_group, against independent values.
 
-Complexes come in three kinds: unimodular conjugates of diagonal chain
+Complexes come in four kinds: unimodular conjugates of diagonal chain
 complexes, whose groups are read off the diagonal form; square-grid tori;
-and subdivided spheres with self-maps of known degree.  Every group is
+subdivided spheres with self-maps of known degree; and mapping cones of
+skeleton inclusions.  Every group is
 also compared with the unreduced engine, factor by factor.
 """
 
+import random
 from math import gcd
 
 import pytest
@@ -490,3 +492,115 @@ def test_lazy_presentations_match_eager_ones():
         for v in [tuple(int(i == j) for i in range(k)) for j in range(k)] + list(lifts):
             assert cp.glue.coords(v) == coords(v)
     assert carried
+
+
+def _bench_gen(monkeypatch):
+    """The benchmark's seeded generators (bench/gen.py)."""
+    from pathlib import Path
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import gen
+    return gen
+
+
+def _phase_two_entries(monkeypatch):
+    """Patches the reduction so that each run records how many cells
+    phase 1 cancelled in each dimension, and the live cells it left."""
+    import cwhom.reduction as reduction
+    real, entries = reduction._markowitz, []
+
+    def markowitz(cols, rows, steps):
+        entries.append(([len(s) for s in steps], [len(rows[1])] + [len(c) for c in cols[1:]]))
+        real(cols, rows, steps)
+
+    monkeypatch.setattr(reduction, "_markowitz", markowitz)
+    return entries
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seeded_tori_reduce_to_the_minimal_torus(monkeypatch, seed):
+    # phase 1 contracts a spanning tree of the 1-skeleton onto the
+    # basepoint, and its cascade climbs to the 2-cells
+    from cwhom.documents import complex_from_doc
+    gen = _bench_gen(monkeypatch)
+    entries = _phase_two_entries(monkeypatch)
+    for k in range(2, 9):
+        red = reduce_complex(complex_from_doc(gen.torus_doc(k, seed)))
+        assert red.residual.cells == (1, 2, 1)
+        assert all(b.is_zero() for b in red.residual.boundaries)
+        cancelled, live = entries[-1]
+        assert cancelled[0] == k * k - 1 and live[0] == 1
+        assert cancelled[2] > 0 or k == 2
+
+
+def test_coreduction_cancels_nothing_on_the_benchmark_conjugates(monkeypatch):
+    # the 64 seed-1 conjugates are dense: no coface of the basepoint is a
+    # pair, so phase 1 only reads row b, and phase 2 makes the same
+    # cancellations as the fill order alone always did
+    from cwhom.documents import complex_from_doc
+    gen = _bench_gen(monkeypatch)
+    entries = _phase_two_entries(monkeypatch)
+    rng = random.Random(1)
+    for _ in range(64):
+        reduce_complex(complex_from_doc(gen.conjugate_complex(8, rng, 3, 2)[0]))
+    assert [cancelled for cancelled, _ in entries] == [[0, 0, 0, 0]] * 64
+
+
+def _class_moves(x, n, variant):
+    """Vectors whose addition keeps a class: the boundaries of the
+    (n+1)-cells on chains, the coboundaries of the (n-1)-cells on
+    cochains."""
+    if variant == "homology":
+        b = x.boundary(n + 1)
+        return [b.col(j) for j in range(b.cols)]
+    b = x.boundary(n)
+    return [b.row(i) for i in range(b.rows)]
+
+
+def _combination(rng, moves):
+    """A random integer combination of three of ``moves``."""
+    picks = [(rng.choice((-2, -1, 1, 3)), rng.choice(moves)) for _ in range(3)]
+    return tuple(sum(c * m[i] for c, m in picks) for i in range(len(moves[0])))
+
+
+def _coords_moved_off_their_class(x, coeff, rng):
+    """(lift, move) pairs, over both variants, every dimension and every
+    factor, whose coords change when a move is added to the lift: each
+    cell's (co)boundary, and random combinations of them."""
+    moved = []
+    for variant in ("homology", "cohomology"):
+        for n in range(x.dim + 1):
+            moves = _class_moves(x, n, variant)
+            if moves:
+                moves += [_combination(rng, moves) for _ in range(4)]
+            for _, pres in chain_group(x, n, coeff, variant, False).factors:
+                for lift in pres.lifts:
+                    want = pres.coords(lift)
+                    moved += [(lift, move) for move in moves
+                              if pres.coords(tuple(a + b for a, b in zip(lift, move))) != want]
+    return moved
+
+
+def _reducible_constructions():
+    """Complexes built from the zoo that reduce: the mapping cones of
+    1-skeleton inclusions, each with homology left in dimensions 2 or 3."""
+    from cwhom.chainmaps import inclusion_map, mapping_cone
+    from cwhom.complexes import skeleton
+    return [mapping_cone(inclusion_map(skeleton(x, 1), x)).cone
+            for x in (zoo("torus"), zoo("klein"), zoo("rp", 3), zoo("lens", 3))]
+
+
+def test_coords_are_constant_on_classes(monkeypatch):
+    # a lift plus a (co)boundary has the lift's coordinates: f, which
+    # carries coords to the residual, is a chain map
+    from cwhom.documents import complex_from_doc
+    gen = _bench_gen(monkeypatch)
+    rng = random.Random(19)
+    z2 = parse_group("Z + Z/2")
+    spaces = [(complex_from_doc(gen.torus_doc(k, seed)), z2) for k in (4, 6) for seed in (1, 2)]
+    conj = random.Random(1)
+    spaces += [(complex_from_doc(gen.conjugate_complex(8, conj, 3, 2)[0]), parse_group("Z + Z/4"))
+               for _ in range(64)]
+    spaces += [(x, z2) for x in _reducible_constructions()]
+    for x, coeff in spaces:
+        assert reduce_complex(x) is not None
+        assert _coords_moved_off_their_class(x, coeff, rng) == [], x
