@@ -12,14 +12,17 @@ ingredients alone: for each k it forms the filtration quotients
 Q_k = X_k/X_{k-1} (with a disjoint basepoint glued at the bottom so that
 h^0(Q_0) is G to the number of vertices), produces the composite
 connecting map h^k(Q_k) -> h^{k+1}(Q_{k+1}) through the mapping cone of
-Q_k -> X_{k+1}/X_{k-1}, and then verifies that (a) the subquotients of
-the resulting cochain complex agree with reduced cohomology, (b) each
-h^k(Q_k) is free of rank c_k over G on cell generators, and (c) written
-in cell coordinates the composite maps are the transposed boundary
-matrices up to a consistent choice of generator signs.  The quotients,
-inclusions, cones and collapse maps do not depend on G, so they are built
-once per complex (``_skeletal_tower``), as the suspension is for the
-shift isomorphism (``chainmaps._suspended``).
+the inclusion j: Q_k -> W_k = X_{k+1}/X_{k-1}, and then verifies that
+(a) the subquotients of the resulting cochain complex agree with reduced
+cohomology, (b) each h^k(Q_k) is free of rank c_k over G on cell
+generators, and (c) written in cell coordinates the composite maps are
+the transposed boundary matrices up to a consistent choice of generator
+signs.  The quotients and the inclusions do not depend on G, so they are
+built once per complex (``_skeletal_tower``), as the suspension is for
+the shift isomorphism (``chainmaps._suspended``), and they are all the
+tower holds.  Each j's cone is the one the les check reads
+(``chainmaps._cone``), kept in j's memo, and the collapse of that cone
+onto Q_{k+1} is built by the level's proof.
 
 The checks meet the same homs again and again: across the coefficient
 groups, in equal complexes under other names, and between checks.  Every
@@ -33,7 +36,8 @@ invertible is tried again, with the same witness, every time it is met.
 What is keyed by a complex or a chain map lives in that value's memo
 (``homology._per_value``): the tower in x's, part (b) and the cell-basis
 isomorphism of Q_k in Q_k's, each level's connecting composite and part
-(c) in its collapse map's, a wedge check's restrictions in the wedge's.
+(c) in its inclusion's, beside its cone, a wedge check's restrictions in
+the wedge's.
 Spheres, Moore spaces, RP^n and lens spaces share wedges of spheres as
 quotients.  A sphere is its own top quotient: its tower and the memo
 holding it form a cycle, freed by the cyclic collector.
@@ -56,15 +60,14 @@ from .abgroups import (
 )
 from .chainmaps import (
     ChainMap,
-    MappingCone,
     _basepoint_differences,
+    _collapse_comparison,
     _cone,
     _inclusion,
     connecting_map,
     identity_map,
     inclusion_map,
     induced_map,
-    mapping_cone,
     require_valid_map,
     shift_iso,
     sphere_self_map,
@@ -81,7 +84,7 @@ from .complexes import (
     zoo,
 )
 from .homology import _glue, _induced, _memo_of, _per_value, cells_presentation, chain_group, cohomology
-from .intmat import IntMatrix, _ones, _unit_columns, _Value
+from .intmat import IntMatrix, _unit_columns, _Value
 
 __all__ = [
     "CheckReport",
@@ -365,50 +368,24 @@ def equal_up_to_generator_signs(pairs) -> str | None:
     return None
 
 
-def _filtration_quotient(x: CwComplex, k: int) -> CwComplex:
-    """Q_k = X_k / X_{k-1} for k >= 1; Q_0 = X_0 with a disjoint basepoint."""
-    if k == 0:
-        return add_disjoint_basepoint(skeleton(x, 0))
-    return quotient_by_skeleton(skeleton(x, k), k - 1)
-
-
-def _double_quotient(x: CwComplex, k: int) -> CwComplex:
-    """W_k = X_{k+1} / X_{k-1} (with the same bottom convention as Q_k),
-    so that W_k / Q_k is Q_{k+1}."""
-    if k == 0:
-        return add_disjoint_basepoint(skeleton(x, 1))
-    return quotient_by_skeleton(skeleton(x, k + 1), k - 1)
-
-
-def _collapse_comparison(cone: MappingCone, q_next: CwComplex) -> ChainMap:
-    """cone(Q_k -> W_k) -> Q_{k+1}: identity on the top cells of W_k,
-    everything else to the basepoint.  The cone's n-cells start with
-    W_k's (``chainmaps.mapping_cone``), whose top cells are Q_{k+1}'s, so
-    level n >= 1 is the transposed unit columns of the first
-    Q_{k+1}.cells_at(n) cells, and level 0 sends every vertex to Q_{k+1}'s
-    single one."""
-    c = cone.cone
-    maps = [_ones(c.cells[0])]
-    maps += [_unit_columns(c.cells_at(n), range(q_next.cells_at(n))).transpose()
-             for n in range(1, max(c.dim, q_next.dim) + 1)]
-    return _born_valid(ChainMap(c, q_next, tuple(maps)))
+def _skeletal_quotient(x: CwComplex, top: int, k: int) -> CwComplex:
+    """X_top / X_{k-1}, with X_{-1} empty and X / empty = X_+ (a disjoint
+    basepoint): Q_k is (x, k, k) and W_k is (x, k + 1, k)."""
+    s = skeleton(x, top)
+    return add_disjoint_basepoint(s) if k == 0 else quotient_by_skeleton(s, k - 1)
 
 
 @_per_value
 def _skeletal_tower(x: CwComplex) -> tuple:
     """The coefficient-free part of the skeletal check, built once per
-    complex and kept in x's memo: (Q_0, ..., Q_dim) and, for each k < dim,
-    (j, cone(j), collapse) with j: Q_k -> W_k the inclusion and collapse:
-    cone(j) -> Q_{k+1}.  Built from a nameless copy of x: equal complexes
-    with different names share it, and no kept name can reach a report."""
+    complex and kept in x's memo: the quotients (Q_0, ..., Q_dim) and, for
+    each k < dim, the inclusion j: Q_k -> W_k.  Built from a nameless copy
+    of x: equal complexes with different names share it, and no kept name
+    can reach a report."""
     x = x.with_name("")
-    quotients = tuple(_filtration_quotient(x, k) for k in range(x.dim + 1))
-    levels = []
-    for k in range(x.dim):
-        j = _born_valid(_inclusion(quotients[k], _double_quotient(x, k)))
-        cone = mapping_cone(j)
-        levels.append((j, cone, _collapse_comparison(cone, quotients[k + 1])))
-    return quotients, tuple(levels)
+    quotients = tuple(_skeletal_quotient(x, k, k) for k in range(x.dim + 1))
+    return quotients, tuple(_born_valid(_inclusion(quotients[k], _skeletal_quotient(x, k + 1, k)))
+                            for k in range(x.dim))
 
 
 def _cell_basis_iso(q: CwComplex, k: int, coeff: FgAbGroup) -> AbHom:
@@ -438,11 +415,15 @@ def _quotient_proof(q: CwComplex, k: int, coeff: FgAbGroup) -> tuple:
 
 
 @_per_value
-def _level_proof(collapse, j, cone, k: int, coeff: FgAbGroup, boundary: IntMatrix) -> tuple:
-    """Level k = (j, cone(j), collapse) of the tower, for a complex whose
-    B_{k+1} is ``boundary``: the connecting composite delta_k : h^k(Q_k)
-    -> h^{k+1}(Q_{k+1}), and part (c)'s (k, delta_k in cell coordinates,
-    B_{k+1}^T, row orders).  Kept in collapse's memo: cone.map is j."""
+def _level_proof(j: ChainMap, k: int, coeff: FgAbGroup, boundary: IntMatrix) -> tuple:
+    """Level k of the tower, j: Q_k -> W_k, for a complex whose B_{k+1} is
+    ``boundary``: the connecting composite delta_k : h^k(Q_k) ->
+    h^{k+1}(Q_{k+1}), and part (c)'s (k, delta_k in cell coordinates,
+    B_{k+1}^T, row orders).  Kept in j's memo beside j's cone, whose map is
+    ``_cone``'s nameless copy of j, not j.  W_k's k-skeleton is Q_k, so the
+    collapse lands on a copy of Q_{k+1}, which finds Q_{k+1}'s memo."""
+    cone = _cone(j)
+    collapse = _collapse_comparison(cone, quotient_by_skeleton(j.target, k))
     q_star = induced_map(collapse, k + 1, coeff, "cohomology", reduced=True)
     try:
         q_inv = _inverse(q_star)
@@ -467,7 +448,7 @@ def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
     rep = CheckReport("skeletal", _subject(x), coeff, range(0, x.dim + 1))
     dim = x.dim
 
-    quotients, levels = _skeletal_tower(x)
+    quotients, inclusions = _skeletal_tower(x)
 
     # (b) h^n(Q_k) is G^{c_k} at n = k and trivial elsewhere
     for k, q in enumerate(quotients):
@@ -476,8 +457,8 @@ def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
     # the connecting composites h^k(Q_k) -> h^{k+1}(Q_{k+1}), with (c)'s
     # comparison at each level
     deltas, comparisons = [], []
-    for k, (j, cone, collapse) in enumerate(levels):
-        delta, comparison = _level_proof(collapse, j, cone, k, coeff, x.boundary(k + 1))
+    for k, j in enumerate(inclusions):
+        delta, comparison = _level_proof(j, k, coeff, x.boundary(k + 1))
         deltas.append(delta)
         comparisons.append(comparison)
 

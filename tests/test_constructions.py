@@ -20,8 +20,24 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwhom.chainmaps import identity_map, inclusion_map, mapping_cone, sphere_self_map, validate_map
-from cwhom.complexes import CwComplex, add_disjoint_basepoint, require_valid, skeleton, suspension, wedge, zoo
+from cwhom.chainmaps import (
+    _collapse_comparison,
+    identity_map,
+    inclusion_map,
+    mapping_cone,
+    sphere_self_map,
+    validate_map,
+)
+from cwhom.complexes import (
+    CwComplex,
+    add_disjoint_basepoint,
+    quotient_by_skeleton,
+    require_valid,
+    skeleton,
+    suspension,
+    wedge,
+    zoo,
+)
 from cwhom.documents import complex_to_doc, dumps
 from cwhom.intmat import IntMatrix
 from cwhom.verify import _skeletal_tower, _wedge_inclusions, standard_corpus
@@ -72,13 +88,16 @@ def constructions_text() -> str:
         for k, inc in enumerate(_wedge_inclusions(wedge(xs), xs)):
             map_(f"wedge {label} inclusion {k}", inc)
     for x in standard_corpus():
-        quotients, levels = _skeletal_tower(x)
+        quotients, inclusions = _skeletal_tower(x)
         for k, q in enumerate(quotients):
             complex_(f"skeletal {x.name} Q_{k}", q)
-        for k, (j, cone, collapse) in enumerate(levels):
+        for k, j in enumerate(inclusions):
+            # the check reads the same cone through chainmaps._cone, which
+            # names it "cone" where this one is "cone(incl)"
+            cone = mapping_cone(j)
             map_(f"skeletal {x.name} j_{k}", j)
             cone_(f"skeletal {x.name} level {k}", cone)
-            map_(f"skeletal {x.name} collapse {k}", collapse)
+            map_(f"skeletal {x.name} collapse {k}", _collapse_comparison(cone, quotient_by_skeleton(j.target, k)))
     for f in _battery_les_maps():
         cone_(f"les {f.name}", mapping_cone(f))
     return "".join(out)

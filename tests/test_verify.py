@@ -133,16 +133,20 @@ def test_full_battery():
 
 
 def test_skeletal_steps_are_valid():
-    # the inclusions and collapse comparisons of the skeletal check are
-    # built without validation, so check them here
-    from cwhom.chainmaps import mapping_cone, validate_map
-    from cwhom.verify import _collapse_comparison, _double_quotient, _filtration_quotient
+    # the inclusions, cones and collapse comparisons of the skeletal check
+    # are built without validation, so check them here; the collapse lands
+    # on W_k / Q_k, which is Q_{k+1}
+    from cwhom.chainmaps import _collapse_comparison, _cone, validate_map
+    from cwhom.complexes import quotient_by_skeleton, validate
+    from cwhom.verify import _skeletal_quotient
     for x in standard_corpus():
         for k in range(x.dim):
-            j = inclusion_map(_filtration_quotient(x, k), _double_quotient(x, k))
+            j = inclusion_map(_skeletal_quotient(x, k, k), _skeletal_quotient(x, k + 1, k))
             assert validate_map(j) == [], (x.name, k)
-            cone = mapping_cone(j)
-            collapse = _collapse_comparison(cone, _filtration_quotient(x, k + 1))
+            cone = _cone(j)
+            assert validate(cone.cone) == [], (x.name, k)
+            collapse = _collapse_comparison(cone, quotient_by_skeleton(j.target, k))
+            assert collapse.target == _skeletal_quotient(x, k + 1, k + 1), (x.name, k)
             assert validate_map(collapse) == [], (x.name, k)
 
 
@@ -177,17 +181,20 @@ def test_sign_solver_long_chain():
 def test_coefficient_free_inputs_are_shared_and_nameless():
     # equal complexes share one cached tower and one suspension, which
     # carry no name, so reports name the complex they were asked about
-    from cwhom.chainmaps import _suspended, validate_map
-    from cwhom.complexes import validate
+    from cwhom.chainmaps import _collapse_comparison, _cone, _suspended, validate_map
+    from cwhom.complexes import quotient_by_skeleton, validate
     from cwhom.verify import _skeletal_tower
     t = zoo("torus")
     other = t.with_name("other")
     assert _skeletal_tower(t) is _skeletal_tower(other)
     assert _suspended(t) is _suspended(other)
     assert _suspended(t).name == ""
-    quotients, levels = _skeletal_tower(t)
+    quotients, inclusions = _skeletal_tower(t)
     assert [q.name for q in quotients] == [""] * 3
-    for k, (j, cone, collapse) in enumerate(levels):
+    for k, j in enumerate(inclusions):
+        cone = _cone(j)
+        collapse = _collapse_comparison(cone, quotient_by_skeleton(j.target, k))
+        assert (cone.map.name, cone.cone.name, j.target.name, collapse.target.name) == ("", "cone", "", "")
         assert (j.source, j.target) == (quotients[k], cone.inclusion.source)
         assert (collapse.source, collapse.target) == (cone.cone, quotients[k + 1])
         assert validate_map(j) == [] and validate(cone.cone) == [] and validate_map(collapse) == []
@@ -362,6 +369,46 @@ def test_a_second_battery_runs_no_snf(monkeypatch):
     assert calls == []
 
 
+def test_battery_compares_no_chain_map_or_cone(monkeypatch):
+    # each memo a check reads is found once per object through its value's
+    # weak-table entry, and the level proofs are keyed by (k, G, B_{k+1}) in
+    # their inclusion's memo: no chain map or cone is compared, on a miss or
+    # on a hit
+    from cwhom.chainmaps import ChainMap, MappingCone
+    compared = {ChainMap: 0, MappingCone: 0}
+    for cls in compared:
+        def counting(self, other, cls=cls, real=cls.__eq__):
+            compared[cls] += 1
+            return real(self, other)
+
+        monkeypatch.setattr(cls, "__eq__", counting)
+    for cache in _package_caches()[1]:
+        cache.cache_clear()
+    assert all(r.passed for r in run_battery())
+    assert compared == {ChainMap: 0, MappingCone: 0}
+
+
+def test_level_proofs_sit_beside_the_cone_in_the_inclusions_memo():
+    # after a skeletal check each tower inclusion's memo holds its cone, the
+    # one the les check reads, and a level proof for every group; the cone's
+    # map is a nameless copy of j that holds no memo, so no cycle forms
+    import cwhom.verify as verify
+    from cwhom.chainmaps import _cone
+    x = zoo("klein")
+    groups = (Z, FgAbGroup.cyclic(2))
+    for coeff in groups:
+        assert check_skeletal_reformulation(x, coeff).passed
+    inclusions = verify._skeletal_tower(x)[1]
+    assert len(inclusions) == 2
+    for k, j in enumerate(inclusions):
+        cone = j._memo[_cone.__wrapped__, ()]
+        assert cone is _cone(j)
+        assert cone.map is not j and not hasattr(cone.map, "_memo")
+        for coeff in groups:
+            proof = j._memo[verify._level_proof.__wrapped__, (k, coeff, x.boundary(k + 1))]
+            assert proof is verify._level_proof(j, k, coeff, x.boundary(k + 1))
+
+
 def test_equal_complexes_share_skeletal_proofs():
     import cwhom.verify as verify
     memos = (verify._quotient_proof, verify._level_proof)
@@ -381,14 +428,16 @@ def test_equal_complexes_share_skeletal_proofs():
 
 
 def test_skeletal_levels_go_with_their_complex():
-    # each level's proofs are kept in its collapse map's memo, which neither
-    # j nor the cone reaches: once the complex is dropped and another is
-    # queried, every level goes by reference counting alone (the cyclic
-    # collector is off).  The genus-3 surface is not in the standard corpus,
-    # so no battery run earlier in the process holds its tower.
+    # each level's proofs are kept in its inclusion j's memo, beside j's
+    # cone, whose map is a nameless copy of j that never finds that memo:
+    # once the complex is dropped and another is queried, every level goes
+    # by reference counting alone (the cyclic collector is off).  The
+    # genus-3 surface is not in the standard corpus, so no battery run
+    # earlier in the process holds its tower.
     import gc
     import weakref
 
+    from cwhom.chainmaps import _cone
     from cwhom.homology import chain_group
     from cwhom.verify import _skeletal_tower
     enabled = gc.isenabled()
@@ -396,8 +445,8 @@ def test_skeletal_levels_go_with_their_complex():
     try:
         x = zoo("surface", 3)
         assert check_skeletal_reformulation(x, Z).passed
-        refs = [weakref.ref(v) for j, cone, collapse in _skeletal_tower(x)[1]
-                for v in (j, cone.cone, cone.inclusion, cone.projection, collapse)]
+        refs = [weakref.ref(v) for j in _skeletal_tower(x)[1]
+                for v in (j, _cone(j).map, _cone(j).cone, _cone(j).inclusion, _cone(j).projection)]
         del x
         chain_group(zoo("sphere", 43), 43, Z, "homology", False)
         assert len(refs) == 10 and all(ref() is None for ref in refs)
@@ -411,10 +460,13 @@ def test_failed_level_proof_is_not_kept(monkeypatch):
     # and raises again with the same message when the level is met again
     import cwhom.verify as verify
     from cwhom.abgroups import NotAnIsomorphism
+    from cwhom.chainmaps import _collapse_comparison, _cone
+    from cwhom.complexes import quotient_by_skeleton
     x = zoo("rp", 2)
     check_skeletal_reformulation(x, Z)  # every quotient proof is kept
     verify._level_proof.cache_clear()
-    collapse = verify._skeletal_tower(x)[1][0][2]
+    j = verify._skeletal_tower(x)[1][0]
+    collapse = _collapse_comparison(_cone(j), quotient_by_skeleton(j.target, 0))
     q_star = verify.induced_map(collapse, 1, Z, "cohomology", reduced=True)
     real = verify._inverse
 
@@ -507,7 +559,8 @@ def test_born_valid_maps_pass_a_fresh_check():
     # cone inclusions and projections and collapse maps carry an empty
     # violation report from birth, so validate_map runs on them afresh
     # here, with the skeletal tower's inclusions
-    from cwhom.chainmaps import _cone, validate_map
+    from cwhom.chainmaps import _collapse_comparison, _cone, validate_map
+    from cwhom.complexes import quotient_by_skeleton
     from cwhom.verify import _skeletal_tower
     t, r = zoo("torus"), zoo("rp", 3)
     les = [sphere_self_map(1, d) for d in (0, 1, 2, 6)]
@@ -515,8 +568,10 @@ def test_born_valid_maps_pass_a_fresh_check():
             inclusion_map(skeleton(r, 2), r)]
     born = [m for f in les for m in (_cone(f).inclusion, _cone(f).projection)]
     for x in standard_corpus():
-        for j, cone, collapse in _skeletal_tower(x)[1]:
-            born += [j, cone.inclusion, cone.projection, collapse]
+        for k, j in enumerate(_skeletal_tower(x)[1]):
+            cone = _cone(j)
+            born += [j, cone.inclusion, cone.projection,
+                     _collapse_comparison(cone, quotient_by_skeleton(j.target, k))]
     assert len(born) == 16 + 4 * sum(x.dim for x in standard_corpus())
     for f in born:
         assert f._violations == ()
@@ -564,10 +619,11 @@ def test_battery_validates_only_what_enters(monkeypatch):
 
 
 def test_cached_derived_complexes_are_born_valid():
-    # every complex the skeletal tower and the cone cache hold carries an
-    # empty report from birth, and passes validate afresh
+    # every complex the skeletal tower and the cone cache hold, and every
+    # collapse target, carries an empty report from birth, and passes
+    # validate afresh
     from cwhom.chainmaps import _cone
-    from cwhom.complexes import validate
+    from cwhom.complexes import quotient_by_skeleton, validate
     from cwhom.verify import _skeletal_tower
     for cache in _package_caches()[1]:
         cache.cache_clear()
@@ -577,18 +633,18 @@ def test_cached_derived_complexes_are_born_valid():
     les = [sphere_self_map(1, d) for d in (0, 1, 2, 6)]
     les += [sphere_self_map(2, 3), identity_map(t), inclusion_map(skeleton(t, 1), t),
             inclusion_map(skeleton(r, 2), r)]
-    held = []
+    held, coned = [], list(les)
     for x in standard_corpus():
-        quotients, levels = _skeletal_tower(x)
+        quotients, inclusions = _skeletal_tower(x)
         held += quotients
-        for j, cone, collapse in levels:
-            held += [j.source, j.target, cone.cone, cone.projection.target, collapse.target]
-    for f in les:
+        coned += inclusions
+        held += [quotient_by_skeleton(j.target, k) for k, j in enumerate(inclusions)]
+    for f in coned:
         c = _cone(f)
-        held += [c.map.source, c.map.target, c.cone, c.projection.target]
+        held += [f.source, f.target, c.map.source, c.map.target, c.cone, c.projection.target]
     # every lookup hit, and every entry was looked up
     assert (_skeletal_tower.cache_info().misses, _cone.cache_info().misses) == (towers.misses, cones.misses)
-    assert (towers.currsize, cones.currsize) == (len(set(standard_corpus())), len(set(les)))
+    assert (towers.currsize, cones.currsize) == (len(set(standard_corpus())), len(set(coned)))
     for x in held:
         assert x._violations == ()
         assert validate(x) == [], x
