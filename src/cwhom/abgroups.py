@@ -17,7 +17,11 @@ import re
 from math import gcd, prod
 
 from .intmat import (
+    ContainmentViolation,
     IntMatrix,
+    NotInLattice,
+    _cokernel,
+    _coordinate_columns,
     _kept_hash,
     _put,
     _relations,
@@ -25,9 +29,7 @@ from .intmat import (
     _unit_columns,
     _Value,
     _vstack,
-    preimage_lattice,
     quotient_group,
-    solve_columns,
 )
 
 __all__ = [
@@ -359,16 +361,35 @@ def compose_hom(g: AbHom, f: AbHom) -> AbHom:
     return AbHom._derived(f.source, g.target, g.matrix @ f.matrix)
 
 
-def _kernel_lattice(h: AbHom) -> IntMatrix:
-    """Generators of the full preimage of the target relations in Z^n_src."""
-    rel = _relation_matrix(h.target)
-    return preimage_lattice(h.matrix, rel)
+def _kernel_quotient(h: AbHom, d: IntMatrix) -> FgAbGroup:
+    """ker(h) / span(d), for columns d that lie in ker(h).
+
+    The SNF [h | rel] = U S V of ``invert_iso`` (rel: the target
+    relations, r: the rank) gives ker [h | rel] the basis of the columns
+    r.. of V^-1, and their rows for the source generators are a basis of
+    the lattice ker(h): x lies in it exactly when h x = -rel y for some
+    y, and then y = -(h x) / o on the torsion rows is the only one.  So
+    the coordinates of x are (V (x, y))_r.., and (V (x, y))_<r is zero
+    exactly when [h | rel] (x, y) = 0 (ContainmentViolation otherwise).
+    The group is Z^k over those coordinates: one more SNF, with no
+    transform.
+    """
+    a = IntMatrix.hstack(h.matrix, _relation_matrix(h.target))
+    s, _, cols = _snf_ext(a)
+    r = len(s)
+    hd = h.matrix @ d
+    y = IntMatrix.from_rows([[-v // o for v in hd.row(i)] for i, o in enumerate(h.target.generator_orders()) if o],
+                            cols=d.cols)
+    try:
+        c = _coordinate_columns(cols.times(_vstack(d, y)), (0,) * r + (1,) * (a.cols - r), range(r, a.cols))
+    except NotInLattice as exc:
+        raise ContainmentViolation(f"denominator column outside numerator lattice: {exc}") from None
+    return _cokernel(c.rows, _snf_ext(c).s)
 
 
 def hom_kernel(h: AbHom) -> FgAbGroup:
-    n = h.source.num_generators
-    lam = _kernel_lattice(h)
-    return quotient_group(n, lam, _relation_matrix(h.source)).group
+    """ker(h), its lattice over the source relations: two SNFs."""
+    return _kernel_quotient(h, _relation_matrix(h.source))
 
 
 def hom_image(h: AbHom) -> FgAbGroup:
@@ -383,7 +404,8 @@ def is_exact_pair(g: AbHom, h: AbHom) -> bool:
 
     im(g) <= ker(h) is h g = 0, read off the normalized composite; the
     middle relations lie in ker(h) because h is well defined.  ker(h) <=
-    im(g) is one lattice solve.  Never decided by order counting.
+    im(g) is then ker(h) / im(g) = 0, read off two SNFs
+    (``_kernel_quotient``).  Never decided by order counting.
     """
     if g.target != h.source:
         raise ValueError("exactness: g.target != h.source")
@@ -391,20 +413,17 @@ def is_exact_pair(g: AbHom, h: AbHom) -> bool:
         return True  # im g = ker h = 0
     if not compose_hom(h, g).matrix.is_zero():
         return False
-    im = IntMatrix.hstack(g.matrix, _relation_matrix(g.target))
-    return solve_columns(im, _kernel_lattice(h)) is not None
+    return _kernel_quotient(h, IntMatrix.hstack(g.matrix, _relation_matrix(g.target))).is_trivial
 
 
 def hom_subquotient(g: AbHom, h: AbHom) -> FgAbGroup:
     """ker(h) / im(g) inside the shared middle group (requires im <= ker,
-    that is h g = 0)."""
+    that is h g = 0): two SNFs."""
     if g.target != h.source:
         raise ValueError("subquotient: g.target != h.source")
     if not compose_hom(h, g).matrix.is_zero():
         raise ValueError("subquotient: image is not contained in the kernel")
-    n = g.target.num_generators
-    denom = IntMatrix.hstack(g.matrix, _relation_matrix(g.target))
-    return quotient_group(n, _kernel_lattice(h), denom).group
+    return _kernel_quotient(h, IntMatrix.hstack(g.matrix, _relation_matrix(g.target)))
 
 
 def invert_iso(h: AbHom) -> AbHom:

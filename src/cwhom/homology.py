@@ -23,8 +23,10 @@ boundaries there, shares one immutable presentation.
 G^c itself (``cells_presentation``) is presented on its own generators,
 with no elimination.  The whole group, across factors, is the
 invariant-factor form of the factors' generator orders, with no SNF at
-all; a coefficient group with one cyclic factor is glued by the identity
-when that is what the general glue gives (see ``_glue``).
+all.  When those orders are already canonical (free first, then a
+divisibility chain, as one factor's always are), the glue is the
+identity; only other orders, such as Z/2 beside Z/3, present the glue
+by an SNF of its relations, on its first read (see ``_glue``).
 
 The reduced variants use the augmented complex: at dimension 0 the
 all-ones augmentation row (for chains) or column (for cochains) is fed to
@@ -77,6 +79,7 @@ from .intmat import (
     _ones,
     _present,
     _put,
+    _relations,
     _snf_ext,
     _sparse_apply,
     _sparse_columns,
@@ -134,20 +137,19 @@ class _Canonical(GroupWithPresentation):
 
 def _glue(factor_groups) -> GroupWithPresentation:
     """Z^n over the relations o_i e_i for the generator orders o_i of the
-    factors: the group is their invariant-factor form, with no SNF.  Only
-    the orders are kept; the relation columns are built, and their SNF
-    run, on the first read of lifts or coords.
-
-    One factor of rank at most 1, or with no torsion, is glued by the
-    identity (``_Canonical``), which is what that SNF would give; on a
-    larger rank with torsion its pivots permute the free generators."""
-    if len(factor_groups) == 1 and (factor_groups[0].rank <= 1 or not factor_groups[0].torsion):
-        g = factor_groups[0]
-        return _Canonical(g, g.num_generators)
+    factors: the group is their invariant-factor form, with no SNF.  When
+    the orders are already canonical (free first, then a divisibility
+    chain; one factor's always are), the glue is the identity
+    (``_Canonical``).  Otherwise only the orders are kept; the relation
+    columns are built, and their SNF run, on the first read of lifts or
+    coords."""
     orders = tuple(o for g in factor_groups for o in g.generator_orders())
+    group = factor_groups[0] if len(factor_groups) == 1 else normalize_diagonal(orders)
     n = len(orders)
+    if group.generator_orders() == orders:
+        return _Canonical(group, n)
     # the numerator is all of Z^n: its coordinates are the vector itself
-    return _present(n, orders, _Log(n), (1,) * n, range(n), group=normalize_diagonal(orders))
+    return _present(n, partial(_relations, orders), _Log(n), (1,) * n, range(n), group=group)
 
 
 def _assemble(coeff: FgAbGroup, ambient_dim: int, factor_pres) -> CoeffPresentation:
@@ -340,7 +342,9 @@ def chain_group(x: CwComplex, n: int, coeff: FgAbGroup, variant: str, reduced: b
     return _assemble(coeff, x.cells[n], pres)
 
 
-# bounded with headroom over the 20 entries one check battery holds
+# kept although it runs no SNF: one check battery calls it 910 times for
+# 20 distinct keys, and uncached those calls cost it 5-14 ms.  Bounded
+# with headroom over those 20 entries
 @lru_cache(maxsize=256)
 def cells_presentation(c: int, coeff: FgAbGroup) -> CoeffPresentation:
     """G^c presented on the standard basis of a rank-c cell space: each

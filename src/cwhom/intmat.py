@@ -2,7 +2,7 @@
 
 Everything here runs over Python's arbitrary-precision integers; there is
 deliberately no floating point and no fixed-width fast path.  The central
-routine is Smith normal form, from which kernels, lattice solving and
+routine is Smith normal form, from which kernels, cokernels and
 finitely generated quotient groups are derived.  Its one kernel,
 ``_snf_ext``, works on S alone and logs every row and column operation.
 A unimodular transform is only ever that log: each caller replays it onto
@@ -35,8 +35,6 @@ __all__ = [
     "ChainConditionViolation",
     "snf",
     "kernel_basis",
-    "solve_columns",
-    "preimage_lattice",
     "quotient_group",
 ]
 
@@ -574,34 +572,6 @@ def _coordinate_columns(tx: IntMatrix, e: Sequence[int], live: Sequence[int]) ->
     return IntMatrix.from_columns([_coordinates_from_ext(y, e, live) for y in tx.columns()], rows=len(live))
 
 
-def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """An integer X with a @ X = b, or None if some column is unsolvable:
-    with a = U S V, X = V^-1 [Z; 0] where S Z = U^-1 b, both products
-    replayed from the SNF's logs."""
-    if a.rows != b.rows:
-        raise ValueError("row count mismatch")
-    s, rows, cols = _snf_ext(a)
-    r = len(s)
-    try:
-        z = _coordinate_columns(rows.times(b), s + (0,) * (b.rows - r), range(r))
-    except NotInLattice:
-        return None
-    return cols.times(IntMatrix(a.cols, b.cols, z.entries + (0,) * ((a.cols - r) * b.cols)), inverse=True)
-
-
-def preimage_lattice(m: IntMatrix, relations: IntMatrix) -> IntMatrix:
-    """Generators of {x : m @ x lies in the column lattice of relations}.
-
-    Returned as a matrix of (possibly dependent) generator columns.
-    """
-    if m.rows != relations.rows:
-        raise ValueError("row count mismatch")
-    big = IntMatrix.hstack(m, relations)
-    ker = kernel_basis(big)
-    rows = [ker.row(i) for i in range(m.cols)]
-    return IntMatrix.from_rows(rows, cols=ker.cols)
-
-
 class GroupWithPresentation:
     """A canonical-form group plus an explicit presentation in an ambient Z^m.
 
@@ -700,10 +670,7 @@ def _present(ambient_dim: int, rel, t: _Log, e, live, group=None) -> GroupWithPr
     canonical group now; the lifts and the coordinate map wait for their
     first read, and replay the logs onto what they read.  A caller
     that knows the group passes it, and rel's SNF waits for that read too
-    (rel may then be a callable that builds it, or the orders o_i, a
-    tuple, of a D spanned by o_i e_i, whose columns wait for that read)."""
-    if isinstance(rel, tuple):
-        rel = partial(_relations, rel)
+    (rel may then be a callable that builds it on that read)."""
     if group is None:
         s, log, _ = _snf_ext(rel)
         group, rel = _cokernel(rel.rows, s), log

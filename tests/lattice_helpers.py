@@ -1,7 +1,9 @@
 """Lattice operations that only the tests read, built from the package's
-kept primitives (``snf``, ``solve_columns``, ``_cycle_quotient``), the
-eager two-map cycle quotients the tests compare the package's lazy ones
-with, and a recorder of the transform work a block of code does."""
+kept primitives (``snf``, ``_cycle_quotient``): solving, preimages and
+coordinates against the full transforms of ``snf``, which share no code
+with the log replays of ``abgroups``' kernel read; the eager two-map cycle
+quotients the tests compare the package's lazy ones with; and a recorder
+of the transform work a block of code does."""
 
 from contextlib import ExitStack, contextmanager
 from types import SimpleNamespace
@@ -16,7 +18,6 @@ from cwhom.intmat import (
     IntMatrix,
     NotInLattice,
     snf,
-    solve_columns,
 )
 
 
@@ -31,6 +32,35 @@ def lattice_basis(a: IntMatrix) -> IntMatrix:
     ext = snf(a)
     d = ext.diagonal()
     return IntMatrix.from_columns([[d[i] * x for x in ext.U.col(i)] for i in range(ext.rank)], rows=a.rows)
+
+
+def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
+    """An integer X with a @ X = b, or None if some column is unsolvable:
+    with a = U S V, X = V^-1 Z for the Z with S Z = U^-1 b, zero past the
+    rank."""
+    if a.rows != b.rows:
+        raise ValueError("row count mismatch")
+    ext = snf(a)
+    d, y = ext.diagonal(), ext.Uinv @ b
+    z = [[0] * b.cols for _ in range(a.cols)]
+    for i in range(a.rows):
+        for j, v in enumerate(y.row(i)):
+            if i < ext.rank and v % d[i] == 0:
+                z[i][j] = v // d[i]
+            elif v:
+                return None
+    return ext.Vinv @ IntMatrix.from_rows(z, cols=b.cols)
+
+
+def preimage_lattice(m: IntMatrix, relations: IntMatrix) -> IntMatrix:
+    """Generators (possibly dependent) of {x : m @ x lies in the column
+    lattice of relations}: the first m.cols rows of the kernel basis of
+    [m | relations], the columns rank.. of V^-1."""
+    if m.rows != relations.rows:
+        raise ValueError("row count mismatch")
+    ext = snf(IntMatrix.hstack(m, relations))
+    ker = range(ext.rank, ext.Vinv.cols)
+    return IntMatrix.from_rows([[ext.Vinv.entry(i, j) for j in ker] for i in range(m.cols)], cols=len(ker))
 
 
 def lattice_coordinates(basis: IntMatrix, v) -> tuple:

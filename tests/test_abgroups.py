@@ -23,8 +23,15 @@ from cwhom.abgroups import (
     parse_group,
     zero_hom,
 )
-from cwhom.intmat import IntMatrix, preimage_lattice, quotient_group, snf, solve_columns
-from lattice_helpers import transform_work
+from cwhom.abgroups import _kernel_quotient
+from cwhom.intmat import ContainmentViolation, IntMatrix, snf
+from lattice_helpers import (
+    lattice_basis,
+    lattice_coordinates,
+    preimage_lattice,
+    solve_columns,
+    transform_work,
+)
 
 
 groups = st.builds(
@@ -242,13 +249,13 @@ def _outcome(fn, *args):
 
 
 def _invert_iso_reference(h):
-    """Surjectivity by a solve, injectivity by hom_kernel, then the two
-    verifying composites: four SNFs."""
+    """Surjectivity by a solve, injectivity by the kernel reference, then
+    the two verifying composites."""
     t = h.target.num_generators
     sol = solve_columns(IntMatrix.hstack(h.matrix, _relations(h.target)), IntMatrix.identity(t))
     if sol is None:
         raise NotAnIsomorphism("not surjective")
-    if not hom_kernel(h).is_trivial:
+    if not _kernel_reference(h).is_trivial:
         raise NotAnIsomorphism("kernel is nontrivial")
     rows = [sol.row(i) for i in range(h.source.num_generators)]
     g = AbHom(h.target, h.source, IntMatrix.from_rows(rows, cols=t))
@@ -261,6 +268,20 @@ def _kernel_generators(h):
     return preimage_lattice(h.matrix, _relations(h.target))
 
 
+def _quotient_reference(num, den):
+    """span(num) / span(den), for den inside span(num), through ``snf``
+    alone: the Smith form of den's coordinates against a basis of
+    span(num)."""
+    basis = lattice_basis(num)
+    coords = IntMatrix.from_columns([lattice_coordinates(basis, c) for c in den.columns()], rows=basis.cols)
+    d = snf(coords).diagonal() if coords.rows and coords.cols else ()
+    return FgAbGroup(basis.cols - sum(1 for v in d if v), tuple(v for v in d if v >= 2))
+
+
+def _kernel_reference(h):
+    return _quotient_reference(_kernel_generators(h), _relations(h.source))
+
+
 def _is_exact_reference(g, h):
     im = IntMatrix.hstack(g.matrix, _relations(g.target))
     ker = _kernel_generators(h)
@@ -271,8 +292,7 @@ def _subquotient_reference(g, h):
     ker = _kernel_generators(h)
     if solve_columns(ker, g.matrix) is None:
         raise ValueError("subquotient: image is not contained in the kernel")
-    denom = IntMatrix.hstack(g.matrix, _relations(g.target))
-    return quotient_group(g.target.num_generators, ker, denom).group
+    return _quotient_reference(ker, IntMatrix.hstack(g.matrix, _relations(g.target)))
 
 
 small_groups = st.builds(
@@ -343,6 +363,7 @@ def broken_automorphisms(draw):
 @example(AbHom(FgAbGroup(1), FgAbGroup(1), IntMatrix.from_rows([[2]])))  # into, not onto
 @example(AbHom(FgAbGroup(0, (2, 4)), FgAbGroup(0, (2, 4)), IntMatrix.from_rows([[1, 1], [2, 1]])))
 def test_invert_iso_matches_reference(h):
+    assert hom_kernel(h) == _kernel_reference(h)
     got, want = _outcome(invert_iso, h), _outcome(_invert_iso_reference, h)
     assert got == want
     if got[0] == "ok":
@@ -370,8 +391,61 @@ def composable_pairs(draw):
 @given(composable_pairs())
 def test_exactness_matches_mutual_containment(pair):
     g, h = pair
+    assert hom_kernel(g) == _kernel_reference(g) and hom_kernel(h) == _kernel_reference(h)
     assert is_exact_pair(g, h) == _is_exact_reference(g, h)
     assert _outcome(hom_subquotient, g, h) == _outcome(_subquotient_reference, g, h)
+
+
+@given(composable_pairs())
+def test_kernel_reads_take_two_snfs(pair):
+    # one SNF of [h | rel] reads ker(h), and one more its quotient by
+    # columns inside it; exactness stops early or takes the same two
+    g, h = pair
+    with transform_work() as seen:
+        hom_kernel(h)
+    assert seen.snfs == 2
+    with transform_work() as seen:
+        is_exact_pair(g, h)
+    assert seen.snfs <= 2
+    if compose_hom(h, g).matrix.is_zero():
+        with transform_work() as seen:
+            hom_subquotient(g, h)
+        assert seen.snfs == 2
+
+
+@st.composite
+def kernel_columns(draw):
+    """(h, d): columns d that combine the generators of ker(h) in Z^s,
+    some of them moved off it by a multiple of a unit vector."""
+    h = draw(homs())
+    ker, s = _kernel_generators(h), h.source.num_generators
+    cols = []
+    for _ in range(draw(st.integers(0, 3))):
+        c = [draw(st.integers(-2, 2)) for _ in range(ker.cols)]
+        col = [sum(a * b for a, b in zip(c, ker.row(i))) for i in range(s)]
+        if s and draw(st.booleans()):
+            col[draw(st.integers(0, s - 1))] += draw(st.sampled_from([-1, 1, 2]))
+        cols.append(col)
+    return h, IntMatrix.from_columns(cols, rows=s)
+
+
+_Z, _Z4 = FgAbGroup.free(1), FgAbGroup.cyclic(4)
+
+
+@given(kernel_columns())
+@example((AbHom(_Z, _Z, IntMatrix.from_rows([[2]])), IntMatrix.from_rows([[1]])))  # 2 is not 0 in Z
+@example((AbHom(_Z, _Z4, IntMatrix.from_rows([[1]])), IntMatrix.from_rows([[2, 4]])))  # 2 is not 0 in Z/4
+@example((AbHom(_Z, _Z4, IntMatrix.from_rows([[1]])), IntMatrix.from_rows([[8]])))  # 4Z / 8Z = Z/2
+def test_kernel_quotient_matches_reference(case):
+    # ker(h) / span(d) against span(ker's generators) / span(d), through
+    # snf alone; a column outside ker(h) fails the head check
+    h, d = case
+    ker = _kernel_generators(h)
+    if solve_columns(ker, d) is None:
+        with pytest.raises(ContainmentViolation, match="outside numerator lattice"):
+            _kernel_quotient(h, d)
+    else:
+        assert _kernel_quotient(h, d) == _quotient_reference(ker, d)
 
 
 def test_invert_iso_verifies_its_candidate(monkeypatch):

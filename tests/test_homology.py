@@ -5,14 +5,17 @@ matrices (Smith forms of 1x1 and 1x2 integer matrices and their mod-d
 reductions), not read off from the implementation.
 """
 
+import hashlib
 import random
 from dataclasses import FrozenInstanceError
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cwhom.homology as homology
+import cwhom.intmat as intmat
 from cwhom.abgroups import FgAbGroup, normalize_diagonal, parse_group
 from cwhom.chainmaps import identity_map, inclusion_map, induced_map, shift_iso
 from cwhom.homology import _glue, all_groups, chain_group, cohomology, integral_homology
@@ -26,6 +29,7 @@ from test_intmat import cycle_pairs
 from test_reduction import conjugates
 
 Z = FgAbGroup.free(1)
+DIGESTS = Path(__file__).parent / "data" / "presentation_digests.txt"
 
 
 def hom_table(x, coeff=Z, variant="homology", reduced=False):
@@ -145,13 +149,14 @@ class TestPresentations:
 
     def test_glue_group_takes_no_snf(self):
         # the whole group is the invariant-factor form of the factor orders;
-        # the relations' SNF waits for the glue's lifts or coords
+        # on orders that are not canonical, (0, 3, 2), the relations' SNF
+        # waits for the glue's lifts or coords
         with transform_work() as seen:
-            glue = _glue([parse_group("Z + Z/2"), parse_group("Z/6")])
-            assert glue.group == parse_group("Z + Z/2 + Z/6")
+            glue = _glue([parse_group("Z + Z/3"), parse_group("Z/2")])
+            assert glue.group == parse_group("Z + Z/6")
         assert seen.snfs == 0
         with transform_work() as seen:
-            assert len(glue.lifts) == 3
+            assert len(glue.lifts) == 2
         assert seen.snfs == 1
 
     def test_cached_presentations_are_frozen(self):
@@ -318,6 +323,14 @@ def test_glue_coords_check_the_length():
                 glue.coords(v)
 
 
+def _snf_glue(factor_groups):
+    """The glue of the factors' orders by the SNF of their relation
+    columns, on every tuple of orders: the general path."""
+    orders = tuple(o for g in factor_groups for o in g.generator_orders())
+    n = len(orders)
+    return intmat._present(n, intmat._relations(orders), intmat._Log(n), (1,) * n, range(n))
+
+
 canonical_groups = st.builds(
     lambda rank, orders: normalize_diagonal(orders, rank),
     st.integers(0, 4),
@@ -327,12 +340,81 @@ canonical_groups = st.builds(
 
 @given(canonical_groups, st.data())
 def test_one_factor_glue_matches_the_general_path(g, data):
-    one, general = _glue([g]), _glue([g, FgAbGroup.trivial()])
+    # one factor is glued by the identity.  The SNF of its relations
+    # swaps free row t with the torsion row of pivot t, so it rotates the
+    # free generators by the number k of torsion ones: the same lifts and
+    # coordinates when the rank is at most 1 or divides k, and otherwise
+    # free lift j is the identity's lift (j + k) mod rank
+    one, general = _glue([g]), _snf_glue([g])
+    assert isinstance(one, homology._Canonical)
     assert one.group == general.group == g
-    assert one.lifts == general.lifts
-    n = g.num_generators
+    n, r, k = g.num_generators, g.rank, len(g.torsion)
     v = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
-    assert one.coords(v) == general.coords(v)
+    turn = [(j + k) % r for j in range(r)] + list(range(r, n))
+    assert general.lifts == tuple(one.lifts[i] for i in turn)
+    assert general.coords(v) == tuple(one.coords(v)[i] for i in turn)
+
+
+def test_glue_by_the_identity_moves_the_free_basis_of_z2_z2():
+    # Z^2 + Z/2, orders (0, 0, 2), the least case that moves: the SNF
+    # path's pivots swapped the two free generators; the identity rule
+    # keeps them in place.  The group is the same, and so is every torsion
+    # lift
+    g = parse_group("Z^2 + Z/2")
+    assert _glue([g]).lifts == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert _snf_glue([g]).lifts == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    assert _glue([Z, Z, FgAbGroup.cyclic(2)]).lifts == _glue([g]).lifts
+
+
+@pytest.mark.parametrize("text", ["Z | Z/2", "Z + Z/2 | Z/6", "Z^2 | Z/2 + Z/4", "Z/2 | Z/4 | Z/8", "Z | Z",
+                                  "Z^2 | Z/2", "0 | Z/3"])
+def test_canonical_orders_glue_with_no_relations_and_no_snf(monkeypatch, text):
+    # free first, then a divisibility chain: the identity, which builds no
+    # relation column and runs no SNF, not even once lifts and coords are read
+    calls = []
+    real = homology._relations
+    monkeypatch.setattr(homology, "_relations", lambda orders: calls.append(orders) or real(orders))
+    groups = [parse_group(part) for part in text.split("|")]
+    with transform_work() as seen:
+        glue = _glue(groups)
+        n = glue.ambient_dim
+        for i, lift in enumerate(glue.lifts):
+            assert glue.coords(lift) == tuple(int(i == j) for j in range(n))
+        glue.coords((3,) * n)
+    assert isinstance(glue, homology._Canonical)
+    assert (calls, seen.snfs, seen.transforms) == ([], 0, [])
+
+
+factor_lists = st.lists(
+    st.builds(lambda rank, orders: normalize_diagonal(orders, rank),
+              st.integers(0, 2), st.lists(st.sampled_from([2, 3, 4, 6, 9]), max_size=3)),
+    min_size=1, max_size=3,
+)
+
+
+@settings(deadline=None)
+@given(factor_lists, st.lists(st.integers(-40, 40), min_size=15, max_size=15))
+@example([FgAbGroup.cyclic(2), FgAbGroup.cyclic(3)], [1] * 15)  # (2, 3): nondecreasing, not a chain
+@example([Z, FgAbGroup.cyclic(4), FgAbGroup.cyclic(6)], [5, -3, 7] * 5)
+@example([FgAbGroup.cyclic(2), Z], [3, 4] * 8)  # free last
+def test_glue_presents_the_invariant_factor_form_of_the_orders(groups, values):
+    # whatever the rule, the glue is an isomorphism Z^n / (o_i e_i) ->
+    # its group: one lift per generator, coords(lift_i) = e_i, coords
+    # reduced mod the generators' orders, and lifts recombined from the
+    # coords of v give v again modulo the relations
+    orders = [o for g in groups for o in g.generator_orders()]
+    n = len(orders)
+    glue = _glue(groups)
+    assert glue.group == normalize_diagonal(orders) and glue.ambient_dim == n
+    k = glue.group.num_generators
+    assert len(glue.lifts) == k
+    for i, lift in enumerate(glue.lifts):
+        assert glue.coords(lift) == tuple(int(i == j) for j in range(k))
+    v = values[:n]
+    c = glue.coords(v)
+    assert all(0 <= x < o for x, o in zip(c, glue.group.generator_orders()) if o)
+    back = [sum(x * lift[i] for x, lift in zip(c, glue.lifts)) - v[i] for i in range(n)]
+    assert all(w % o == 0 if o else w == 0 for w, o in zip(back, orders))
 
 
 def _corpus_matrices():
@@ -349,10 +431,11 @@ def _corpus_matrices():
 
 
 def test_glue_shortcuts_match_the_general_path(monkeypatch):
+    # the identity glue, and _induced's shortcut between two of them, give
+    # the matrices the SNF glue gives on every corpus group
     _clear_presentation_caches()
     shortcut = _corpus_matrices()
-    glue = homology._glue
-    monkeypatch.setattr(homology, "_glue", lambda groups: glue([*groups, FgAbGroup.trivial()]))
+    monkeypatch.setattr(homology, "_glue", _snf_glue)
     _clear_presentation_caches()
     general = _corpus_matrices()
     monkeypatch.undo()
@@ -360,20 +443,56 @@ def test_glue_shortcuts_match_the_general_path(monkeypatch):
     assert shortcut == general
 
 
+def _corpus_presentations():
+    """Every corpus presentation as a reader sees it, for the 5 standard
+    groups, both variants, reduced and not, and -1 <= n <= dim + 1: the
+    group, each factor's group and lifts, the glue's lifts, and the
+    glue's coordinates of each unit vector, which fix its coordinate map."""
+    out = []
+    for x in standard_corpus():
+        for coeff in standard_coefficients():
+            for variant in ("homology", "cohomology"):
+                for reduced in (False, True):
+                    for n in range(-1, x.dim + 2):
+                        cp = chain_group(x, n, coeff, variant, reduced)
+                        glue, k = cp.glue, cp.glue.ambient_dim
+                        out.append((str(cp.group), [(m, str(p.group), p.lifts) for m, p in cp.factors],
+                                    glue.lifts, [glue.coords([int(i == j) for i in range(k)]) for j in range(k)]))
+    return out
+
+
+def presentation_digests() -> str:
+    """The text of ``tests/data/presentation_digests.txt``: a SHA-256 of
+    every corpus presentation, and one of the shift and induced matrices
+    built on them (``_corpus_matrices``)."""
+    _clear_presentation_caches()
+    values = {"presentations": _corpus_presentations(),
+              "matrices": [(m.rows, m.cols, m.entries) for m in _corpus_matrices()]}
+    _clear_presentation_caches()
+    return "".join(f"{name} {hashlib.sha256(repr(v).encode()).hexdigest()}\n" for name, v in values.items())
+
+
+def test_corpus_presentations_keep_their_bases():
+    # no refactor may move a basis the corpus reads: both digests equal
+    # the committed ones, which only a change meant to move a basis
+    # regenerates
+    assert presentation_digests() == DIGESTS.read_text(encoding="utf-8")
+
+
 def test_glue_builds_its_relations_on_first_read(monkeypatch):
-    # the group of a Z + Z/2 glue is read off the orders; the relation
-    # columns are built only when lifts or coords are first read, and the
-    # presentation is then the one built eagerly from those columns
-    import cwhom.intmat as intmat
-    real = intmat._relations
+    # the group of a Z + Z/3 + Z/2 glue, whose orders (0, 3, 2) are not
+    # canonical, is read off the orders; the relation columns are built
+    # only when lifts or coords are first read, and the presentation is
+    # then the one built eagerly from those columns
+    real = homology._relations
     calls = []
-    monkeypatch.setattr(intmat, "_relations", lambda orders: calls.append(orders) or real(orders))
-    glue = _glue([Z, FgAbGroup.cyclic(2)])
-    assert glue.group == parse_group("Z + Z/2") and calls == []
-    eager = intmat._present(2, real((0, 2)), intmat._Log(2), (1, 1), range(2))
+    monkeypatch.setattr(homology, "_relations", lambda orders: calls.append(orders) or real(orders))
+    glue = _glue([parse_group("Z + Z/3"), FgAbGroup.cyclic(2)])
+    assert glue.group == parse_group("Z + Z/6") and calls == []
+    eager = intmat._present(3, real((0, 3, 2)), intmat._Log(3), (1, 1, 1), range(3))
     assert eager.group == glue.group
     assert glue.lifts == eager.lifts and len(calls) == 1
-    for v in [(1, 0), (0, 1), (3, -5), (-2, 7)] + list(eager.lifts):
+    for v in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (3, -5, 4), (-2, 7, 1)] + list(eager.lifts):
         assert glue.coords(v) == eager.coords(v)
     assert len(calls) == 1
 
@@ -501,7 +620,6 @@ def test_integral_groups_match_sympy_on_conjugates(data):
 def _record_replays(monkeypatch):
     """Record, for every ``_Log.times`` and ``_coordinate_columns`` call,
     the modulus of the factor being built then (None: outside one)."""
-    import cwhom.intmat as intmat
     seen, building = [], []
     real_quotient, real_times, real_columns = (homology._cycle_quotient, intmat._Log.times,
                                                intmat._coordinate_columns)
@@ -782,3 +900,7 @@ def test_a_stream_of_unreducible_complexes_keeps_nothing_it_dropped(monkeypatch)
         if enabled:
             gc.enable()
     assert all(ref() is not None for ref in refs)
+
+
+if __name__ == "__main__":  # regenerate: PYTHONPATH=src python tests/test_homology.py
+    print(presentation_digests(), end="")

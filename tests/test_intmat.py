@@ -13,10 +13,8 @@ from cwhom.intmat import (
     _snf_ext,
     _sparse_columns,
     kernel_basis,
-    preimage_lattice,
     quotient_group,
     snf,
-    solve_columns,
 )
 from lattice_helpers import (
     EagerCycleQuotients,
@@ -24,7 +22,9 @@ from lattice_helpers import (
     lattice_basis,
     lattice_coordinates,
     mod_d_quotient,
+    preimage_lattice,
     scale,
+    solve_columns,
 )
 
 
