@@ -29,7 +29,6 @@ from .intmat import (
     _unit_columns,
     _Value,
     _vstack,
-    quotient_group,
 )
 
 __all__ = [
@@ -361,27 +360,42 @@ def compose_hom(g: AbHom, f: AbHom) -> AbHom:
     return AbHom._derived(f.source, g.target, g.matrix @ f.matrix)
 
 
+def _hom_snf(h: AbHom) -> tuple:
+    """The SNF [h | rel] = U S V (rel: the target relations) that every
+    kernel, image and inverse of h is read off, with no transform: the
+    nonzero diagonal and the logs of U^-1 and V.  The columns r.. of V^-1
+    (r: the rank) are a basis of ker [h | rel], and their first s rows
+    (s: the source generators), the heads, are a basis of the lattice
+    ker(h) = {x : h x in span(rel)}: (0, y) in ker [h | rel] forces y = 0,
+    since rel's columns are independent.  Callers unpack the result."""
+    return _snf_ext(IntMatrix.hstack(h.matrix, _relation_matrix(h.target)))
+
+
+def _heads(h: AbHom, r: int, cols) -> IntMatrix:
+    """The heads of ``_hom_snf``: the columns r.. of V^-1, replayed onto
+    those unit vectors alone, cut to their first s rows."""
+    n, s = cols.n, h.source.num_generators
+    kernel = cols.times(_unit_columns(n, range(r, n)), inverse=True)
+    return IntMatrix(s, n - r, kernel.entries[:s * (n - r)])
+
+
 def _kernel_quotient(h: AbHom, d: IntMatrix) -> FgAbGroup:
     """ker(h) / span(d), for columns d that lie in ker(h).
 
-    The SNF [h | rel] = U S V of ``invert_iso`` (rel: the target
-    relations, r: the rank) gives ker [h | rel] the basis of the columns
-    r.. of V^-1, and their rows for the source generators are a basis of
-    the lattice ker(h): x lies in it exactly when h x = -rel y for some
-    y, and then y = -(h x) / o on the torsion rows is the only one.  So
-    the coordinates of x are (V (x, y))_r.., and (V (x, y))_<r is zero
-    exactly when [h | rel] (x, y) = 0 (ContainmentViolation otherwise).
-    The group is Z^k over those coordinates: one more SNF, with no
-    transform.
+    x lies in ker(h) exactly when h x = -rel y for some y, and then y =
+    -(h x) / o on the torsion rows is the only one.  So against the heads
+    of ``_hom_snf`` the coordinates of x are (V (x, y))_r.., and (V (x,
+    y))_<r is zero exactly when [h | rel] (x, y) = 0 (ContainmentViolation
+    otherwise).  The group is Z^k over those coordinates: one more SNF,
+    with no transform.
     """
-    a = IntMatrix.hstack(h.matrix, _relation_matrix(h.target))
-    s, _, cols = _snf_ext(a)
-    r = len(s)
+    s, _, cols = _hom_snf(h)
+    r, n = len(s), cols.n
     hd = h.matrix @ d
     y = IntMatrix.from_rows([[-v // o for v in hd.row(i)] for i, o in enumerate(h.target.generator_orders()) if o],
                             cols=d.cols)
     try:
-        c = _coordinate_columns(cols.times(_vstack(d, y)), (0,) * r + (1,) * (a.cols - r), range(r, a.cols))
+        c = _coordinate_columns(cols.times(_vstack(d, y)), (0,) * r + (1,) * (n - r), range(r, n))
     except NotInLattice as exc:
         raise ContainmentViolation(f"denominator column outside numerator lattice: {exc}") from None
     return _cokernel(c.rows, _snf_ext(c).s)
@@ -393,10 +407,10 @@ def hom_kernel(h: AbHom) -> FgAbGroup:
 
 
 def hom_image(h: AbHom) -> FgAbGroup:
-    n = h.target.num_generators
-    rel = _relation_matrix(h.target)
-    num = IntMatrix.hstack(h.matrix, rel)
-    return quotient_group(n, num, rel).group
+    """im(h) = Z^s / ker(h), over the heads of ``_hom_snf``: two SNFs."""
+    s, _, cols = _hom_snf(h)
+    heads = _heads(h, len(s), cols)
+    return _cokernel(heads.rows, _snf_ext(heads).s)
 
 
 def is_exact_pair(g: AbHom, h: AbHom) -> bool:
@@ -429,26 +443,24 @@ def hom_subquotient(g: AbHom, h: AbHom) -> FgAbGroup:
 def invert_iso(h: AbHom) -> AbHom:
     """Two-sided inverse of an isomorphism; NotAnIsomorphism otherwise.
 
-    One SNF [h | rel] = U S V (rel: the target relations) decides all of
-    it, read off its logs with no dense transform.  h is onto iff that
-    lattice is Z^t: rank t, every s_i = 1.  The columns rank.. of V^-1,
-    replayed onto those unit vectors alone, span ker [h | rel]; their
-    first s rows generate the preimage of the target relations, and h is
-    injective iff those lie in the source relations: 0 in free rows, a
-    multiple of the order in torsion rows.  The inverse is the first s
-    rows of V^-1 [U^-1; 0], replayed onto U^-1 stacked above zeros, which
-    solves [h | rel] X = I; both composites are still verified.
+    One SNF [h | rel] = U S V (``_hom_snf``) decides all of it, read off
+    its logs with no dense transform.  h is onto iff that lattice is Z^t:
+    rank t, every s_i = 1.  Its heads then generate the preimage of the
+    target relations, and h is injective iff those lie in the source
+    relations: 0 in free rows, a multiple of the order in torsion rows.
+    The inverse is the first s rows of V^-1 [U^-1; 0], replayed onto U^-1
+    stacked above zeros, which solves [h | rel] X = I; both composites are
+    still verified.
     """
     s, t = h.source.num_generators, h.target.num_generators
-    a = IntMatrix.hstack(h.matrix, _relation_matrix(h.target))
-    d, rows, cols = _snf_ext(a)
+    d, rows, cols = _hom_snf(h)
     if d != (1,) * t:
         raise NotAnIsomorphism("not surjective")
-    kernel = cols.times(_unit_columns(a.cols, range(t, a.cols)), inverse=True)
+    heads = _heads(h, t, cols)
     for i, o in enumerate(h.source.generator_orders()):
-        if any(v % o if o else v for v in kernel.row(i)):
+        if any(v % o if o else v for v in heads.row(i)):
             raise NotAnIsomorphism("kernel is nontrivial")
-    x = cols.times(_vstack(rows.times(IntMatrix.identity(t)), IntMatrix.zeros(a.cols - t, t)), inverse=True)
+    x = cols.times(_vstack(rows.times(IntMatrix.identity(t)), IntMatrix.zeros(cols.n - t, t)), inverse=True)
     sol = IntMatrix(s, t, x.entries[:s * t])
     # well defined unchecked: h g e_i = e_i modulo the target relations, so
     # for e_i of order o, h(o g e_i) lies in them, and injectivity puts

@@ -2,8 +2,8 @@
 
 Everything here runs over Python's arbitrary-precision integers; there is
 deliberately no floating point and no fixed-width fast path.  The central
-routine is Smith normal form, from which kernels, cokernels and
-finitely generated quotient groups are derived.  Its one kernel,
+routine is Smith normal form, from which kernels, cokernels and the
+cycle quotients of (co)homology are derived.  Its one kernel,
 ``_snf_ext``, works on S alone and logs every row and column operation.
 A unimodular transform is only ever that log: each caller replays it onto
 the vectors it reads (a product, a lift, one coordinate vector), and
@@ -35,7 +35,6 @@ __all__ = [
     "ChainConditionViolation",
     "snf",
     "kernel_basis",
-    "quotient_group",
 ]
 
 
@@ -608,15 +607,15 @@ class GroupWithPresentation:
 class _Presented(GroupWithPresentation):
     """The quotient N / D of a lattice N in Z^m by a sublattice D, kept as
     the log of the SNF rel = U S V of D's coordinates against a basis of N
-    (or rel, or a callable that builds it, while that SNF waits for the
-    first read of lifts or coords).  N's basis is e_i T^-1_i, i in
-    ``live``, for a unimodular T given by its log: v lies in N when e_i
-    divides (T v)_i for every i, and its coordinates are then (T v)_i /
-    e_i, i in live.  The generators are the columns of U past the rank of
-    rel, then those of its torsion entries.  Their lifts are one replay of
-    T^-1 onto those columns, scaled by e; the coordinates of v are T
-    replayed onto v, then U^-1 onto N's coordinates, read at the
-    generators' rows.  No transform is kept densely."""
+    (or a callable that builds rel, while that SNF waits for the first
+    read of lifts or coords).  N's basis is e_i T^-1_i, i in ``live``, for
+    a unimodular T given by its log: v lies in N when e_i divides (T v)_i
+    for every i, and its coordinates are then (T v)_i / e_i, i in live.
+    The generators are the columns of U past the rank of rel, then those
+    of its torsion entries.  Their lifts are one replay of T^-1 onto those
+    columns, scaled by e; the coordinates of v are T replayed onto v, then
+    U^-1 onto N's coordinates, read at the generators' rows.  No transform
+    is kept densely."""
 
     __slots__ = ("_t", "_e", "_live", "_rel", "_lifts")
 
@@ -626,12 +625,12 @@ class _Presented(GroupWithPresentation):
             _put(self, name, value)
 
     def _generators(self) -> tuple:
-        """rel's row log (its SNF run now if it waits, on rel built now if
-        it is not yet) and the generators' indices: the free ones past the
-        rank, then the torsion entries of S."""
+        """rel's row log (rel built and its SNF run now if they wait) and
+        the generators' indices: the free ones past the rank, then the
+        torsion entries of S."""
         rel = self._rel
         if not isinstance(rel, _Log):
-            rel = _snf_ext(rel() if callable(rel) else rel).rows
+            rel = _snf_ext(rel()).rows
             _put(self, "_rel", rel)
         rank = rel.n - self.group.rank
         return rel, [*range(rank, rel.n), *range(rank - len(self.group.torsion), rank)]
@@ -669,33 +668,12 @@ def _present(ambient_dim: int, rel, t: _Log, e, live, group=None) -> GroupWithPr
     empty log is T = I).  One SNF of rel, with no transform, gives the
     canonical group now; the lifts and the coordinate map wait for their
     first read, and replay the logs onto what they read.  A caller
-    that knows the group passes it, and rel's SNF waits for that read too
-    (rel may then be a callable that builds it on that read)."""
+    that knows the group passes it with rel as a callable, and building
+    rel and its SNF wait for that read too."""
     if group is None:
         s, log, _ = _snf_ext(rel)
         group, rel = _cokernel(rel.rows, s), log
     return _Presented(group, ambient_dim, t, e, live, rel)
-
-
-def quotient_group(ambient_dim: int, numerator: IntMatrix, denominator: IntMatrix) -> GroupWithPresentation:
-    """Canonical form of span(numerator) / span(denominator) inside Z^m.
-
-    The numerator columns may be dependent; every denominator column must
-    lie in the numerator lattice (ContainmentViolation otherwise).  One
-    SNF numerator = U S V gives the basis U diag(s) of the numerator
-    lattice and the coordinates (U^-1 v)_i / s_i against it (T = U^-1);
-    the denominator's coordinates are one product U^-1 @ denominator,
-    replayed onto it, and ``_present`` reads the quotient off them.
-    """
-    if numerator.rows != ambient_dim or denominator.rows != ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    s, rows, _ = _snf_ext(numerator)
-    e = s + (0,) * (ambient_dim - len(s))
-    try:
-        rel = _coordinate_columns(rows.times(denominator), e, range(len(s)))
-    except NotInLattice as exc:
-        raise ContainmentViolation(f"denominator column outside numerator lattice: {exc}") from None
-    return _present(ambient_dim, rel, rows, e, range(len(s)))
 
 
 def _cycle_coordinates(t: _Log, in_map, e, live) -> IntMatrix:

@@ -7,8 +7,19 @@ test starts with no document kept by the CLI.
 """
 
 import re
+import warnings
+from contextlib import suppress
 
 import pytest
+
+# when a hypothesis test fails, hypothesis's report hook imports this
+# module, which imports libcst, whose import warns DeprecationWarning;
+# under -W error that warning aborted the whole session (INTERNALERROR)
+# instead of reporting the failure, so it is imported once here, quietly.
+# Without libcst the hook skips it, and so does this import
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 CRITERIA = {}
 

@@ -1,7 +1,8 @@
 """Lattice operations that only the tests read, built from the package's
-kept primitives (``snf``, ``_cycle_quotient``): solving, preimages and
-coordinates against the full transforms of ``snf``, which share no code
-with the log replays of ``abgroups``' kernel read; the eager two-map cycle
+kept primitives (``snf``, ``_present``, ``_cycle_quotient``): solving,
+preimages and coordinates against the full transforms of ``snf``, which
+share no code with the log replays of ``abgroups``' kernel read; the
+quotient of any two lattices, presented; the eager two-map cycle
 quotients the tests compare the package's lazy ones with; and a recorder
 of the transform work a block of code does."""
 
@@ -82,6 +83,28 @@ def in_lattice(basis: IntMatrix, v) -> bool:
         return True
     except NotInLattice:
         return False
+
+
+def quotient_group(ambient_dim: int, numerator: IntMatrix, denominator: IntMatrix):
+    """Canonical form of span(numerator) / span(denominator) inside Z^m,
+    presented.
+
+    The numerator columns may be dependent; every denominator column must
+    lie in the numerator lattice (ContainmentViolation otherwise).  One
+    SNF numerator = U S V gives the basis U diag(s) of the numerator
+    lattice and the coordinates (U^-1 v)_i / s_i against it (T = U^-1);
+    the denominator's coordinates are U^-1 replayed onto it, and
+    ``_present`` reads the quotient off them.
+    """
+    if numerator.rows != ambient_dim or denominator.rows != ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    s, rows, _ = intmat._snf_ext(numerator)
+    e = s + (0,) * (ambient_dim - len(s))
+    try:
+        rel = intmat._coordinate_columns(rows.times(denominator), e, range(len(s)))
+    except NotInLattice as exc:
+        raise ContainmentViolation(f"denominator column outside numerator lattice: {exc}") from None
+    return intmat._present(ambient_dim, rel, rows, e, range(len(s)))
 
 
 class EagerCycleQuotients:

@@ -364,6 +364,8 @@ def broken_automorphisms(draw):
 @example(AbHom(FgAbGroup(0, (2, 4)), FgAbGroup(0, (2, 4)), IntMatrix.from_rows([[1, 1], [2, 1]])))
 def test_invert_iso_matches_reference(h):
     assert hom_kernel(h) == _kernel_reference(h)
+    rel = _relations(h.target)
+    assert hom_image(h) == _quotient_reference(IntMatrix.hstack(h.matrix, rel), rel)
     got, want = _outcome(invert_iso, h), _outcome(_invert_iso_reference, h)
     assert got == want
     if got[0] == "ok":
@@ -399,11 +401,13 @@ def test_exactness_matches_mutual_containment(pair):
 @given(composable_pairs())
 def test_kernel_reads_take_two_snfs(pair):
     # one SNF of [h | rel] reads ker(h), and one more its quotient by
-    # columns inside it; exactness stops early or takes the same two
+    # columns inside it, or the image Z^s / ker(h); exactness stops early
+    # or takes the same two
     g, h = pair
-    with transform_work() as seen:
-        hom_kernel(h)
-    assert seen.snfs == 2
+    for read in (hom_kernel, hom_image):
+        with transform_work() as seen:
+            read(h)
+        assert seen.snfs == 2
     with transform_work() as seen:
         is_exact_pair(g, h)
     assert seen.snfs <= 2

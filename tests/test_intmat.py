@@ -13,7 +13,6 @@ from cwhom.intmat import (
     _snf_ext,
     _sparse_columns,
     kernel_basis,
-    quotient_group,
     snf,
 )
 from lattice_helpers import (
@@ -23,6 +22,7 @@ from lattice_helpers import (
     lattice_coordinates,
     mod_d_quotient,
     preimage_lattice,
+    quotient_group,
     scale,
     solve_columns,
 )
