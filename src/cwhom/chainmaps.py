@@ -12,15 +12,16 @@ target's cells come first and the cells over the source, read off its
 suspension, follow.  The boundary is stacked from those four blocks, the
 inclusion of the target is the unit columns of the first block and the
 projection the transposed unit columns of the second.  The skeletal
-check's collapse of a cone onto the next filtration quotient reads the
-same layout, so it is built here too (``_collapse_comparison``).
+check reads the same layout: on cell generators, the collapse of a cone
+onto the next filtration quotient is the cone's inclusion at the top
+level.
 
 Chain maps are frozen and cache their violation report, so each is
 validated once, where it enters (``require_valid_map``).  Maps built
 valid from checked input are born with an empty report
-(``complexes._born_valid``): the cone's inclusion and projection, the
-collapse maps, and ``verify``'s wedge inclusions and skeletal-tower
-inclusions.  So is the cone complex itself.
+(``complexes._born_valid``): the cone's inclusion and projection, and
+``verify``'s wedge inclusions and skeletal-tower inclusions.  So is the
+cone complex itself.
 
 The cone of the degree-q sphere self-map reproduces the Moore space cell
 for cell.  The connecting homomorphism of the long exact sequence is the
@@ -302,19 +303,6 @@ def mapping_cone(f: ChainMap) -> MappingCone:
         proj_maps.append(m if n % 2 else -m)
     projection = ChainMap(cone, sx, tuple(proj_maps), "cone proj")
     return MappingCone(f, cone, _born_valid(inclusion), _born_valid(projection))
-
-
-def _collapse_comparison(cone: MappingCone, q_next: CwComplex) -> ChainMap:
-    """cone(Q_k -> W_k) -> Q_{k+1}: identity on the top cells of W_k,
-    everything else to the basepoint.  The cone's n-cells start with
-    W_k's (``mapping_cone``), whose top cells are Q_{k+1}'s, so level
-    n >= 1 is the transposed unit columns of the first Q_{k+1}.cells_at(n)
-    cells, and level 0 sends every vertex to Q_{k+1}'s single one."""
-    c = cone.cone
-    maps = [_ones(c.cells[0])]
-    maps += [_unit_columns(c.cells_at(n), range(q_next.cells_at(n))).transpose()
-             for n in range(1, max(c.dim, q_next.dim) + 1)]
-    return _born_valid(ChainMap(c, q_next, tuple(maps)))
 
 
 def induced_map(f: ChainMap, n: int, coeff: FgAbGroup, variant: str = "cohomology",

@@ -10,19 +10,22 @@ zero composite and ker <= im as a solve, never cardinality.
 The skeletal check rebuilds the cellular cochain complex from axiomatic
 ingredients alone: for each k it forms the filtration quotients
 Q_k = X_k/X_{k-1} (with a disjoint basepoint glued at the bottom so that
-h^0(Q_0) is G to the number of vertices), produces the composite
-connecting map h^k(Q_k) -> h^{k+1}(Q_{k+1}) through the mapping cone of
-the inclusion j: Q_k -> W_k = X_{k+1}/X_{k-1}, and then verifies that
-(a) the subquotients of the resulting cochain complex agree with reduced
-cohomology, (b) each h^k(Q_k) is free of rank c_k over G on cell
-generators, and (c) written in cell coordinates the composite maps are
-the transposed boundary matrices up to a consistent choice of generator
+h^0(Q_0) is G to the number of vertices) and proves (b) that each
+h^k(Q_k) is free of rank c_k over G on cell generators and every other
+h^n(Q_k) trivial.  Through those isomorphisms it reads, in cell
+coordinates, the composite connecting map G^{c_k} -> G^{c_{k+1}}: the
+connecting map of the inclusion j: Q_k -> W_k = X_{k+1}/X_{k-1}, then
+the inverse of the collapse of j's mapping cone onto Q_{k+1}.  It then
+verifies (a) that the subquotients of the resulting cochain complex agree
+with reduced cohomology and (c) that the composite maps are the
+transposed boundary matrices up to a consistent choice of generator
 signs.  The quotients and the inclusions do not depend on G, so they are
 built once per complex (``_skeletal_tower``), as the suspension is for
 the shift isomorphism (``chainmaps._suspended``), and they are all the
 tower holds.  Each j's cone is the one the les check reads
-(``chainmaps._cone``), kept in j's memo, and the collapse of that cone
-onto Q_{k+1} is built by the level's proof.
+(``chainmaps._cone``), kept in j's memo; on cell generators the
+connecting map is its projection at level k + 1 and the collapse its
+inclusion there, so no collapse chain map is built.
 
 The checks meet the same homs again and again: across the coefficient
 groups, in equal complexes under other names, and between checks.  Every
@@ -34,10 +37,10 @@ value is proved in full, once: an isomorphism is inverted and its inverse
 verified both ways, and a failure is not cached, so a hom that is not
 invertible is tried again, with the same witness, every time it is met.
 What is keyed by a complex or a chain map lives in that value's memo
-(``homology._per_value``): the tower in x's, part (b) and the cell-basis
-isomorphism of Q_k in Q_k's, each level's connecting composite and part
-(c) in its inclusion's, beside its cone, a wedge check's restrictions in
-the wedge's.
+(``homology._per_value``): the tower in x's, part (b) for Q_k in Q_k's,
+each level's composite in cell coordinates and part (c) in its
+inclusion's, beside its cone, a wedge check's restrictions in the
+wedge's.
 Spheres, Moore spaces, RP^n and lens spaces share wedges of spheres as
 quotients.  A sphere is its own top quotient: its tower and the memo
 holding it form a cycle, freed by the cyclic collector.
@@ -61,7 +64,6 @@ from .abgroups import (
 from .chainmaps import (
     ChainMap,
     _basepoint_differences,
-    _collapse_comparison,
     _cone,
     _inclusion,
     connecting_map,
@@ -84,7 +86,7 @@ from .complexes import (
     zoo,
 )
 from .homology import _glue, _induced, _memo_of, _per_value, cells_presentation, chain_group, cohomology
-from .intmat import IntMatrix, _unit_columns, _Value
+from .intmat import IntMatrix, _ones, _unit_columns, _Value
 
 __all__ = [
     "CheckReport",
@@ -399,7 +401,7 @@ def _cell_basis_iso(q: CwComplex, k: int, coeff: FgAbGroup) -> AbHom:
 @_per_value
 def _quotient_proof(q: CwComplex, k: int, coeff: FgAbGroup) -> tuple:
     """Part (b) for Q_k: the witnesses of every h^n(Q_k), n != k, that is
-    not trivial, then the cell-basis isomorphism and its proven inverse."""
+    not trivial, once the cell-basis isomorphism is proved invertible."""
     witnesses = []
     for n in range(q.dim + 1):
         if n == k:
@@ -408,39 +410,36 @@ def _quotient_proof(q: CwComplex, k: int, coeff: FgAbGroup) -> tuple:
         if not g.is_trivial:
             witnesses.append(f"h^{n}(Q_{k}) = {g}, expected 0")
     try:
-        iso = _cell_basis_iso(q, k, coeff)
-        return tuple(witnesses), iso, _inverse(iso)
+        _inverse(_cell_basis_iso(q, k, coeff))
     except NotAnIsomorphism as e:
         raise IsoTransportFailure(f"h^{k}(Q_{k}) is not free on cells: {e}")
+    return tuple(witnesses)
 
 
 @_per_value
 def _level_proof(j: ChainMap, k: int, coeff: FgAbGroup, boundary: IntMatrix) -> tuple:
     """Level k of the tower, j: Q_k -> W_k, for a complex whose B_{k+1} is
-    ``boundary``: the connecting composite delta_k : h^k(Q_k) ->
-    h^{k+1}(Q_{k+1}), and part (c)'s (k, delta_k in cell coordinates,
-    B_{k+1}^T, row orders).  Kept in j's memo beside j's cone, whose map is
-    ``_cone``'s nameless copy of j, not j.  W_k's k-skeleton is Q_k, so the
-    collapse lands on a copy of Q_{k+1}, which finds Q_{k+1}'s memo."""
+    ``boundary``: the connecting composite delta_k : G^{c_k} -> G^{c_{k+1}}
+    in cell coordinates, and part (c)'s (k, delta_k, B_{k+1}^T, row
+    orders).  Part (b)'s isomorphisms send cell generator i to the class of
+    cochain i (at k = 0, of original vertex i), so on cell generators the
+    connecting map is the cone's projection at k + 1 and the collapse onto
+    Q_{k+1} its inclusion there.  Inverted through ``_inverse``, the collapse
+    shares the entry of an equal cell-basis isomorphism.  Kept in j's memo
+    beside j's cone, whose map is ``_cone``'s nameless copy of j, not j."""
     cone = _cone(j)
-    collapse = _collapse_comparison(cone, quotient_by_skeleton(j.target, k))
-    q_star = induced_map(collapse, k + 1, coeff, "cohomology", reduced=True)
+    cells, cells_next = (cells_presentation(c, coeff) for c in boundary.shape)
+    cochains = chain_group(cone.cone, k + 1, coeff, "cohomology", True)
+    connecting = _induced(cells, cochains, cone.projection.level(k + 1).transpose())
     try:
-        q_inv = _inverse(q_star)
+        collapse_inv = _inverse(_induced(cells_next, cochains, cone.inclusion.level(k + 1)))
     except NotAnIsomorphism as e:
         raise IsoTransportFailure(
             f"collapse comparison at level {k} is not invertible: {e}"
         )
-    delta = compose_hom(q_inv, connecting_map(j, k, coeff, cone))
-    iso_next = _quotient_proof(collapse.target, k + 1, coeff)[1]
-    inv_here = _quotient_proof(j.source, k, coeff)[2]
-    cellwise = compose_hom(iso_next, compose_hom(delta, inv_here))
-    expected = _induced(
-        cells_presentation(boundary.rows, coeff),
-        cells_presentation(boundary.cols, coeff),
-        boundary.transpose(),
-    )
-    return delta, (k, cellwise.matrix, expected.matrix, cellwise.target.generator_orders())
+    delta = compose_hom(collapse_inv, connecting)
+    expected = _induced(cells, cells_next, boundary.transpose())
+    return delta, (k, delta.matrix, expected.matrix, delta.target.generator_orders())
 
 
 def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
@@ -450,31 +449,23 @@ def check_skeletal_reformulation(x: CwComplex, coeff: FgAbGroup) -> CheckReport:
 
     quotients, inclusions = _skeletal_tower(x)
 
-    # (b) h^n(Q_k) is G^{c_k} at n = k and trivial elsewhere
+    # (b) h^n(Q_k) is G^{c_k} at n = k, free on cells, and trivial elsewhere
     for k, q in enumerate(quotients):
-        rep.witnesses.extend(_quotient_proof(q, k, coeff)[0])
+        rep.witnesses.extend(_quotient_proof(q, k, coeff))
 
-    # the connecting composites h^k(Q_k) -> h^{k+1}(Q_{k+1}), with (c)'s
-    # comparison at each level
+    # the connecting composites G^{c_k} -> G^{c_{k+1}} in cell coordinates,
+    # through (b)'s isomorphisms, with (c)'s comparison at each level
     deltas, comparisons = [], []
     for k, j in enumerate(inclusions):
         delta, comparison = _level_proof(j, k, coeff, x.boundary(k + 1))
         deltas.append(delta)
         comparisons.append(comparison)
+    deltas.append(zero_hom(cells_presentation(x.cells[dim], coeff).group, FgAbGroup.trivial()))
 
-    top_group = chain_group(quotients[dim], dim, coeff, "cohomology", True).group
-    deltas.append(zero_hom(top_group, FgAbGroup.trivial()))
-
-    # the augmentation G -> h^0(Q_0): the cocycle with value g on every
-    # original vertex and 0 on the added basepoint
-    q0 = quotients[0]
-    col = [[1] for _ in range(q0.cells[0])]
-    col[q0.basepoint] = [0]
-    aug = _induced(
-        cells_presentation(1, coeff),
-        chain_group(q0, 0, coeff, "cohomology", True),
-        IntMatrix.from_rows(col, cols=1),
-    )
+    # the augmentation G -> G^{c_0}: the cocycle with value g on every
+    # original vertex, read in cell coordinates
+    c0 = x.cells[0]
+    aug = _induced(cells_presentation(1, coeff), cells_presentation(c0, coeff), _ones(c0).transpose())
 
     # (a) subquotients of the rebuilt cochain complex = reduced cohomology
     for n in range(dim + 1):

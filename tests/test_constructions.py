@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwhom.chainmaps import (
-    _collapse_comparison,
     identity_map,
     inclusion_map,
     mapping_cone,
@@ -41,6 +40,7 @@ from cwhom.complexes import (
 from cwhom.documents import complex_to_doc, dumps
 from cwhom.intmat import IntMatrix
 from cwhom.verify import _skeletal_tower, _wedge_inclusions, standard_corpus
+from skeletal_helpers import collapse_comparison
 
 DATA = Path(__file__).parent / "data" / "constructions.txt"
 
@@ -97,7 +97,7 @@ def constructions_text() -> str:
             cone = mapping_cone(j)
             map_(f"skeletal {x.name} j_{k}", j)
             cone_(f"skeletal {x.name} level {k}", cone)
-            map_(f"skeletal {x.name} collapse {k}", _collapse_comparison(cone, quotient_by_skeleton(j.target, k)))
+            map_(f"skeletal {x.name} collapse {k}", collapse_comparison(cone, quotient_by_skeleton(j.target, k)))
     for f in _battery_les_maps():
         cone_(f"les {f.name}", mapping_cone(f))
     return "".join(out)

@@ -4,7 +4,7 @@ import pytest
 
 from cwhom.abgroups import FgAbGroup, parse_group
 from cwhom.chainmaps import identity_map, inclusion_map, sphere_self_map
-from cwhom.complexes import skeleton, zoo
+from cwhom.complexes import CwComplex, skeleton, validate, zoo
 from cwhom.intmat import IntMatrix
 from cwhom.verify import (
     CheckReport,
@@ -133,19 +133,20 @@ def test_full_battery():
 
 
 def test_skeletal_steps_are_valid():
-    # the inclusions, cones and collapse comparisons of the skeletal check
-    # are built without validation, so check them here; the collapse lands
-    # on W_k / Q_k, which is Q_{k+1}
-    from cwhom.chainmaps import _collapse_comparison, _cone, validate_map
+    # the inclusions and cones of the skeletal check are built without
+    # validation, so check them here; the collapse that the check reads in
+    # cell coordinates is a chain map onto W_k / Q_k, which is Q_{k+1}
+    from cwhom.chainmaps import _cone, validate_map
     from cwhom.complexes import quotient_by_skeleton, validate
     from cwhom.verify import _skeletal_quotient
+    from skeletal_helpers import collapse_comparison
     for x in standard_corpus():
         for k in range(x.dim):
             j = inclusion_map(_skeletal_quotient(x, k, k), _skeletal_quotient(x, k + 1, k))
             assert validate_map(j) == [], (x.name, k)
             cone = _cone(j)
             assert validate(cone.cone) == [], (x.name, k)
-            collapse = _collapse_comparison(cone, quotient_by_skeleton(j.target, k))
+            collapse = collapse_comparison(cone, quotient_by_skeleton(j.target, k))
             assert collapse.target == _skeletal_quotient(x, k + 1, k + 1), (x.name, k)
             assert validate_map(collapse) == [], (x.name, k)
 
@@ -181,9 +182,10 @@ def test_sign_solver_long_chain():
 def test_coefficient_free_inputs_are_shared_and_nameless():
     # equal complexes share one cached tower and one suspension, which
     # carry no name, so reports name the complex they were asked about
-    from cwhom.chainmaps import _collapse_comparison, _cone, _suspended, validate_map
+    from cwhom.chainmaps import _cone, _suspended, validate_map
     from cwhom.complexes import quotient_by_skeleton, validate
     from cwhom.verify import _skeletal_tower
+    from skeletal_helpers import collapse_comparison
     t = zoo("torus")
     other = t.with_name("other")
     assert _skeletal_tower(t) is _skeletal_tower(other)
@@ -193,7 +195,7 @@ def test_coefficient_free_inputs_are_shared_and_nameless():
     assert [q.name for q in quotients] == [""] * 3
     for k, j in enumerate(inclusions):
         cone = _cone(j)
-        collapse = _collapse_comparison(cone, quotient_by_skeleton(j.target, k))
+        collapse = collapse_comparison(cone, quotient_by_skeleton(j.target, k))
         assert (cone.map.name, cone.cone.name, j.target.name, collapse.target.name) == ("", "cone", "", "")
         assert (j.source, j.target) == (quotients[k], cone.inclusion.source)
         assert (collapse.source, collapse.target) == (cone.cone, quotients[k + 1])
@@ -460,13 +462,14 @@ def test_failed_level_proof_is_not_kept(monkeypatch):
     # and raises again with the same message when the level is met again
     import cwhom.verify as verify
     from cwhom.abgroups import NotAnIsomorphism
-    from cwhom.chainmaps import _collapse_comparison, _cone
+    from cwhom.chainmaps import _cone
     from cwhom.complexes import quotient_by_skeleton
+    from skeletal_helpers import collapse_comparison
     x = zoo("rp", 2)
     check_skeletal_reformulation(x, Z)  # every quotient proof is kept
     verify._level_proof.cache_clear()
     j = verify._skeletal_tower(x)[1][0]
-    collapse = _collapse_comparison(_cone(j), quotient_by_skeleton(j.target, 0))
+    collapse = collapse_comparison(_cone(j), quotient_by_skeleton(j.target, 0))
     q_star = verify.induced_map(collapse, 1, Z, "cohomology", reduced=True)
     real = verify._inverse
 
@@ -486,6 +489,117 @@ def test_failed_level_proof_is_not_kept(monkeypatch):
     assert (info.misses, info.currsize) == (2, 0)
     monkeypatch.undo()
     assert check_skeletal_reformulation(x, Z).passed
+
+
+def test_failed_quotient_proof_is_not_kept(monkeypatch):
+    # a cell-basis isomorphism that is not invertible raises, is not cached,
+    # and raises again with the same message when the quotient is met again.
+    # Q_0's is not an identity hom, so no level's inversion meets it
+    import cwhom.verify as verify
+    from cwhom.abgroups import NotAnIsomorphism
+    x = zoo("rp", 2)
+    iso = verify._cell_basis_iso(verify._skeletal_tower(x)[0][0], 0, Z)
+    assert iso.matrix != IntMatrix.identity(iso.matrix.rows)
+    real = verify._inverse
+
+    def refusing(h):
+        if h == iso:
+            raise NotAnIsomorphism("refused")
+        return real(h)
+
+    verify._quotient_proof.cache_clear()
+    monkeypatch.setattr(verify, "_inverse", refusing)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(verify.IsoTransportFailure) as caught:
+            check_skeletal_reformulation(x, Z)
+        messages.append(str(caught.value))
+    assert messages == ["h^0(Q_0) is not free on cells: refused"] * 2
+    info = verify._quotient_proof.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
+    monkeypatch.undo()
+    assert check_skeletal_reformulation(x, Z).passed
+
+
+def test_level_maps_equal_the_composite_through_the_collapse():
+    # each level read in cell coordinates is the composite built the long
+    # way: the connecting map of j, then the inverse of the collapse's
+    # induced map, between the cell-basis isomorphisms of Q_k and Q_{k+1};
+    # and the collapse at the top level is the cone's inclusion there
+    import cwhom.verify as verify
+    from cwhom.chainmaps import _cone
+    from cwhom.complexes import quotient_by_skeleton
+    from cwhom.documents import complex_from_doc
+    from skeletal_helpers import collapse_comparison, composite_through_collapse
+    from test_documents import grid_torus_doc
+    xs = standard_corpus() + [complex_from_doc(grid_torus_doc(k)) for k in (3, 4)]
+    compared = 0
+    for x in xs:
+        for k, j in enumerate(verify._skeletal_tower(x)[1]):
+            cone = _cone(j)
+            collapse = collapse_comparison(cone, quotient_by_skeleton(j.target, k))
+            assert collapse.level(k + 1).transpose() == cone.inclusion.level(k + 1), (x.name, k)
+            for coeff in standard_coefficients():
+                delta = verify._level_proof(j, k, coeff, x.boundary(k + 1))[0]
+                assert delta == composite_through_collapse(j, cone, k, coeff), (x.name, k, coeff)
+                compared += 1
+    assert compared == 5 * sum(x.dim for x in xs)
+
+
+@pytest.mark.parametrize("coeff", ["Z", "Z + Z/2"])
+def test_skeletal_check_inverts_a_collapse_that_is_not_the_identity(coeff):
+    # on the grid torus the collapse at level 1, read in cell coordinates,
+    # is not an identity hom, as it is on every corpus complex: a check that
+    # used it in place of its inverse fails here
+    import cwhom.verify as verify
+    from cwhom.chainmaps import _cone
+    from cwhom.documents import complex_from_doc
+    from cwhom.homology import _induced, cells_presentation, chain_group
+    from test_documents import grid_torus_doc
+    x = complex_from_doc(grid_torus_doc(3)).with_name("T3")
+    g = parse_group(coeff)
+    cone = _cone(verify._skeletal_tower(x)[1][1])
+    collapse = _induced(cells_presentation(x.cells[2], g), chain_group(cone.cone, 2, g, "cohomology", True),
+                        cone.inclusion.level(2))
+    assert collapse.matrix != IntMatrix.identity(collapse.matrix.rows)
+    assert check_skeletal_reformulation(x, g).render() == f"PASS skeletal T3 G={g} dims=0..2"
+
+
+def _relabelled(x, rng):
+    """x with the cells of each dimension permuted at random, every cell
+    above the vertices reoriented at random and the basepoint moved along:
+    B_n' = P_{n-1} B_n P_n^-1 for signed permutations P_n."""
+    perms = [rng.sample(range(c), c) for c in x.cells]
+    signs = [[1] * x.cells[0]] + [[rng.choice((1, -1)) for _ in range(c)] for c in x.cells[1:]]
+    boundaries = []
+    for n in range(1, x.dim + 1):
+        b = x.boundary(n)
+        rows = [[0] * b.cols for _ in range(b.rows)]
+        for i in range(b.rows):
+            for j in range(b.cols):
+                rows[perms[n - 1][i]][perms[n][j]] = signs[n - 1][i] * signs[n][j] * b.entry(i, j)
+        boundaries.append(IntMatrix.from_rows(rows, cols=b.cols))
+    return CwComplex(x.cells, tuple(boundaries), perms[0][x.basepoint], x.name)
+
+
+def test_reports_do_not_see_cell_labels():
+    # the skeletal and suspension checks render the same bytes after any
+    # signed relabelling of the cells that moves the basepoint along
+    import random
+
+    from cwhom.documents import complex_from_doc
+    from test_documents import grid_torus_doc
+    rng, moved = random.Random(24), 0
+    for x in standard_corpus() + [complex_from_doc(grid_torus_doc(3)).with_name("T3")]:
+        for _ in range(3):
+            y = _relabelled(x, rng)
+            assert validate(y) == [], x.name
+            moved += y != x
+            for coeff in standard_coefficients():
+                for check in (check_skeletal_reformulation, check_suspension):
+                    assert check(y, coeff).render() == check(x, coeff).render(), (x.name, y, coeff)
+    # the rest equal their original: zero boundaries, or signs that cancel
+    assert moved == 29
 
 
 def test_check_memos_are_bounded():
@@ -556,11 +670,10 @@ def test_every_cache_is_bounded_and_holds_a_battery():
 
 
 def test_born_valid_maps_pass_a_fresh_check():
-    # cone inclusions and projections and collapse maps carry an empty
-    # violation report from birth, so validate_map runs on them afresh
-    # here, with the skeletal tower's inclusions
-    from cwhom.chainmaps import _collapse_comparison, _cone, validate_map
-    from cwhom.complexes import quotient_by_skeleton
+    # cone inclusions and projections carry an empty violation report from
+    # birth, so validate_map runs on them afresh here, with the skeletal
+    # tower's inclusions
+    from cwhom.chainmaps import _cone, validate_map
     from cwhom.verify import _skeletal_tower
     t, r = zoo("torus"), zoo("rp", 3)
     les = [sphere_self_map(1, d) for d in (0, 1, 2, 6)]
@@ -568,11 +681,10 @@ def test_born_valid_maps_pass_a_fresh_check():
             inclusion_map(skeleton(r, 2), r)]
     born = [m for f in les for m in (_cone(f).inclusion, _cone(f).projection)]
     for x in standard_corpus():
-        for k, j in enumerate(_skeletal_tower(x)[1]):
+        for j in _skeletal_tower(x)[1]:
             cone = _cone(j)
-            born += [j, cone.inclusion, cone.projection,
-                     _collapse_comparison(cone, quotient_by_skeleton(j.target, k))]
-    assert len(born) == 16 + 4 * sum(x.dim for x in standard_corpus())
+            born += [j, cone.inclusion, cone.projection]
+    assert len(born) == 16 + 3 * sum(x.dim for x in standard_corpus())
     for f in born:
         assert f._violations == ()
         assert validate_map(f) == [], (f.name, f.source, f.target)
@@ -620,7 +732,7 @@ def test_battery_validates_only_what_enters(monkeypatch):
 
 def test_cached_derived_complexes_are_born_valid():
     # every complex the skeletal tower and the cone cache hold, and every
-    # collapse target, carries an empty report from birth, and passes
+    # quotient W_k / Q_k, carries an empty report from birth, and passes
     # validate afresh
     from cwhom.chainmaps import _cone
     from cwhom.complexes import quotient_by_skeleton, validate
