@@ -387,8 +387,11 @@ def _kernel_quotient(h: AbHom, d: IntMatrix) -> FgAbGroup:
     of ``_hom_snf`` the coordinates of x are (V (x, y))_r.., and (V (x,
     y))_<r is zero exactly when [h | rel] (x, y) = 0 (ContainmentViolation
     otherwise).  The group is Z^k over those coordinates: one more SNF,
-    with no transform.
+    with no transform.  A zero h needs neither: its kernel is the whole
+    source lattice, on its own basis, so the group is read off d alone.
     """
+    if h.matrix.is_zero():
+        return _cokernel(d.rows, _snf_ext(d).s)
     s, _, cols = _hom_snf(h)
     r, n = len(s), cols.n
     hd = h.matrix @ d
@@ -402,7 +405,8 @@ def _kernel_quotient(h: AbHom, d: IntMatrix) -> FgAbGroup:
 
 
 def hom_kernel(h: AbHom) -> FgAbGroup:
-    """ker(h), its lattice over the source relations: two SNFs."""
+    """ker(h), its lattice over the source relations: two SNFs, or one
+    when h is zero."""
     return _kernel_quotient(h, _relation_matrix(h.source))
 
 
@@ -432,7 +436,7 @@ def is_exact_pair(g: AbHom, h: AbHom) -> bool:
 
 def hom_subquotient(g: AbHom, h: AbHom) -> FgAbGroup:
     """ker(h) / im(g) inside the shared middle group (requires im <= ker,
-    that is h g = 0): two SNFs."""
+    that is h g = 0): two SNFs, or one when h is zero."""
     if g.target != h.source:
         raise ValueError("subquotient: g.target != h.source")
     if not compose_hom(h, g).matrix.is_zero():

@@ -6,10 +6,13 @@ degree), 2 malformed, unreadable or non-UTF-8 document, 3 usage error
 (an unwritable -o/--output path too).  When the reader of stdout goes
 away first (``cwhom check | head -1``), every command stops quietly with
 exit code 1: no traceback and no message.  ``main`` may be called
-repeatedly in one process: it builds its parser once, and binds the
-handlers then.  It also keeps the last valid document a call loaded
-(``_load``), so a later call that reads the same text to load it the same
-way parses, builds and validates nothing.
+repeatedly in one process: it builds the parser of each command it runs
+once, and binds that command's handler then.  It builds the full parser,
+with every command, only for an argv that names no command or that leaves
+arguments over, whose usage and errors are the full parser's.  It also
+keeps the last valid document a call loaded (``_load``), so a later call
+that reads the same text to load it the same way parses, builds and
+validates nothing.
 """
 
 from __future__ import annotations
@@ -235,86 +238,116 @@ def _cmd_check(args) -> int:
     return 0
 
 
-# built once per process and reused by every main call, so its handlers
-# (func=_cmd_*), types and usage_error are bound here; parse_args makes a
-# fresh namespace on each call, and no default is mutable
-@lru_cache(maxsize=1)
-def build_parser() -> _Parser:
-    p = _Parser(prog="cwhom", description="finite CW complexes, exact (co)homology, axiom checks")
-    sub = p.add_subparsers(dest="command", required=True)
+def _file(sp):
+    sp.add_argument("file", help="JSON document, or - for stdin")
 
-    def filearg(sp):
-        sp.add_argument("file", help="JSON document, or - for stdin")
 
-    sp = sub.add_parser("validate", help="validate a complex or chain map document")
-    filearg(sp)
-    sp.set_defaults(func=_cmd_validate)
+def _output(sp):
+    sp.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+    sp.set_defaults(usage_error=sp.error)
 
-    sp = sub.add_parser("homology", help="(co)homology groups")
-    filearg(sp)
+
+def _file_output(sp):
+    _file(sp)
+    _output(sp)
+
+
+def _homology_args(sp):
+    _file(sp)
     sp.add_argument("--coeff", type=_coeff, default=FgAbGroup.free(1),
                     help="coefficient group, e.g. 'Z', 'Z/2', 'Z + Z/4' (default Z)")
     sp.add_argument("--cohomology", action="store_true", help="cohomology instead of homology")
     sp.add_argument("--reduced", action="store_true")
     sp.add_argument("--dim", type=int, default=None, help="single dimension only")
-    sp.set_defaults(func=_cmd_homology)
 
-    sp = sub.add_parser("euler", help="Euler characteristic")
-    filearg(sp)
-    sp.set_defaults(func=_cmd_euler)
 
-    def outarg(sp):
-        sp.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-        sp.set_defaults(usage_error=sp.error)
-
-    sp = sub.add_parser("susp", help="reduced suspension")
-    filearg(sp)
-    outarg(sp)
-    sp.set_defaults(func=_cmd_susp)
-
-    sp = sub.add_parser("wedge", help="one-point union of complexes")
+def _wedge_args(sp):
     sp.add_argument("files", nargs="+")
-    outarg(sp)
-    sp.set_defaults(func=_cmd_wedge)
+    _output(sp)
 
-    sp = sub.add_parser("quotient", help="collapse a skeleton to the basepoint")
-    filearg(sp)
+
+def _quotient_args(sp):
+    _file(sp)
     sp.add_argument("--below", type=int, required=True,
                     help="collapse the skeleton of this dimension")
-    outarg(sp)
-    sp.set_defaults(func=_cmd_quotient)
+    _output(sp)
 
-    sp = sub.add_parser("cone", help="mapping cone of a chain map document")
-    filearg(sp)
-    outarg(sp)
-    sp.set_defaults(func=_cmd_cone)
 
-    sp = sub.add_parser("zoo", help="standard complexes: " + ", ".join(ZOO_NAMES))
+def _zoo_args(sp):
     sp.add_argument("name", choices=ZOO_NAMES)
     sp.add_argument("params", type=int, nargs="*")
-    outarg(sp)
-    sp.set_defaults(func=_cmd_zoo)
+    _output(sp)
 
-    sp = sub.add_parser("degree", help="degree of a sphere self-map document")
-    filearg(sp)
-    sp.set_defaults(func=_cmd_degree)
 
-    sp = sub.add_parser("check", help="axiom checks (no file: full corpus battery)")
+def _check_args(sp):
     sp.add_argument("file", nargs="?", default=None)
     sp.add_argument("--coeff", type=_coeff, default=None, help="coefficient group of a FILE check (default Z)")
     sp.add_argument("--range", type=_parse_range, default=None,
                     help="dimension range a..b for suspension/les checks")
     sp.add_argument("--suite", action="append", choices=SUITES + ("all",),
                     help="restrict to a suite (repeatable; default all)")
-    sp.set_defaults(func=_cmd_check, usage_error=sp.error)
+    sp.set_defaults(usage_error=sp.error)
 
+
+# every command, in the order the full parser lists them: its help line,
+# its handler and the function that adds its arguments
+_COMMANDS = {
+    "validate": ("validate a complex or chain map document", _cmd_validate, _file),
+    "homology": ("(co)homology groups", _cmd_homology, _homology_args),
+    "euler": ("Euler characteristic", _cmd_euler, _file),
+    "susp": ("reduced suspension", _cmd_susp, _file_output),
+    "wedge": ("one-point union of complexes", _cmd_wedge, _wedge_args),
+    "quotient": ("collapse a skeleton to the basepoint", _cmd_quotient, _quotient_args),
+    "cone": ("mapping cone of a chain map document", _cmd_cone, _file_output),
+    "zoo": ("standard complexes: " + ", ".join(ZOO_NAMES), _cmd_zoo, _zoo_args),
+    "degree": ("degree of a sphere self-map document", _cmd_degree, _file),
+    "check": ("axiom checks (no file: full corpus battery)", _cmd_check, _check_args),
+}
+
+
+def _command(sp: _Parser, name: str) -> _Parser:
+    _, handler, add_arguments = _COMMANDS[name]
+    add_arguments(sp)
+    sp.set_defaults(func=handler)
+    return sp
+
+
+# each parser is built once per process and reused by every main call, so
+# its handlers (func=_cmd_*), types and usage_error are bound here;
+# parse_args makes a fresh namespace on each call, and no default is
+# mutable.  Keys are a command name or nothing (the full parser), so the
+# cache holds at most one parser per command and the full one
+@lru_cache(maxsize=len(_COMMANDS) + 1)
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of one command, named as in the full parser's usage; or,
+    with no command, the full parser: all commands, as subparsers."""
+    if command is not None:
+        return _command(_Parser(prog=f"cwhom {command}"), command)
+    p = _Parser(prog="cwhom", description="finite CW complexes, exact (co)homology, axiom checks")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (text, _, _) in _COMMANDS.items():
+        _command(sub.add_parser(name, help=text), name)
     return p
 
 
+def _namespace(argv: list):
+    """argv's namespace, read by the parser of the command argv[0] names.
+    The full parser reads an argv that names no command, and again the
+    whole of one that its command's parser leaves arguments of: then the
+    usage and the error are the full parser's, as they would be from it
+    alone."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         try:
-            return _run(build_parser().parse_args(argv))
+            return _run(_namespace(argv))
         finally:
             # a write the pipe refuses must fail here, not at exit
             sys.stdout.flush()

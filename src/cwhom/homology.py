@@ -56,9 +56,10 @@ used as it is.
 
 What is keyed by a complex, a chain map, a pair of chain maps or a matrix
 lives in the memo of that value (``_per_value``), released with the last
-equal value.  Five caches, keyed by groups, homs or nothing, are bounded
-by count: ``cells_presentation``, ``verify._inverse``, ``_exact`` and
-``_subquotient``, and ``cli.build_parser``.
+equal value.  Five caches, keyed by groups, homs or command names, are
+bounded by count: ``cells_presentation``, ``verify._inverse``, ``_exact`` and
+``_subquotient``, and ``cli.build_parser`` (by the number of commands
+plus one).
 """
 
 from __future__ import annotations

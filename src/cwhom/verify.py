@@ -32,10 +32,11 @@ groups, in equal complexes under other names, and between checks.  Every
 inversion, exactness test and subquotient reads through a memo keyed by
 value (``_inverse``, ``_exact``, ``_subquotient``; ``AbHom`` is frozen
 and hashed by its source, target and matrix), bounded by count like
-``homology.cells_presentation`` and ``cli.build_parser``.  Each distinct
-value is proved in full, once: an isomorphism is inverted and its inverse
-verified both ways, and a failure is not cached, so a hom that is not
-invertible is tried again, with the same witness, every time it is met.
+``homology.cells_presentation`` and ``cli.build_parser`` (one parser per
+CLI command, and the full one).  Each distinct value is proved in full,
+once: an isomorphism is inverted and its inverse verified both ways, and
+a failure is not cached, so a hom that is not invertible is tried again,
+with the same witness, every time it is met.
 What is keyed by a complex or a chain map lives in that value's memo
 (``homology._per_value``): the tower in x's, part (b) for Q_k in Q_k's,
 each level's composite in cell coordinates and part (c) in its

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import cwhom
 from cwhom.chainmaps import identity_map, sphere_self_map
-from cwhom.cli import build_parser, main
+from cwhom.cli import _run, build_parser, main
 from cwhom.complexes import zoo
 from cwhom.documents import complex_to_doc, dumps, map_to_doc
 from test_documents import sample_complex_documents, sample_map_documents, spoiled_documents
@@ -616,10 +616,66 @@ def _call(argv):
 
 
 def test_parser_is_built_once_per_process(torus_file):
+    # each command's parser on its first call; the full parser on the first
+    # call whose arguments a command's parser leaves over
     build_parser.cache_clear()
     for argv in (["homology", torus_file], ["euler", torus_file], ["homology", torus_file, "--dim", "x"]):
         _call(argv)
-    assert build_parser.cache_info().misses == 1
+    assert build_parser.cache_info().misses == 2
+    _call(["euler", torus_file])
+    assert build_parser.cache_info().misses == 2
+    for _ in range(2):
+        assert _call(["euler", torus_file, "extra"])[2] == 3
+        assert build_parser.cache_info().misses == 3
+
+
+def _reference_call(argv):
+    """stdout, stderr and exit code of argv read by the full parser alone."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = _run(build_parser().parse_args(argv))
+        except SystemExit as e:
+            code = e.code
+    return out.getvalue(), err.getvalue(), code
+
+
+@pytest.fixture
+def sphere_files(tmp_path):
+    """A complex document and a chain-map document, both on S^2."""
+    x, f = tmp_path / "s2.json", tmp_path / "deg3.json"
+    x.write_text(dumps(complex_to_doc(zoo("sphere", 2))))
+    f.write_text(dumps(map_to_doc(sphere_self_map(2, 3))))
+    return str(x), str(f)
+
+
+# each command's options and positionals in a valid call: x is a complex
+# document, f a chain-map document
+_VALID = {"validate": ([], ["x"]), "homology": (["--cohomology", "--coeff", "Z/2"], ["x"]), "euler": ([], ["x"]),
+          "susp": ([], ["x"]),
+          "wedge": ([], ["x", "x"]), "quotient": (["--below", "1"], ["x"]), "cone": ([], ["f"]),
+          "zoo": ([], ["torus"]), "degree": ([], ["f"]), "check": (["--suite", "suspension"], ["x"])}
+
+
+@pytest.mark.parametrize("command", list(_VALID))
+def test_each_call_reads_as_through_the_full_parser(command, sphere_files):
+    # main reads an argv with the parser of its command alone; every call
+    # still prints the bytes, and exits with the code, of the full parser
+    x, f = sphere_files
+    opts, pos = _VALID[command]
+    pos = [{"x": x, "f": f}.get(p, p) for p in pos]
+    # check's file is optional: its missing argument is an option's
+    missing = ["check", x, "--range"] if command == "check" else [command, *opts]
+    calls = [[command, *pos, *opts], [command, "-h"], missing, [command, *pos, *opts, "--bogus"],
+             [command, *pos, *opts, "extra"], [command, *opts, "--", *pos], [command, *pos, *opts, "--co", "Z/2"]]
+    calls += [[command, *pos, *opts, *bad] for bad in (["--coeff", "Z/"], ["--dim", "x"], ["--range", "3..1"])]
+    for argv in calls:
+        assert _call(argv) == _reference_call(argv), argv
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["nope"], ["--", "homology"], ["-h", "homology"]])
+def test_an_argv_that_names_no_command_reads_as_through_the_full_parser(argv):
+    assert _call(argv) == _reference_call(argv)
 
 
 def test_repeated_calls_match_calls_on_a_fresh_parser(torus_file, tmp_path):
